@@ -78,7 +78,6 @@ from .structured import (
     group_as_group_groupoid,
     pair_group_groupoid,
     pair_vector_space_groupoid,
-    validate_group,
     validate_group_groupoid,
     validate_group_groupoid_as_morphisms,
     validate_group_groupoid_morphism,

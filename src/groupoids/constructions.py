@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import FiniteGroupoid, IsotropyGroup, ValidationReport, Violation
+from .core import FiniteGroupoid, IsotropyGroup, ValidationReport, Violation, _group_law_violations
 from .quasiperm import Quasipermutation
 
 __all__ = [
@@ -84,22 +84,8 @@ class GroupTable:
             for j in range(k):
                 if not 0 <= self.table[i][j] < k:
                     v.append(Violation("structure", (i, j), "table entry out of range"))
-        if v:
-            return ValidationReport(tuple(v))
-        e = self.identity
-        for i in range(k):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                v.append(Violation("identity", (i,), "identity element fails"))
-            if not 0 <= self.inv[i] < k:
-                v.append(Violation("structure", (i,), "inverse entry out of range"))
-            elif self.table[i][self.inv[i]] != e or self.table[self.inv[i]][i] != e:
-                v.append(Violation("inverse", (i,), "inverse element fails"))
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if self.table[self.table[i][j]][l] != self.table[i][self.table[j][l]]:
-                        v.append(Violation("associativity", (i, j, l), "associativity fails"))
-        return ValidationReport(tuple(v))
+        laws = v or _group_law_violations(self.table, self.identity, self.inv)
+        return ValidationReport(tuple(laws))
 
     def is_commutative(self) -> bool:
         k = self.order
@@ -157,6 +143,12 @@ def pair_index(n: int, i: int, j: int) -> int:
     return n + i * (n - 1) + j - (1 if j > i else 0)
 
 
+def pair_arrows(n: int) -> list[tuple[int, int]]:
+    """The arrows (i, j) of the pair groupoid on n points in element order,
+    so that ``pair_arrows(n)[pair_index(n, i, j)] == (i, j)``."""
+    return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
 def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     """The pair groupoid on the given base points.
 
@@ -170,8 +162,7 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     if len(set(pts)) != len(pts):
         raise ValueError("pair groupoid points must be distinct")
     n = len(pts)
-    pairs = [(i, i) for i in range(n)]
-    pairs += [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = pair_arrows(n)
     index = {p: k for k, p in enumerate(pairs)}
     mul = {}
     for i, j in pairs:

@@ -120,6 +120,7 @@ class FiniteGroupoid:
         if not unit_list:
             raise ValueError("a groupoid needs at least one unit")
         self.units: tuple[int, ...] = tuple(sorted(unit_list))
+        self._unit_set: frozenset[int] = frozenset(unit_list)
 
         n = len(self.elements)
         self.alpha: tuple[int, ...] = tuple(int(v) for v in alpha)
@@ -183,14 +184,7 @@ class FiniteGroupoid:
         return (len(self.elements), len(self.units))
 
     def is_unit(self, x: int) -> bool:
-        return x in self._unit_set()
-
-    def _unit_set(self) -> frozenset[int]:
-        cached = getattr(self, "_units_frozen", None)
-        if cached is None:
-            cached = frozenset(self.units)
-            self._units_frozen = cached
-        return cached
+        return x in self._unit_set
 
     def label(self, x: int) -> str:
         return self.elements[x]
@@ -310,21 +304,32 @@ class IsotropyGroup:
         return self.members.index(self.unit)
 
     def check(self, parent: FiniteGroupoid) -> None:
-        """Verify the group axioms on the induced table (defensive)."""
-        k = self.order
-        e = self.identity_position
-        for i in range(k):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise ValueError(f"unit {self.unit} is not an identity of its isotropy group")
-            if self.table[i][self.inv[i]] != e or self.table[self.inv[i]][i] != e:
-                raise ValueError(f"isotropy group at unit {self.unit} lacks an inverse")
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if self.table[self.table[i][j]][l] != self.table[i][self.table[j][l]]:
-                        raise ValueError(
-                            f"isotropy group at unit {self.unit} is not associative"
-                        )
+        """Verify the group axioms on the induced table (defensive); the
+        ValueError names the first violated law, witnessed by positions."""
+        bad = next(_group_law_violations(self.table, self.identity_position, self.inv), None)
+        if bad is not None:
+            raise ValueError(f"isotropy group at unit {self.unit} is not a group: {bad}")
+
+
+def _group_law_violations(
+    table: Sequence[Sequence[int]], e: int, inv: Sequence[int]
+) -> Iterator[Violation]:
+    """Identity and inverse failures per element, then associativity failures
+    (i, j, l) in lexicographic order, of a k x k table with entries in range."""
+    k = len(table)
+    for i in range(k):
+        if table[e][i] != i or table[i][e] != i:
+            yield Violation("identity", (i,), "identity element fails")
+        if not 0 <= inv[i] < k:
+            yield Violation("structure", (i,), "inverse entry out of range")
+        elif table[i][inv[i]] != e or table[inv[i]][i] != e:
+            yield Violation("inverse", (i,), "inverse element fails")
+    for i, row_i in enumerate(table):
+        for j, ij in enumerate(row_i):
+            row_ij = table[ij]
+            for l, jl in enumerate(table[j]):
+                if row_ij[l] != row_i[jl]:
+                    yield Violation("associativity", (i, j, l), "associativity fails")
 
 
 # ----- validation ----------------------------------------------------------
@@ -517,11 +522,11 @@ def _element_order(g: FiniteGroupoid, x: int) -> int:
     if g.alpha[x] != g.beta[x]:
         return 0
     power = x
-    order = 1
-    while not g.is_unit(power):
+    for order in range(1, len(g) + 1):
+        if g.is_unit(power):
+            return order
         power = g.mul[(power, x)]
-        order += 1
-    return order
+    raise ValueError(f"element {x} ({g.elements[x]!r}) reaches no unit in {len(g)} powers")
 
 
 def _invariant_vectors(g: FiniteGroupoid) -> list[tuple]:
@@ -560,7 +565,8 @@ def is_isomorphic(
     Returns the element map as a tuple (position x holds the image of x),
     or None when the groupoids are not isomorphic.  Backtracking with
     per-element invariant pruning and forced propagation of products;
-    raises SizeLimitError above ``max_size`` elements.
+    raises SizeLimitError above ``max_size`` elements, and ValueError when
+    the powers of an element with equal source and target miss every unit.
     """
     if len(g) > max_size or len(h) > max_size:
         raise SizeLimitError(

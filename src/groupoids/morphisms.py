@@ -125,11 +125,18 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
 def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
     """A morphism is strong when it reflects composability: whenever the
     images of x and y compose, x and y already compose.  Returns the flag
-    and, when false, a witness pair (x, y)."""
+    and, when false, the lexicographically first witness pair (x, y).
+    The images compose exactly when y is in the bucket of elements whose
+    image starts where the image of x ends, so only those pairs are visited;
+    on a valid morphism this is injectivity of the unit map."""
     g, h, f = m.domain, m.codomain, m.elem_map
+    by_image_source: dict[int, list[int]] = {}
+    for y in range(len(g)):
+        by_image_source.setdefault(h.alpha[f[y]], []).append(y)
     for x in range(len(g)):
-        for y in range(len(g)):
-            if h.composable(f[x], f[y]) and not g.composable(x, y):
+        bx = g.beta[x]
+        for y in by_image_source.get(h.beta[f[x]], ()):
+            if g.alpha[y] != bx:
                 return False, (x, y)
     return True, None
 

@@ -20,6 +20,7 @@ from .constructions import (
     direct_product,
     from_group,
     null_groupoid,
+    pair_arrows,
     pair_groupoid_over,
     pair_index,
 )
@@ -33,7 +34,6 @@ __all__ = [
     "is_prime",
     "pair_group_groupoid",
     "pair_vector_space_groupoid",
-    "validate_group",
     "validate_group_groupoid",
     "validate_group_groupoid_as_morphisms",
     "validate_group_groupoid_morphism",
@@ -42,11 +42,6 @@ __all__ = [
 ]
 
 PAIR_BASE_LIMIT = 64
-
-
-def validate_group(t: GroupTable) -> ValidationReport:
-    """Group axioms for a total table; see GroupTable.validate."""
-    return t.validate()
 
 
 def is_prime(p: int) -> bool:
@@ -102,19 +97,29 @@ def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
     return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
 
 
+def _precheck_violations(gg: GroupGroupoid) -> list[Violation]:
+    """The carrier's violations if it is not a groupoid, else those of the
+    two group tables; the structured laws are checked only when it is empty."""
+    carrier_report = validate(gg.carrier)
+    if not carrier_report.passed:
+        return _prefixed(carrier_report, "carrier")
+    return (_prefixed(gg.elem_group.validate(), "elem-group")
+            + _prefixed(gg.unit_group.validate(), "unit-group"))
+
+
+def _precheck_failed(violations: Sequence[Violation]) -> bool:
+    """True when a group-groupoid report stopped at its pre-check."""
+    return any(x.axiom.startswith(("carrier", "elem-group", "unit-group")) for x in violations)
+
+
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     """Direct checklist: carrier is a groupoid, both tables are groups, the
     structure maps are homomorphisms, the interchange law holds, and group
     inversion distributes over the partial product."""
-    g = gg.carrier
-    v: list[Violation] = []
-    carrier_report = validate(g)
-    if not carrier_report.passed:
-        return ValidationReport(tuple(_prefixed(carrier_report, "carrier")))
-    v.extend(_prefixed(gg.elem_group.validate(), "elem-group"))
-    v.extend(_prefixed(gg.unit_group.validate(), "unit-group"))
+    v = _precheck_violations(gg)
     if v:
         return ValidationReport(tuple(v))
+    g = gg.carrier
     n = len(g)
     pos = {u: i for i, u in enumerate(g.units)}
     add = gg.elem_group.table
@@ -164,15 +169,10 @@ def validate_group_groupoid_as_morphisms(gg: GroupGroupoid) -> ValidationReport:
     """Equivalent formulation: addition, the identity selection, and
     negation are groupoid morphisms (from the square of the carrier, from a
     one-point groupoid, and from the carrier)."""
-    g = gg.carrier
-    carrier_report = validate(g)
-    if not carrier_report.passed:
-        return ValidationReport(tuple(_prefixed(carrier_report, "carrier")))
-    v: list[Violation] = []
-    v.extend(_prefixed(gg.elem_group.validate(), "elem-group"))
-    v.extend(_prefixed(gg.unit_group.validate(), "unit-group"))
+    v = _precheck_violations(gg)
     if v:
         return ValidationReport(tuple(v))
+    g = gg.carrier
     n = len(g)
     pos = {u: i for i, u in enumerate(g.units)}
     square = direct_product(g, g)
@@ -267,12 +267,16 @@ class VectorSpaceGroupoid:
         return f"VectorSpaceGroupoid(GF({self.p}), type ({n};{m}))"
 
 
-def _scalar_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
-    """Vector-space axioms for both scalar actions, assuming the additive
-    groups already validate."""
+def _vector_space_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
+    """Commutativity of both groups and the vector-space axioms for both
+    scalar actions, assuming the additive groups already validate."""
     out: list[Violation] = []
     p = v.p
     gg = v.structure
+    if not gg.elem_group.is_commutative():
+        out.append(Violation("commutative", (), "element group is not commutative"))
+    if not gg.unit_group.is_commutative():
+        out.append(Violation("commutative", (), "unit group is not commutative"))
     n = len(gg.carrier)
     m = len(gg.carrier.units)
     add = gg.elem_group.table
@@ -301,15 +305,6 @@ def _scalar_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
                         out.append(Violation(
                             f"{name}-distrib-add", (k, x, y),
                             "k.(x+y) differs from k.x + k.y"))
-    return out
-
-
-def _commutativity_violations(gg: GroupGroupoid) -> list[Violation]:
-    out = []
-    if not gg.elem_group.is_commutative():
-        out.append(Violation("commutative", (), "element group is not commutative"))
-    if not gg.unit_group.is_commutative():
-        out.append(Violation("commutative", (), "unit group is not commutative"))
     return out
 
 
@@ -342,10 +337,9 @@ def validate_vector_space_groupoid(v: VectorSpaceGroupoid) -> ValidationReport:
     for both actions, linear structure maps, and the interchange law."""
     base = validate_group_groupoid(v.structure)
     out = list(base.violations)
-    if any(x.axiom.startswith(("carrier", "elem-group", "unit-group")) for x in out):
+    if _precheck_failed(out):
         return ValidationReport(tuple(out))
-    out.extend(_commutativity_violations(v.structure))
-    out.extend(_scalar_law_violations(v))
+    out.extend(_vector_space_law_violations(v))
     out.extend(_linearity_violations(v))
     return ValidationReport(tuple(out))
 
@@ -357,10 +351,9 @@ def validate_vector_space_groupoid_via_morphisms(v: VectorSpaceGroupoid) -> Vali
     scalars as a null groupoid."""
     base = validate_group_groupoid_as_morphisms(v.structure)
     out = list(base.violations)
-    if any(x.axiom.startswith(("carrier", "elem-group", "unit-group")) for x in out):
+    if _precheck_failed(out):
         return ValidationReport(tuple(out))
-    out.extend(_commutativity_violations(v.structure))
-    out.extend(_scalar_law_violations(v))
+    out.extend(_vector_space_law_violations(v))
     g = v.carrier
     n = len(g)
     scalars = null_groupoid([str(k) for k in range(v.p)])
@@ -395,8 +388,7 @@ def pair_group_groupoid(t: GroupTable) -> GroupGroupoid:
     if n > PAIR_BASE_LIMIT:
         raise SizeLimitError(f"pair group-groupoid base limited to {PAIR_BASE_LIMIT}, got {n}")
     carrier = pair_groupoid_over(t.labels)
-    pairs = [(i, i) for i in range(n)]
-    pairs += [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = pair_arrows(n)
     table = [
         [pair_index(n, t.table[a][c], t.table[b][d]) for (c, d) in pairs]
         for (a, b) in pairs
@@ -460,8 +452,7 @@ def pair_vector_space_groupoid(p: int, dim: int) -> VectorSpaceGroupoid:
         [vec_index[tuple((k * a) % p for a in vec)] for vec in vectors]
         for k in range(p)
     ]
-    pairs = [(i, i) for i in range(n)]
-    pairs += [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = pair_arrows(n)
     scalar = [
         [pair_index(n, vec_scale[k][a], vec_scale[k][b]) for (a, b) in pairs]
         for k in range(p)

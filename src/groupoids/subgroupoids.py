@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -51,7 +52,7 @@ class SubsetClassification:
 
 @dataclass(frozen=True)
 class SubgroupoidHandle:
-    """A verified subgroupoid, kept as member indices into the parent."""
+    """A verified subgroupoid, kept as ascending member indices into the parent."""
 
     parent: FiniteGroupoid
     members: tuple[int, ...]
@@ -69,7 +70,8 @@ class SubgroupoidHandle:
         return restricted(self.parent, self.members)
 
     def contains(self, x: int) -> bool:
-        return x in set(self.members)
+        i = bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
 
 
 def _clean_members(g: FiniteGroupoid, members: Iterable[int]) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ from conftest import symmetric_group_3
 from groupoids import (
     FiniteGroupoid,
     GroupTable,
+    IsotropyGroup,
     cyclic_group,
     direct_product,
     disjoint_union,
@@ -50,6 +51,25 @@ def test_group_table_validate_witnesses():
 
     ragged = GroupTable.build(z4.labels, [[0, 1], [1, 0]], 0, z4.inv)
     assert any(v.axiom == "structure" for v in ragged.validate().violations)
+
+
+@pytest.mark.parametrize("law, rows_patch, inv", [
+    ("identity", (0, 1, 2), (0, 3, 2, 1)),
+    ("inverse", None, (0, 2, 2, 1)),
+    ("associativity", (1, 1, 1), (0, 3, 2, 1)),
+])
+def test_group_table_and_isotropy_check_agree_on_planted_fault(z4, law, rows_patch, inv):
+    rows = [list(r) for r in cyclic_group(4).table]
+    if rows_patch is not None:
+        i, j, value = rows_patch
+        rows[i][j] = value
+    broken = GroupTable.build(z4.elements, rows, 0, inv)
+    violations = broken.validate().violations
+    assert violations and violations[0].axiom == law
+    iso = IsotropyGroup(unit=0, members=(0, 1, 2, 3), table=broken.table, inv=broken.inv)
+    with pytest.raises(ValueError) as err:
+        iso.check(z4)
+    assert str(violations[0]) in str(err.value)
 
 
 def test_group_table_commutativity():

@@ -277,6 +277,13 @@ def test_is_isomorphic_size_limit():
         is_isomorphic(big, big)
 
 
+def test_is_isomorphic_rejects_idempotent_non_unit():
+    tables = z4_tables()
+    tables["mul"][(1, 1)] = 1
+    with pytest.raises(ValueError, match="element 1 "):
+        is_isomorphic(FiniteGroupoid(**tables), from_group(cyclic_group(4)))
+
+
 def test_equality_ignores_labels_only_when_tables_match(gp2):
     other = pair_groupoid(2)
     assert gp2 == other

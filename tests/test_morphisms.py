@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from groupoids import (
@@ -20,6 +22,7 @@ from groupoids import (
     pair_groupoid,
     preimage,
     subgroupoid_handle,
+    symmetric_groupoid,
     validate,
     validate_morphism,
 )
@@ -244,3 +247,44 @@ def test_image_of_generated_subgroupoid(gp2, z2):
     sub = subgroupoid_handle(m.domain, [0, 1])
     img = image(m, sub)
     assert img.members == (0,)
+
+
+def strong_by_pair_scan(m):
+    """Reference for is_strong: the definition read over every ordered pair."""
+    g, h, f = m.domain, m.codomain, m.elem_map
+    for x in range(len(g)):
+        for y in range(len(g)):
+            if h.composable(f[x], f[y]) and not g.composable(x, y):
+                return False, (x, y)
+    return True, None
+
+
+def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
+    rng = random.Random(2408)
+    corpus = [gp2, gp3, golden, z4, symmetric_groupoid(3)]
+    morphisms = []
+    for g in corpus:
+        morphisms += [identity_morphism(g), anchor_morphism(g), cayley_embed(g)]
+        for h in corpus:
+            morphisms.append(GroupoidMorphism(g, h, [h.units[0]] * len(g)))
+            by_anchor = {}
+            for y in range(len(h)):
+                by_anchor.setdefault((h.alpha[y], h.beta[y]), []).append(y)
+            for trial in range(40):
+                if trial % 2:
+                    elem_map = [rng.randrange(len(h)) for _ in range(len(g))]
+                else:
+                    # images over a random unit map, so that strength turns on
+                    # whether that map is injective
+                    f0 = {u: rng.choice(h.units) for u in g.units}
+                    elem_map = [
+                        rng.choice(by_anchor.get((f0[g.alpha[x]], f0[g.beta[x]]), h.units))
+                        for x in range(len(g))]
+                morphisms.append(GroupoidMorphism(g, h, elem_map))
+    assert len(morphisms) >= 1000
+    flags = set()
+    for m in morphisms:
+        expected = strong_by_pair_scan(m)
+        assert is_strong(m) == expected
+        flags.add(expected[0])
+    assert flags == {True, False}
