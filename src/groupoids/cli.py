@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import FiniteGroupoid, SizeLimitError, validate
+from .core import FiniteGroupoid, SizeLimitError, ValidationReport, validate
 from .constructions import (
     cyclic_group,
     direct_product,
@@ -45,6 +45,7 @@ from .morphisms import (
 )
 from .quasiperm import alternating_groupoid, count_formulas, symmetric_groupoid
 from .structured import (
+    _prefixed,
     pair_group_groupoid,
     pair_vector_space_groupoid,
     validate_group_groupoid,
@@ -124,7 +125,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     sym = symmetric_groupoid(n)
     s_total = len(sym)
     s_units = len(sym.units)
-    s_iso = sum(1 for x in range(s_total) if sym.alpha[x] == sym.beta[x])
+    s_iso = len(sym.isotropy_bundle())
     ok = (s_total, s_units, s_iso) == (c.s_total, c.s_units, c.s_isotropy)
     print(f"S_{n}: size {s_total} = {c.s_total}, units {s_units} = {c.s_units}, "
           f"isotropy {s_iso} = {c.s_isotropy} -> {'match' if ok else 'MISMATCH'}")
@@ -133,7 +134,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
         alt = alternating_groupoid(n)
         a_total = len(alt)
         a_units = len(alt.units)
-        a_iso = sum(1 for x in range(a_total) if alt.alpha[x] == alt.beta[x])
+        a_iso = len(alt.isotropy_bundle())
         ok = (a_total, a_units, a_iso) == (c.a_total, c.a_units, c.a_isotropy)
         print(f"A_{n}: size {a_total} = {c.a_total}, units {a_units} = {c.a_units}, "
               f"isotropy {a_iso} = {c.a_isotropy} -> {'match' if ok else 'MISMATCH'}")
@@ -143,9 +144,13 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 def cmd_morphism(args: argparse.Namespace) -> int:
     m = load_morphism(args.file)
-    report = validate_morphism(m)
     if args.action == "verify":
+        # the morphism laws are checked only between groupoids
+        endpoints = (_prefixed(validate(m.domain), "domain")
+                     + _prefixed(validate(m.codomain), "codomain"))
+        report = ValidationReport(tuple(endpoints)) if endpoints else validate_morphism(m)
         return _print_report([report], f"{args.file} is a groupoid morphism")
+    report = validate_morphism(m)
     if not report.passed:
         print(f"FAILED: {args.file} is not a valid morphism")
         for violation in report.violations:

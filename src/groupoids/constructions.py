@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import FiniteGroupoid, IsotropyGroup, ValidationReport, Violation, _group_law_violations
+from .core import (
+    FiniteGroupoid,
+    IsotropyGroup,
+    SizeLimitError,
+    ValidationReport,
+    Violation,
+    _group_law_violations,
+)
 from .quasiperm import Quasipermutation
 
 __all__ = [
@@ -25,6 +32,8 @@ __all__ = [
     "pair_index",
     "whitney_sum",
 ]
+
+PAIR_BASE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,14 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
 
     Arrows are ordered pairs (x, y); (x, y) * (y, z) = (x, z) and the
     inverse of (x, y) is (y, x).  Units are the diagonal pairs and come
-    first in the element order.
+    first in the element order.  Raises SizeLimitError above
+    ``PAIR_BASE_LIMIT`` points, before building.
     """
     pts = list(points)
     if not pts:
         raise ValueError("pair groupoid needs at least one point")
+    if len(pts) > PAIR_BASE_LIMIT:
+        raise SizeLimitError(f"pair groupoid limited to {PAIR_BASE_LIMIT} points, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise ValueError("pair groupoid points must be distinct")
     n = len(pts)

@@ -14,7 +14,7 @@ product's domain) and reports violations with witnesses instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
@@ -519,42 +519,61 @@ def with_base_labels(g: FiniteGroupoid, base_labels: Mapping[int, str]) -> Finit
 
 
 def _element_order(g: FiniteGroupoid, x: int) -> int:
-    if g.alpha[x] != g.beta[x]:
-        return 0
     power = x
     for order in range(1, len(g) + 1):
         if g.is_unit(power):
             return order
-        power = g.mul[(power, x)]
+        power = g.mul.get((power, x))
     raise ValueError(f"element {x} ({g.elements[x]!r}) reaches no unit in {len(g)} powers")
 
 
-def _invariant_vectors(g: FiniteGroupoid) -> list[tuple]:
-    n = len(g.elements)
-    alpha_fiber: dict[int, int] = {}
-    beta_fiber: dict[int, int] = {}
-    for x in range(n):
-        alpha_fiber[g.alpha[x]] = alpha_fiber.get(g.alpha[x], 0) + 1
-        beta_fiber[g.beta[x]] = beta_fiber.get(g.beta[x], 0) + 1
-    iso_size = {u: len(g.isotropy_members(u)) for u in g.units}
-    vectors = []
-    for x in range(n):
-        a, b = g.alpha[x], g.beta[x]
-        vectors.append(
-            (
-                g.is_unit(x),
-                a == b,
-                g.inv[x] == x,
-                alpha_fiber.get(a, 0),
-                beta_fiber.get(b, 0),
-                alpha_fiber.get(b, 0),
-                beta_fiber.get(a, 0),
-                iso_size.get(a, 0),
-                iso_size.get(b, 0),
-                _element_order(g, x),
-            )
-        )
-    return vectors
+def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
+    """Each connected component as its least unit r and one arrow r -> u for
+    every unit u of it; in a groupoid these units are exactly the units that
+    some arrow out of r reaches."""
+    arrow = {(g.alpha[x], g.beta[x]): x for x in range(len(g))}
+    components: list[tuple[int, dict[int, int]]] = []
+    for r in g.units:
+        if not any(r in tree for _, tree in components):
+            components.append((r, {u: arrow[r, u] for u in g.units if (r, u) in arrow}))
+    return components
+
+
+def _vertex_group_iso(
+    g: FiniteGroupoid, r: int, h: FiniteGroupoid, s: int
+) -> Optional[dict[int, int]]:
+    """An isomorphism from the vertex group of g at r onto that of h at s.
+    Backtracks over images of equal element order for a greedy generating
+    set (next generator: an element of highest order outside the span); each
+    partial map r -> s is closed under right multiplication by the
+    generators and rejected when inconsistent or not injective."""
+    order_g = {x: _element_order(g, x) for x in g.isotropy_members(r)}
+    order_h = {y: _element_order(h, y) for y in h.isotropy_members(s)}
+    if sorted(order_g.values()) != sorted(order_h.values()):
+        return None
+    by_order = sorted(order_g, key=lambda x: -order_g[x])
+
+    def extend(pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
+        phi, queue = {r: s}, [r]
+        for a in queue:
+            for x, y in pairs:
+                b, c = g.mul.get((a, x)), h.mul.get((phi[a], y))
+                if b not in phi:
+                    phi[b] = c
+                    queue.append(b)
+                elif phi[b] != c:
+                    return None
+        if len(phi) < 2 ** len(pairs):  # each generator at least doubles a group's span
+            raise ValueError(f"vertex group at unit {r} ({g.elements[r]!r}) is not a group")
+        if len(set(phi.values())) != len(phi):
+            return None
+        x = next((x for x in by_order if x not in phi), None)
+        if x is None:
+            return phi
+        found = (extend(pairs + [(x, y)]) for y in order_h if order_h[y] == order_g[x])
+        return next((iso for iso in found if iso is not None), None)
+
+    return extend([])
 
 
 def is_isomorphic(
@@ -563,10 +582,12 @@ def is_isomorphic(
     """Search for a structure-preserving bijection g -> h.
 
     Returns the element map as a tuple (position x holds the image of x),
-    or None when the groupoids are not isomorphic.  Backtracking with
-    per-element invariant pruning and forced propagation of products;
-    raises SizeLimitError above ``max_size`` elements, and ValueError when
-    the powers of an element with equal source and target miss every unit.
+    or None when the groupoids are not isomorphic.  Components are matched
+    greedily by unit count and vertex-group isomorphism φ (Brandt's theorem);
+    with arrows t, t' out of matched roots and units paired by σ, x : u -> v
+    goes to t'(σu)^-1 * φ(t(u) * x * t(v)^-1) * t'(σv), checked against both
+    tables.  Raises SizeLimitError above ``max_size`` elements, and ValueError
+    on tables seen not to be groupoids, e.g. a loop whose powers miss every unit.
     """
     if len(g) > max_size or len(h) > max_size:
         raise SizeLimitError(
@@ -574,87 +595,26 @@ def is_isomorphic(
         )
     if len(g) != len(h) or len(g.units) != len(h.units) or len(g.mul) != len(h.mul):
         return None
-    vec_g = _invariant_vectors(g)
-    vec_h = _invariant_vectors(h)
-    if sorted(vec_g) != sorted(vec_h):
-        return None
-
-    n = len(g)
-    by_vec: dict[tuple, list[int]] = {}
-    for c in range(n):
-        by_vec.setdefault(vec_h[c], []).append(c)
-    candidates = [by_vec.get(vec_g[x], []) for x in range(n)]
-    if any(not c for c in candidates):
-        return None
-
-    fwd: list[Optional[int]] = [None] * n
-    bwd: list[Optional[int]] = [None] * n
-    assigned: list[int] = []
-
-    def attempt(x: int, c: int, trail: list[int]) -> bool:
-        queue = [(x, c)]
-        while queue:
-            a, b = queue.pop()
-            if fwd[a] is not None:
-                if fwd[a] != b:
-                    return False
-                continue
-            if bwd[b] is not None or vec_g[a] != vec_h[b]:
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            assigned.append(a)
-            trail.append(a)
-            queue.append((g.alpha[a], h.alpha[b]))
-            queue.append((g.beta[a], h.beta[b]))
-            queue.append((g.inv[a], h.inv[b]))
-            for y in assigned:
-                fy = fwd[y]
-                prod = g.mul.get((a, y))
-                if prod is None:
-                    if (b, fy) in h.mul:
-                        return False
-                else:
-                    img = h.mul.get((b, fy))
-                    if img is None:
-                        return False
-                    queue.append((prod, img))
-                if y != a:
-                    prod = g.mul.get((y, a))
-                    if prod is None:
-                        if (fy, b) in h.mul:
-                            return False
-                    else:
-                        img = h.mul.get((fy, b))
-                        if img is None:
-                            return False
-                        queue.append((prod, img))
-        return True
-
-    def unwind(trail: list[int]) -> None:
-        for a in reversed(trail):
-            b = fwd[a]
-            fwd[a] = None
-            bwd[b] = None
-            assigned.pop()
-
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-
-    def search(k: int) -> bool:
-        while k < n and fwd[order[k]] is not None:
-            k += 1
-        if k == n:
-            return True
-        x = order[k]
-        for c in candidates[x]:
-            if bwd[c] is not None:
-                continue
-            trail: list[int] = []
-            if attempt(x, c, trail) and search(k + 1):
-                return True
-            unwind(trail)
-        return False
-
-    if search(0):
-        return tuple(fwd)  # type: ignore[arg-type]
-    return None
+    free = _components(h)
+    image: dict[Optional[int], Optional[int]] = {}
+    for r, tree in _components(g):
+        for i, (s, tree2) in enumerate(free):
+            phi = _vertex_group_iso(g, r, h, s) if len(tree2) == len(tree) else None
+            if phi is not None:
+                break
+        else:
+            return None
+        del free[i]
+        arrows = [(tree[u], tree2[w]) for u, w in zip(sorted(tree), sorted(tree2))]
+        for t, t2 in arrows:
+            for z, z2 in phi.items():
+                for a, a2 in arrows:
+                    x = g.mul.get((g.mul.get((g.inv[t], z)), a))
+                    image[x] = h.mul.get((h.mul.get((h.inv[t2], z2)), a2))
+    f = tuple(image.get(x) for x in range(len(g)))
+    if (set(f) != set(range(len(h))) or not all(h.is_unit(f[u]) for u in g.units)
+            or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
+                   for x, y in enumerate(f))
+            or any(h.mul.get((f[x], f[y])) != f[z] for (x, y), z in g.mul.items())):
+        raise ValueError("the tables are not groupoids: the component map is not an isomorphism")
+    return f  # type: ignore[return-value]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Optional
 
-from .core import FiniteGroupoid, SizeLimitError, restricted
+from .core import FiniteGroupoid, SizeLimitError
 
 __all__ = [
     "GroupoidCounts",
@@ -146,9 +146,12 @@ def signature(f: Quasipermutation) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _enumerate(n: int) -> list[Quasipermutation]:
+def _enumerate(n: int, limit: int) -> list[Quasipermutation]:
     """All quasipermutations of degree n: identity maps first (by length,
-    then domain), then the rest by (length, domain, image)."""
+    then domain), then the rest by (length, domain, image).  Raises
+    SizeLimitError above the degree bound, before enumerating."""
+    if n > limit:
+        raise SizeLimitError(f"degree {n} exceeds the bound {limit}")
     units: list[Quasipermutation] = []
     rest: list[Quasipermutation] = []
     points = range(1, n + 1)
@@ -164,18 +167,9 @@ def _enumerate(n: int) -> list[Quasipermutation]:
     return units + rest
 
 
-def symmetric_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
-    """The groupoid of all quasipermutations of degree n.
-
-    Units are the identity maps of nonempty subsets; the product of f and g
-    is defined when range(f) = domain(g) and is the composite map.  Element
-    payloads hold the Quasipermutation objects.
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if n > limit:
-        raise SizeLimitError(f"degree {n} exceeds the bound {limit}")
-    maps = _enumerate(n)
+def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
+    """The groupoid on a list of quasipermutations closed under composition
+    and inversion, with elements in list order and the maps as payloads."""
     index = {(f.domain, f.image): i for i, f in enumerate(maps)}
     unit_of_subset = {f.domain_set: i for i, f in enumerate(maps) if f.is_identity()}
     by_domain: dict[frozenset[int], list[int]] = {}
@@ -197,14 +191,24 @@ def symmetric_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
     )
 
 
+def symmetric_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
+    """The groupoid of all quasipermutations of degree n.
+
+    Units are the identity maps of nonempty subsets; the product of f and g
+    is defined when range(f) = domain(g) and is the composite map.  Element
+    payloads hold the Quasipermutation objects.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    return _groupoid(_enumerate(n, limit))
+
+
 def alternating_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
-    """The wide subgroupoid of even quasipermutations of degree n (n >= 2)."""
+    """The wide subgroupoid of even quasipermutations of degree n (n >= 2),
+    with the elements in the order they have in the full groupoid."""
     if n < 2:
         raise ValueError("the even quasipermutations need degree at least 2")
-    full = symmetric_groupoid(n, limit=limit)
-    assert full.payloads is not None
-    members = [i for i, f in enumerate(full.payloads) if signature(f) == 1]
-    return restricted(full, members)
+    return _groupoid([f for f in _enumerate(n, limit) if signature(f) == 1])
 
 
 @dataclass(frozen=True)

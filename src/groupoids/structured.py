@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .core import FiniteGroupoid, SizeLimitError, ValidationReport, Violation, validate
 from .constructions import (
+    PAIR_BASE_LIMIT,
     GroupTable,
     direct_product,
     from_group,
@@ -40,8 +41,6 @@ __all__ = [
     "validate_vector_space_groupoid",
     "validate_vector_space_groupoid_via_morphisms",
 ]
-
-PAIR_BASE_LIMIT = 64
 
 
 def is_prime(p: int) -> bool:
@@ -385,8 +384,6 @@ def pair_group_groupoid(t: GroupTable) -> GroupGroupoid:
     of arrows; the canonical valid group-groupoid."""
     t.validate().require("not a group")
     n = t.order
-    if n > PAIR_BASE_LIMIT:
-        raise SizeLimitError(f"pair group-groupoid base limited to {PAIR_BASE_LIMIT}, got {n}")
     carrier = pair_groupoid_over(t.labels)
     pairs = pair_arrows(n)
     table = [

@@ -109,7 +109,11 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
         bx = g.beta[x]
         for h in mem:
             if g.alpha[h] == bx and g.beta[h] == bx:
-                z = g.mul[(g.mul[(x, h)], g.inv[x])]
+                z = g.mul.get((g.mul.get((x, h)), g.inv[x]))
+                if z is None:
+                    raise ValueError(
+                        f"conjugate of {g.elements[h]} by {g.elements[x]} is undefined; "
+                        "not a groupoid")
                 if z not in inside:
                     return SubsetClassification(
                         "wide", mem, (x, h, z),

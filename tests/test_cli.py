@@ -126,6 +126,7 @@ def test_missing_and_malformed_files(tmp_path, capsys):
 def test_size_limit_exit_codes(capsys):
     assert main(["build", "symmetric", "9"]) == 3
     assert main(["build", "pair-vsg", "2", "7"]) == 3
+    assert main(["build", "pair", "65"]) == 3
 
 
 def test_value_error_exit_codes(capsys):
@@ -293,6 +294,26 @@ def test_morphism_verify_reports_violations(tmp_path, z4, z2, capsys):
     out = capsys.readouterr().out
     assert "FAILED" in out and "mul-compat" in out
     assert main(["morphism", "kernel", str(path)]) == 1
+
+
+def test_morphism_commands_check_the_endpoints(tmp_path, z4, z2, capsys):
+    domain = plain_document(z4)
+    domain["mul"] = [entry for entry in domain["mul"] if entry[:2] != ["1", "3"]]
+    doc = {
+        "format_version": 1,
+        "domain": domain,
+        "codomain": plain_document(z2),
+        "f": {"0": "0", "1": "1", "2": "0", "3": "1"},
+    }
+    path = tmp_path / "cut_domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["morphism", "verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "[domain-closure] witness=(1, 3)" in out
+    for action in ("kernel", "correspondence"):
+        assert main(["morphism", action, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_morphism_missing_file(tmp_path, capsys):

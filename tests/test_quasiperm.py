@@ -6,6 +6,7 @@ from groupoids import (
     alternating_groupoid,
     count_formulas,
     qp_compose,
+    restricted,
     signature,
     symmetric_groupoid,
     validate,
@@ -169,6 +170,11 @@ def test_count_formulas_match_enumeration():
             assert len(a) == counts.a_total
             assert len(a.units) == counts.a_units
             assert len(a.isotropy_bundle()) == counts.a_isotropy
+            even = [i for i, f in enumerate(g.payloads) if signature(f) == 1]
+            by_restriction = restricted(g, even)
+            assert a == by_restriction
+            assert a.elements == by_restriction.elements
+            assert a.payloads == by_restriction.payloads
 
 
 def test_known_count_values():
