@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 PAIR_BASE_LIMIT = 64
+CYCLIC_ORDER_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,12 @@ def group_table_of(g: FiniteGroupoid) -> GroupTable:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    """The cyclic group of order n, written additively with labels 0..n-1."""
+    """The cyclic group of order n, written additively with labels 0..n-1.
+    Raises SizeLimitError above ``CYCLIC_ORDER_LIMIT``, before building."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    if n > CYCLIC_ORDER_LIMIT:
+        raise SizeLimitError(f"cyclic group order limited to {CYCLIC_ORDER_LIMIT}, got {n}")
     return GroupTable.build(
         labels=[str(i) for i in range(n)],
         table=[[(i + j) % n for j in range(n)] for i in range(n)],

@@ -587,7 +587,8 @@ def is_isomorphic(
     with arrows t, t' out of matched roots and units paired by σ, x : u -> v
     goes to t'(σu)^-1 * φ(t(u) * x * t(v)^-1) * t'(σv), checked against both
     tables.  Raises SizeLimitError above ``max_size`` elements, and ValueError
-    on tables seen not to be groupoids, e.g. a loop whose powers miss every unit.
+    on tables seen not to be groupoids, e.g. a loop whose powers miss every
+    unit; both tables are validated before a map is returned.
     """
     if len(g) > max_size or len(h) > max_size:
         raise SizeLimitError(
@@ -617,4 +618,6 @@ def is_isomorphic(
                    for x, y in enumerate(f))
             or any(h.mul.get((f[x], f[y])) != f[z] for (x, y), z in g.mul.items())):
         raise ValueError("the tables are not groupoids: the component map is not an isomorphism")
+    validate(g).require("is_isomorphic: first argument is not a groupoid")
+    validate(h).require("is_isomorphic: second argument is not a groupoid")
     return f  # type: ignore[return-value]

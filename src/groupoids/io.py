@@ -18,7 +18,7 @@ from typing import Any, Optional
 from .core import FiniteGroupoid, ValidationReport, Violation
 from .constructions import GroupTable
 from .morphisms import GroupoidMorphism
-from .quasiperm import Quasipermutation, qp_compose
+from .quasiperm import Quasipermutation, _composites
 from .structured import GroupGroupoid, VectorSpaceGroupoid
 
 __all__ = [
@@ -97,6 +97,27 @@ def _label_map(data: dict, field: str, index: dict[str, int],
     return value
 
 
+def _label_triples(
+    data: dict, field: str, index: dict[str, int], third: str
+) -> dict[tuple[int, int], int]:
+    """Read a list of [x, y, third] label triples into {(x, y): third} by
+    position; a malformed, unknown or repeated entry raises ParseError."""
+    out: dict[tuple[int, int], int] = {}
+    for i, triple in enumerate(_require(data, field, list)):
+        if (not isinstance(triple, list) or len(triple) != 3
+                or not all(isinstance(t, str) for t in triple)):
+            raise ParseError(f"{field}[{i}]", f"expected a [x, y, {third}] label triple")
+        x, y, z = triple
+        for lbl in (x, y, z):
+            if lbl not in index:
+                raise ParseError(f"{field}[{i}]", f"unknown label {lbl!r}")
+        key = (index[x], index[y])
+        if key in out:
+            raise ParseError(f"{field}[{i}]", f"duplicate triple for ({x!r}, {y!r})")
+        out[key] = index[z]
+    return out
+
+
 def _group_fields(
     data: dict,
     prefix: str,
@@ -106,34 +127,19 @@ def _group_fields(
     table over the given labels."""
     index = {lbl: i for i, lbl in enumerate(labels)}
     n = len(labels)
-    add_field = f"{prefix}add" if prefix else "add"
-    zero_field = f"{prefix}zero" if prefix else "zero"
-    neg_field = f"{prefix}neg" if prefix else "neg"
-    triples = _require(data, add_field, list)
-    table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    for i, triple in enumerate(triples):
-        if (not isinstance(triple, list) or len(triple) != 3
-                or not all(isinstance(t, str) for t in triple)):
-            raise ParseError(f"{add_field}[{i}]", "expected a [x, y, sum] label triple")
-        x, y, z = triple
-        for lbl in (x, y, z):
-            if lbl not in index:
-                raise ParseError(f"{add_field}[{i}]", f"unknown label {lbl!r}")
-        if table[index[x]][index[y]] is not None:
-            raise ParseError(f"{add_field}[{i}]", f"duplicate entry for ({x!r}, {y!r})")
-        table[index[x]][index[y]] = index[z]
+    add = _label_triples(data, f"{prefix}add", index, "sum")
     for x in range(n):
         for y in range(n):
-            if table[x][y] is None:
+            if (x, y) not in add:
                 raise ParseError(
-                    add_field, f"missing entry for ({labels[x]!r}, {labels[y]!r})")
-    zero = _require(data, zero_field, str)
+                    f"{prefix}add", f"missing entry for ({labels[x]!r}, {labels[y]!r})")
+    zero = _require(data, f"{prefix}zero", str)
     if zero not in index:
-        raise ParseError(zero_field, f"unknown label {zero!r}")
-    neg = _label_map(data, neg_field, index, labels)
+        raise ParseError(f"{prefix}zero", f"unknown label {zero!r}")
+    neg = _label_map(data, f"{prefix}neg", index, labels)
     return GroupTable.build(
         labels=labels,
-        table=[[table[x][y] for y in range(n)] for x in range(n)],
+        table=[[add[x, y] for y in range(n)] for x in range(n)],
         identity=index[zero],
         inv=[index[neg[lbl]] for lbl in labels],
     )
@@ -191,20 +197,7 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
     alpha = _label_map(data, "alpha", index, elements)
     beta = _label_map(data, "beta", index, elements)
     inv = _label_map(data, "inv", index, elements)
-    mul_triples = _require(data, "mul", list)
-    mul: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(mul_triples):
-        if (not isinstance(triple, list) or len(triple) != 3
-                or not all(isinstance(t, str) for t in triple)):
-            raise ParseError(f"mul[{i}]", "expected a [x, y, product] label triple")
-        x, y, z = triple
-        for lbl in (x, y, z):
-            if lbl not in index:
-                raise ParseError(f"mul[{i}]", f"unknown label {lbl!r}")
-        key = (index[x], index[y])
-        if key in mul:
-            raise ParseError(f"mul[{i}]", f"duplicate triple for ({x!r}, {y!r})")
-        mul[key] = index[z]
+    mul = _label_triples(data, "mul", index, "product")
     base_labels = None
     if "base_labels" in data:
         raw = _require(data, "base_labels", dict)
@@ -308,13 +301,12 @@ def quasiperm_document(g: FiniteGroupoid, degree: int) -> dict:
 
 def _group_document_fields(doc: dict, prefix: str, t: GroupTable) -> None:
     labels = t.labels
-    doc[f"{prefix}add" if prefix else "add"] = [
+    doc[f"{prefix}add"] = [
         [labels[x], labels[y], labels[t.table[x][y]]]
         for x in range(t.order) for y in range(t.order)
     ]
-    doc[f"{prefix}zero" if prefix else "zero"] = labels[t.identity]
-    doc[f"{prefix}neg" if prefix else "neg"] = {
-        labels[x]: labels[t.inv[x]] for x in range(t.order)}
+    doc[f"{prefix}zero"] = labels[t.identity]
+    doc[f"{prefix}neg"] = {labels[x]: labels[t.inv[x]] for x in range(t.order)}
 
 
 def group_groupoid_document(gg: GroupGroupoid) -> dict:
@@ -408,21 +400,15 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
         fi = g.payloads[g.inv[x]]
         if fi != f.inverse():
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    for x in range(len(g)):
-        for y in range(len(g)):
-            composed = qp_compose(g.payloads[x], g.payloads[y])
-            z = g.mul.get((x, y))
-            if composed is None:
-                if z is not None:
-                    v.append(Violation(
-                        "payload", (x, y), "product defined but maps do not compose"))
-            else:
-                if z is None:
-                    v.append(Violation(
-                        "payload", (x, y), "maps compose but product is undefined"))
-                elif g.payloads[z] != composed:
-                    v.append(Violation(
-                        "payload", (x, y), "product disagrees with map composition"))
+    composites = {(x, y): h for x, y, h in _composites(g.payloads)}
+    for pair in sorted(composites.keys() | g.mul.keys()):
+        composed, z = composites.get(pair), g.mul.get(pair)
+        if composed is None:
+            v.append(Violation("payload", pair, "product defined but maps do not compose"))
+        elif z is None:
+            v.append(Violation("payload", pair, "maps compose but product is undefined"))
+        elif g.payloads[z] != composed:
+            v.append(Violation("payload", pair, "product disagrees with map composition"))
     return ValidationReport(tuple(v))
 
 

@@ -88,6 +88,9 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     for u, w in f0.items():
         if not h.is_unit(w):
             v.append(Violation("structure", (u, w), "unit map value is not a unit"))
+    for x in range(len(g)):
+        if not (g.is_unit(g.alpha[x]) and g.is_unit(g.beta[x])):
+            v.append(Violation("structure", (x,), "source or target is not a unit"))
     if v:
         return ValidationReport(tuple(v))
     for x in range(len(g)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import FiniteGroupoid, SizeLimitError
 
@@ -167,19 +167,23 @@ def _enumerate(n: int, limit: int) -> list[Quasipermutation]:
     return units + rest
 
 
+def _composites(maps: Sequence[Quasipermutation]) -> Iterator[tuple[int, int, Quasipermutation]]:
+    """Each pair (i, j) of maps that compose, i then j ascending, with the
+    composite; j runs only over the maps whose domain is the range of map i."""
+    by_domain: dict[frozenset[int], list[int]] = {}
+    for j, g in enumerate(maps):
+        by_domain.setdefault(g.domain_set, []).append(j)
+    for i, f in enumerate(maps):
+        for j in by_domain.get(f.range_set, ()):
+            yield i, j, qp_compose(f, maps[j])
+
+
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
     and inversion, with elements in list order and the maps as payloads."""
     index = {(f.domain, f.image): i for i, f in enumerate(maps)}
     unit_of_subset = {f.domain_set: i for i, f in enumerate(maps) if f.is_identity()}
-    by_domain: dict[frozenset[int], list[int]] = {}
-    for j, g in enumerate(maps):
-        by_domain.setdefault(g.domain_set, []).append(j)
-    mul = {}
-    for i, f in enumerate(maps):
-        for j in by_domain[f.range_set]:
-            h = qp_compose(f, maps[j])
-            mul[(i, j)] = index[(h.domain, h.image)]
+    mul = {(i, j): index[(h.domain, h.image)] for i, j, h in _composites(maps)}
     return FiniteGroupoid(
         elements=[f.text_form() for f in maps],
         units=[i for i, f in enumerate(maps) if f.is_identity()],

@@ -127,6 +127,7 @@ def test_size_limit_exit_codes(capsys):
     assert main(["build", "symmetric", "9"]) == 3
     assert main(["build", "pair-vsg", "2", "7"]) == 3
     assert main(["build", "pair", "65"]) == 3
+    assert main(["build", "cyclic", "257"]) == 3
 
 
 def test_value_error_exit_codes(capsys):
@@ -314,6 +315,24 @@ def test_morphism_commands_check_the_endpoints(tmp_path, z4, z2, capsys):
         assert main(["morphism", action, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_morphism_domain_source_off_the_units(tmp_path, z4, z2, capsys):
+    domain = plain_document(z4)
+    domain["alpha"]["1"] = "1"
+    doc = {
+        "format_version": 1,
+        "domain": domain,
+        "codomain": plain_document(z2),
+        "f": {"0": "0", "1": "1", "2": "0", "3": "1"},
+    }
+    path = tmp_path / "loose_source.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for action in ("strong", "kernel", "image", "correspondence"):
+        assert main(["morphism", action, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[structure] witness=(1,)" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_morphism_missing_file(tmp_path, capsys):

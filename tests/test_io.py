@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from groupoids import (
     FiniteGroupoid,
     ParseError,
+    Violation,
+    alternating_groupoid,
     canonical_dumps,
     canonicalize_document,
     check_quasiperm_payloads,
@@ -21,7 +24,9 @@ from groupoids import (
     parse_groupoid_document,
     parse_morphism_document,
     plain_document,
+    qp_compose,
     quasiperm_document,
+    symmetric_groupoid,
     validate,
     validate_group_groupoid,
     validate_morphism,
@@ -74,6 +79,21 @@ def test_group_groupoid_document_round_trip():
     assert parsed.group_groupoid.elem_group == gg.elem_group
     assert parsed.group_groupoid.unit_group == gg.unit_group
     assert canonical_dumps(document_for(parsed)) == canonical_dumps(doc)
+
+
+def test_group_groupoid_add_field_errors():
+    base = group_groupoid_document(pair_group_groupoid(cyclic_group(2)))
+    cases = [
+        ({"add": base["add"][:-1]}, "add"),
+        ({"add": base["add"] + [base["add"][0]]}, f"add[{len(base['add'])}]"),
+        ({"add": [base["add"][0][:2]] + base["add"][1:]}, "add[0]"),
+        ({"unit_add": base["unit_add"][1:]}, "unit_add"),
+        ({"unit_zero": "zzz"}, "unit_zero"),
+    ]
+    for changes, field in cases:
+        with pytest.raises(ParseError) as err:
+            parse_groupoid_document({**base, **changes})
+        assert err.value.field == field, field
 
 
 def test_vsg_document_round_trip():
@@ -196,6 +216,83 @@ def test_payload_cross_check_flags_mismatches(s2, gp2):
         )
     )
     assert any(v.witness == (3, 4) for v in report.violations)
+
+
+def payloads_by_pair_scan(g):
+    """Reference for check_quasiperm_payloads: the products read over every
+    ordered pair of elements."""
+    v = []
+    by_value = {}
+    for i, f in enumerate(g.payloads):
+        key = (f.domain, f.image)
+        if key in by_value:
+            v.append(Violation("payload", (by_value[key], i), "duplicate quasipermutation"))
+        by_value[key] = i
+    for x, f in enumerate(g.payloads):
+        if g.is_unit(x) != f.is_identity():
+            v.append(Violation("payload", (x,), "unit flag disagrees with being an identity map"))
+        fa = g.payloads[g.alpha[x]]
+        if not (fa.is_identity() and fa.domain == f.domain):
+            v.append(Violation("payload", (x,), "source is not the identity on the domain"))
+        fb = g.payloads[g.beta[x]]
+        if not (fb.is_identity() and fb.domain == tuple(sorted(f.image))):
+            v.append(Violation("payload", (x,), "target is not the identity on the range"))
+        if g.payloads[g.inv[x]] != f.inverse():
+            v.append(Violation("payload", (x,), "inverse map mismatch"))
+    for x in range(len(g)):
+        for y in range(len(g)):
+            composed = qp_compose(g.payloads[x], g.payloads[y])
+            z = g.mul.get((x, y))
+            if composed is None:
+                if z is not None:
+                    v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
+            elif z is None:
+                v.append(Violation("payload", (x, y), "maps compose but product is undefined"))
+            elif g.payloads[z] != composed:
+                v.append(Violation("payload", (x, y), "product disagrees with map composition"))
+    return tuple(v)
+
+
+def payload_mutant(g, rng):
+    """g with one to three seeded edits of its payloads, products or inverses."""
+    n = len(g)
+    payloads, mul, inv = list(g.payloads), dict(g.mul), list(g.inv)
+    for _ in range(rng.randint(1, 3)):
+        edit, x, y = rng.randrange(6), rng.randrange(n), rng.randrange(n)
+        if edit == 0:
+            payloads[x], payloads[y] = payloads[y], payloads[x]
+        elif edit == 1:
+            payloads[x] = payloads[y]
+        elif edit == 2:
+            mul[rng.choice(sorted(mul))] = x
+        elif edit == 3:
+            del mul[rng.choice(sorted(mul))]
+        elif edit == 4:
+            mul[(x, y)] = rng.randrange(n)
+        else:
+            inv[x] = y
+    return FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, inv, mul, payloads=payloads)
+
+
+def test_payload_cross_check_matches_pair_scan():
+    rng = random.Random(4096)
+    details = set()
+    corpus = [(symmetric_groupoid(2), 300), (symmetric_groupoid(3), 150),
+              (alternating_groupoid(3), 200), (alternating_groupoid(4), 30)]
+    for g, mutants in corpus:
+        assert check_quasiperm_payloads(g).violations == payloads_by_pair_scan(g) == ()
+        for _ in range(mutants):
+            mutant = payload_mutant(g, rng)
+            expected = payloads_by_pair_scan(mutant)
+            assert check_quasiperm_payloads(mutant).violations == expected
+            details.update(v.detail for v in expected if len(v.witness) == 2)
+    assert details == {
+        "duplicate quasipermutation",
+        "product defined but maps do not compose",
+        "maps compose but product is undefined",
+        "product disagrees with map composition",
+    }
 
 
 def test_morphism_document_with_path_and_inline(tmp_path, z4, z2):

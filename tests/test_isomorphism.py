@@ -23,6 +23,7 @@ from groupoids import (
     is_isomorphic,
     klein_four_group,
     pair_groupoid,
+    validate,
 )
 
 
@@ -190,4 +191,8 @@ def test_is_isomorphic_on_mutants_raises_only_value_error(seed):
             except ValueError:
                 continue
             if f is not None:
+                assert validate(a).passed and validate(b).passed
                 assert_table_isomorphism(a, b, f)
+        if not validate(m).passed:
+            with pytest.raises(ValueError):
+                is_isomorphic(m, m)
