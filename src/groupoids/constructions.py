@@ -35,6 +35,7 @@ __all__ = [
 
 PAIR_BASE_LIMIT = 64
 CYCLIC_ORDER_LIMIT = 256
+PRODUCT_MUL_LIMIT = 5_874_516  # the product count of the degree-6 quasipermutation groupoid
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,13 @@ def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
 
 
 def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
-    """The direct product: all element pairs, with componentwise structure."""
+    """The direct product: all element pairs, with componentwise structure.
+    Raises SizeLimitError when it would have more than ``PRODUCT_MUL_LIMIT``
+    products, before building."""
+    if len(g.mul) * len(h.mul) > PRODUCT_MUL_LIMIT:
+        raise SizeLimitError(
+            f"direct product limited to {PRODUCT_MUL_LIMIT} products, "
+            f"got {len(g.mul)} x {len(h.mul)}")
     nh = len(h)
     elements = [f"({a},{b})" for a in g.elements for b in h.elements]
     pair = lambda x, y: x * nh + y

@@ -10,11 +10,14 @@ labels exist for display and serialization only.
 ``validate`` checks the axioms (associativity, identities, inverses,
 surjectivity of source/target onto the units, and exactness of the partial
 product's domain) and reports violations with witnesses instead of raising.
+Associativity is decided on a generating set (Light's test: the elements
+that associate in the middle are closed under products); the full triple
+scan runs only to list the witnesses of a failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
@@ -51,9 +54,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an axiom check; passes exactly when no violations exist."""
+    """Outcome of an axiom check; passes exactly when no violations exist.
+
+    ``checks`` maps an axiom tag to the number of law instances checked for
+    it (filled by :func:`validate`); it takes no part in equality.
+    """
 
     violations: tuple[Violation, ...] = ()
+    checks: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -315,21 +323,103 @@ def _group_law_violations(
     table: Sequence[Sequence[int]], e: int, inv: Sequence[int]
 ) -> Iterator[Violation]:
     """Identity and inverse failures per element, then associativity failures
-    (i, j, l) in lexicographic order, of a k x k table with entries in range."""
+    (i, j, l) in lexicographic order, of a k x k table with entries in range.
+
+    Once identity and inverses hold, associativity is decided on the middles
+    j drawn from a greedy generating set: the middles that associate are
+    closed under products and contain e, so they are the whole table exactly
+    when they contain the generators.  The full scan runs only on a failure,
+    to list its witnesses."""
     k = len(table)
+    unit_laws: list[Violation] = []
     for i in range(k):
         if table[e][i] != i or table[i][e] != i:
-            yield Violation("identity", (i,), "identity element fails")
+            unit_laws.append(Violation("identity", (i,), "identity element fails"))
         if not 0 <= inv[i] < k:
-            yield Violation("structure", (i,), "inverse entry out of range")
+            unit_laws.append(Violation("structure", (i,), "inverse entry out of range"))
         elif table[i][inv[i]] != e or table[inv[i]][i] != e:
-            yield Violation("inverse", (i,), "inverse element fails")
+            unit_laws.append(Violation("inverse", (i,), "inverse element fails"))
+    yield from unit_laws
+    if not unit_laws:
+        gens = _greedy_generators(e, range(k), lambda a, s: table[a][s])
+        if all(list(table[row_i[j]]) == [row_i[jl] for jl in table[j]]
+               for j in gens for row_i in table):
+            return
     for i, row_i in enumerate(table):
         for j, ij in enumerate(row_i):
             row_ij = table[ij]
             for l, jl in enumerate(table[j]):
                 if row_ij[l] != row_i[jl]:
                     yield Violation("associativity", (i, j, l), "associativity fails")
+
+
+def _right_closure(span: set, successors) -> set:
+    """Close ``span`` in place under ``successors(a)``, the right multiples
+    of a by the generators; a multiple is None where it is undefined."""
+    queue = list(span)
+    for a in queue:
+        for b in successors(a):
+            if b is not None and b not in span:
+                span.add(b)
+                queue.append(b)
+    return span
+
+
+def _greedy_generators(start: int, members: Iterable[int], times) -> list[int]:
+    """Greedy generators of a group with identity ``start``: scan ``members``
+    and take each one not yet in the span, the closure of ``{start}`` under
+    right multiplication ``times(a, s)`` by the generators taken so far;
+    every member then lies in the span."""
+    gens: list[int] = []
+    span = {start}
+    for x in members:
+        if x not in span:
+            gens.append(x)
+            _right_closure(span, lambda a: (times(a, s) for s in gens))
+    return gens
+
+
+def _generators(g: FiniteGroupoid) -> Optional[list[int]]:
+    """Generators of g from Brandt's decomposition: per component, the arrows
+    t_u : r -> u out of its least unit r, their inverses, and greedy
+    generators of the vertex group at r.  Returns None unless right
+    multiplication by composable generators, starting from the units,
+    reaches every element.  g must pass the structure checks of validate."""
+    loops: dict[int, list[int]] = {u: [] for u in g.units}
+    for x in g.isotropy_bundle():
+        loops[g.alpha[x]].append(x)
+    gens: list[int] = []
+    for r, tree in _components(g):
+        gens.extend(z for u, t in tree.items() if u != r for z in (t, g.inv[t]))
+        gens.extend(_greedy_generators(r, loops[r], lambda a, s: g.mul.get((a, s))))
+    out_of: dict[int, list[int]] = {u: [] for u in g.units}
+    for s in gens:
+        out_of[g.alpha[s]].append(s)
+    reached = _right_closure(
+        set(g.units), lambda a: (g.mul.get((a, s)) for s in out_of[g.beta[a]]))
+    return gens if len(reached) == len(g) else None
+
+
+def _associative_middles(
+    g: FiniteGroupoid, middles: Iterable[int], by_alpha: Mapping[int, Sequence[int]]
+) -> tuple[bool, int]:
+    """Whether (x*s)*z == x*(s*z) for every middle s and all composable x, z,
+    with the number of triples checked; g's products must be defined exactly
+    on the composable pairs, with the anchors of their factors."""
+    mul = g.mul
+    by_beta: dict[int, list[int]] = {}
+    for x in range(len(g)):
+        by_beta.setdefault(g.beta[x], []).append(x)
+    checked = 0
+    for s in middles:
+        zs = by_alpha.get(g.beta[s], ())
+        szs = [mul[s, z] for z in zs]
+        for x in by_beta.get(g.alpha[s], ()):
+            checked += len(zs)
+            xs = mul[x, s]
+            if [mul[xs, z] for z in zs] != [mul[x, sz] for sz in szs]:
+                return False, checked
+    return True, checked
 
 
 # ----- validation ----------------------------------------------------------
@@ -345,9 +435,17 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
       G1            associativity (including drifting product anchors)
       G2            identity laws alpha(x)*x = x = x*beta(x)
       G3            inverse laws inv(x)*x = beta(x), x*inv(x) = alpha(x)
+
+    When every other check passes, associativity is decided with the middle
+    factor drawn from a generating set (see ``_generators``): the elements
+    that associate in the middle contain the units and are closed under
+    products.  Only when that cannot prove the law does the full triple
+    scan run, listing every failing triple.  ``checks`` on the report counts
+    the law instances checked per tag.
     """
     v: list[Violation] = []
     n = len(g.elements)
+    checks = {"structure": len(g.units) + 3 * n + len(g.mul)}
 
     for u in g.units:
         if not 0 <= u < n:
@@ -360,8 +458,9 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
             v.append(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range"))
     if v:
-        return ValidationReport(tuple(v))
+        return ValidationReport(tuple(v), checks)
 
+    checks["structure"] += 2 * n
     unit_set = set(g.units)
     for x in range(n):
         if g.alpha[x] not in unit_set:
@@ -369,8 +468,9 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if g.beta[x] not in unit_set:
             v.append(Violation("structure", (x,), f"beta({x}) is not a unit"))
     if v:
-        return ValidationReport(tuple(v))
+        return ValidationReport(tuple(v), checks)
 
+    checks["surjectivity"] = 2 * len(unit_set)
     for u in unit_set - {g.alpha[x] for x in range(n)}:
         v.append(Violation("surjectivity", (u,), "unit is not the source of any element"))
     for u in unit_set - {g.beta[x] for x in range(n)}:
@@ -380,14 +480,18 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     for y in range(n):
         by_alpha.setdefault(g.alpha[y], []).append(y)
 
+    checks["closure"] = len(g.mul)
     for (x, y) in g.mul:
         if g.beta[x] != g.alpha[y]:
             v.append(Violation("closure", (x, y), "product defined on a non-composable pair"))
     for x in range(n):
-        for y in by_alpha.get(g.beta[x], ()):
+        ys = by_alpha.get(g.beta[x], ())
+        checks["closure"] += len(ys)
+        for y in ys:
             if (x, y) not in g.mul:
                 v.append(Violation("closure", (x, y), "composable pair has no product"))
 
+    checks["G2"] = 2 * n
     for x in range(n):
         a, b = g.alpha[x], g.beta[x]
         if g.beta[a] != a:
@@ -399,6 +503,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         elif g.mul.get((x, b)) != x:
             v.append(Violation("G2", (x,), f"{x} * beta({x}) != {x}"))
 
+    checks["G3"] = 2 * n
     for x in range(n):
         xi = g.inv[x]
         if g.beta[xi] != g.alpha[x]:
@@ -410,12 +515,22 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         elif g.mul.get((x, xi)) != g.alpha[x]:
             v.append(Violation("G3", (x,), f"{x} * inv({x}) != alpha({x})"))
 
+    checks["G1"] = len(g.mul)
     for (x, y), z in g.mul.items():
         if g.alpha[z] != g.alpha[x] or g.beta[z] != g.beta[y]:
             v.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
 
+    gens = None if v else _generators(g)
+    if gens is not None:
+        holds, checked = _associative_middles(g, gens, by_alpha)
+        checks["G1"] += checked
+        if holds:
+            return ValidationReport((), checks)
+
     for (x, y), xy in g.mul.items():
-        for z in by_alpha.get(g.beta[y], ()):
+        zs = by_alpha.get(g.beta[y], ())
+        checks["G1"] += len(zs)
+        for z in zs:
             yz = g.mul.get((y, z))
             if yz is None:
                 continue
@@ -426,7 +541,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
             if lhs != rhs:
                 v.append(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})"))
 
-    return ValidationReport(tuple(v))
+    return ValidationReport(tuple(v), checks)
 
 
 # ----- derived structure ---------------------------------------------------
@@ -531,11 +646,16 @@ def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
     """Each connected component as its least unit r and one arrow r -> u for
     every unit u of it; in a groupoid these units are exactly the units that
     some arrow out of r reaches."""
-    arrow = {(g.alpha[x], g.beta[x]): x for x in range(len(g))}
+    arrows: dict[int, dict[int, int]] = {u: {} for u in g.units}
+    for x in range(len(g)):
+        if g.alpha[x] in arrows and g.is_unit(g.beta[x]):
+            arrows[g.alpha[x]][g.beta[x]] = x
     components: list[tuple[int, dict[int, int]]] = []
+    placed: set[int] = set()
     for r in g.units:
-        if not any(r in tree for _, tree in components):
-            components.append((r, {u: arrow[r, u] for u in g.units if (r, u) in arrow}))
+        if r not in placed:
+            placed.update(arrows[r])
+            components.append((r, arrows[r]))
     return components
 
 

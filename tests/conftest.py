@@ -42,6 +42,13 @@ def a3():
     return alternating_groupoid(3)
 
 
+@pytest.fixture(scope="session")
+def s5():
+    """The degree-5 quasipermutation groupoid (1,545 elements, 126,525
+    products), built once; tests must not mutate it."""
+    return symmetric_groupoid(5)
+
+
 @pytest.fixture
 def golden():
     """The 14-element reference groupoid: a pair groupoid on two points,

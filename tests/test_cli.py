@@ -123,11 +123,15 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert main(["verify", str(not_a_doc)]) == 2
 
 
-def test_size_limit_exit_codes(capsys):
+def test_size_limit_exit_codes(tmp_path, s5, capsys):
     assert main(["build", "symmetric", "9"]) == 3
     assert main(["build", "pair-vsg", "2", "7"]) == 3
     assert main(["build", "pair", "65"]) == 3
     assert main(["build", "cyclic", "257"]) == 3
+    s5_file = write_doc(tmp_path, "s5.json", quasiperm_document(s5, 5))
+    capsys.readouterr()
+    assert main(["build", "product", s5_file, s5_file]) == 3
+    assert "126525 x 126525" in capsys.readouterr().err
 
 
 def test_value_error_exit_codes(capsys):

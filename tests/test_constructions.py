@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from conftest import symmetric_group_3
@@ -19,11 +22,13 @@ from groupoids import (
     pair_groupoid,
     pair_groupoid_over,
     pair_index,
+    gf_vector_group,
     qp_compose,
     symmetric_groupoid,
     validate,
     whitney_sum,
 )
+from groupoids.core import Violation
 
 
 def test_group_table_validate_clean_tables():
@@ -70,6 +75,70 @@ def test_group_table_and_isotropy_check_agree_on_planted_fault(z4, law, rows_pat
     with pytest.raises(ValueError) as err:
         iso.check(z4)
     assert str(violations[0]) in str(err.value)
+
+
+def group_laws_by_full_scan(table, e, inv):
+    """Reference for the group-law check: identity and inverse failures per
+    element, then every failing associativity triple in lexicographic order."""
+    k = len(table)
+    for i in range(k):
+        if table[e][i] != i or table[i][e] != i:
+            yield Violation("identity", (i,), "identity element fails")
+        if not 0 <= inv[i] < k:
+            yield Violation("structure", (i,), "inverse entry out of range")
+        elif table[i][inv[i]] != e or table[inv[i]][i] != e:
+            yield Violation("inverse", (i,), "inverse element fails")
+    for i, row_i in enumerate(table):
+        for j, ij in enumerate(row_i):
+            row_ij = table[ij]
+            for l, jl in enumerate(table[j]):
+                if row_ij[l] != row_i[jl]:
+                    yield Violation("associativity", (i, j, l), "associativity fails")
+
+
+def group_mutant(t, rng, kinds=4):
+    """t with one to three seeded edits of its table, inverses or identity;
+    ``kinds=1`` keeps to cells off the identity and inverse laws."""
+    k = t.order
+    rows, inv, e = [list(r) for r in t.table], list(t.inv), t.identity
+    for _ in range(rng.randint(1, 3)):
+        edit, i, j = rng.randrange(kinds), rng.randrange(k), rng.randrange(k)
+        if edit == 0:
+            plain = [(a, b) for a in range(k) for b in range(k)
+                     if t.identity not in (a, b) and t.inv[a] != b]
+            a, b = rng.choice(plain or [(i, j)])
+            rows[a][b] = rng.randrange(k)
+        elif edit == 1:
+            rows[i][j] = rng.randrange(k)
+        elif edit == 2:
+            inv[i] = j
+        else:
+            e = i
+    return GroupTable.build(t.labels, rows, e, inv)
+
+
+def test_group_laws_match_full_scan_on_mutants():
+    rng = random.Random(2718)
+    corpus = [(cyclic_group(1), 5), (cyclic_group(2), 60), (cyclic_group(5), 150),
+              (cyclic_group(8), 150), (klein_four_group(), 150), (symmetric_group_3(), 150),
+              (gf_vector_group(2, 4), 60), (gf_vector_group(2, 6), 12)]
+    fast_path_failed = 0
+    for t, mutants in corpus:
+        assert t.validate().violations == tuple(group_laws_by_full_scan(t.table, t.identity, t.inv)) == ()
+        parent = from_group(t)
+        for n in range(mutants):
+            m = group_mutant(t, rng, kinds=1 if n % 3 == 0 else 4)
+            expected = tuple(group_laws_by_full_scan(m.table, m.identity, m.inv))
+            assert m.validate().violations == expected
+            iso = IsotropyGroup(unit=m.identity, members=tuple(range(m.order)),
+                                table=m.table, inv=m.inv)
+            if expected:
+                with pytest.raises(ValueError, match=re.escape(str(expected[0]))):
+                    iso.check(parent)
+            else:
+                iso.check(parent)
+            fast_path_failed += bool(expected) and expected[0].axiom == "associativity"
+    assert fast_path_failed > 0
 
 
 def test_group_table_commutativity():

@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
 from groupoids import (
     FiniteGroupoid,
     SizeLimitError,
+    ValidationReport,
+    Violation,
+    alternating_groupoid,
     cyclic_group,
+    direct_product,
+    disjoint_union,
     from_group,
     is_isomorphic,
     isotropy_conjugation,
@@ -11,9 +18,11 @@ from groupoids import (
     null_groupoid,
     pair_groupoid,
     restricted,
+    symmetric_groupoid,
     validate,
     with_base_labels,
 )
+from groupoids.core import _generators
 
 
 def z4_tables():
@@ -169,6 +178,122 @@ def test_violation_string_and_require():
     with pytest.raises(ValueError):
         report.require("bad groupoid")
     assert "violation" in report.summary()
+
+
+def associativity_by_triple_scan(g):
+    """Reference for validate's associativity witnesses: every composable
+    triple, rows in the order of g's product table."""
+    by_alpha = {}
+    for y in range(len(g)):
+        by_alpha.setdefault(g.alpha[y], []).append(y)
+    v = []
+    for (x, y), xy in g.mul.items():
+        for z in by_alpha.get(g.beta[y], ()):
+            yz = g.mul.get((y, z))
+            if yz is None:
+                continue
+            lhs = g.mul.get((xy, z))
+            rhs = g.mul.get((x, yz))
+            if lhs is None or rhs is None:
+                continue
+            if lhs != rhs:
+                v.append(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})"))
+    return v
+
+
+def validate_by_triple_scan(g):
+    """validate's report with its associativity witnesses taken from the
+    full triple scan, which runs unless a structure check stopped early."""
+    head = [v for v in validate(g).violations if not (v.axiom == "G1" and len(v.witness) == 3)]
+    if any(v.axiom == "structure" for v in head):
+        return tuple(head)
+    return tuple(head + associativity_by_triple_scan(g))
+
+
+def groupoid_mutant(g, rng, kinds=6):
+    """g with one to three seeded edits of its products, inverses or anchors;
+    ``kinds=1`` keeps to retargets that leave every law but G1 intact."""
+    n = len(g)
+    mul, inv = dict(g.mul), list(g.inv)
+    alpha, beta = list(g.alpha), list(g.beta)
+    for _ in range(rng.randint(1, 3)):
+        edit, x, y = rng.randrange(kinds), rng.randrange(n), rng.randrange(n)
+        key = rng.choice(sorted(mul))
+        if edit == 0:  # a retarget that keeps the anchors and the unit and inverse laws
+            plain = [(a, b) for (a, b) in sorted(g.mul)
+                     if not g.is_unit(a) and not g.is_unit(b) and g.inv[a] != b]
+            key = rng.choice(plain or sorted(g.mul))
+            mul[key] = rng.choice([w for w in range(n) if g.anchor(w) == g.anchor(g.mul[key])])
+        elif edit == 1:
+            mul[key] = x
+        elif edit == 2:
+            del mul[key]
+        elif edit == 3:
+            mul[(x, y)] = rng.randrange(n)
+        elif edit == 4:
+            inv[x] = y
+        else:
+            (alpha if rng.random() < 0.5 else beta)[x] = rng.choice(g.units)
+    return FiniteGroupoid(g.elements, g.units, alpha, beta, inv, mul)
+
+
+def test_validate_matches_triple_scan_on_mutants(golden):
+    rng = random.Random(5150)
+    corpus = [
+        (symmetric_groupoid(2), 200), (symmetric_groupoid(3), 120),
+        (alternating_groupoid(4), 25), (golden, 150),
+        (direct_product(pair_groupoid(4), from_group(cyclic_group(2))), 60),
+        (from_group(cyclic_group(6)), 150), (from_group(klein_four_group()), 150),
+    ]
+    fast_path_failed = 0
+    for g, mutants in corpus:
+        assert validate(g).violations == validate_by_triple_scan(g) == ()
+        for i in range(mutants):
+            mutant = groupoid_mutant(g, rng, kinds=1 if i % 3 == 0 else 6)
+            report = validate(mutant)
+            assert report.violations == validate_by_triple_scan(mutant)
+            # with no other violation, the generating-set check ran first and failed
+            fast_path_failed += not report.passed and all(
+                v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
+    assert fast_path_failed > 0
+
+
+def test_associativity_failure_off_the_generators_is_listed_by_the_full_scan():
+    tables = z4_tables()
+    g = FiniteGroupoid(**tables)
+    assert _generators(g) == [1]
+    tables["mul"][(2, 3)] = 0  # 2 + 3 is 1 in Z4; no identity or inverse product changes
+    report = validate(FiniteGroupoid(**tables))
+    assert {v.axiom for v in report.violations} == {"G1"}
+    assert report.violations == validate_by_triple_scan(FiniteGroupoid(**tables))
+    assert (1, 2, 3) in [v.witness for v in report.violations]
+
+
+def test_generators_must_reach_every_element():
+    # units r, u; two arrows r -> u with their inverses, and every product of
+    # two non-units the unit at its ends: closure, G2 and G3 hold, but the
+    # spanning tree and the trivial vertex groups miss one arrow each way
+    alpha, beta = [0, 1, 0, 0, 1, 1], [0, 1, 1, 1, 0, 0]
+    mul = {(x, y): y if x < 2 else x if y < 2 else alpha[x]
+           for x in range(6) for y in range(6) if beta[x] == alpha[y]}
+    g = FiniteGroupoid(["r", "u", "t", "t'", "t^", "t'^"], [0, 1], alpha, beta,
+                       [0, 1, 4, 5, 2, 3], mul)
+    assert _generators(g) is None
+    report = validate(g)
+    assert {v.axiom for v in report.violations} == {"G1"}
+    assert report.violations == validate_by_triple_scan(g)
+
+
+def test_validate_counts_checks_per_axiom(s5):
+    report = validate(s5)
+    assert report.passed
+    assert set(report.checks) == {"structure", "surjectivity", "closure", "G1", "G2", "G3"}
+    assert report.checks["G2"] == report.checks["G3"] == 2 * len(s5)
+    # the full scan would check 12,608,625 composable triples on top of the 126,525 products
+    assert len(s5.mul) < report.checks["G1"] < 500_000
+    assert report == ValidationReport() and hash(report) == hash(ValidationReport())
+    broken = validate(FiniteGroupoid(**{**z4_tables(), "inv": [0, 1, 2, 9]}))
+    assert set(broken.checks) == {"structure"}
 
 
 # ---------------------------------------------------------------------------

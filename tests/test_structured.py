@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import symmetric_group_3
@@ -8,12 +10,18 @@ from groupoids import (
     GroupoidMorphism,
     SizeLimitError,
     VectorSpaceGroupoid,
+    FiniteGroupoid,
+    Violation,
     cyclic_group,
+    direct_product,
+    from_group,
     gf_vector_group,
     group_as_group_groupoid,
     klein_four_group,
     null_groupoid,
     pair_group_groupoid,
+    pair_groupoid,
+    pair_index,
     pair_vector_space_groupoid,
     validate_group_groupoid,
     validate_group_groupoid_as_morphisms,
@@ -21,7 +29,8 @@ from groupoids import (
     validate_vector_space_groupoid,
     validate_vector_space_groupoid_via_morphisms,
 )
-from groupoids.structured import is_prime
+from groupoids.constructions import pair_arrows
+from groupoids.structured import _precheck_failed, is_prime
 
 
 def mutate_cell(t, i, j, value):
@@ -207,3 +216,114 @@ def test_pair_vector_space_bounds():
         pair_vector_space_groupoid(2, 0)
     with pytest.raises(SizeLimitError):
         pair_vector_space_groupoid(2, 7)
+
+
+def interchange_by_pair_scan(gg):
+    """Reference for the interchange law: every composable pair of pairs,
+    both in the order of the carrier's product table."""
+    g, add = gg.carrier, gg.elem_group.table
+    v = []
+    for (x, y), xy in g.mul.items():
+        for (z, t), zt in g.mul.items():
+            lhs = add[xy][zt]
+            rhs = g.mul.get((add[x][z], add[y][t]))
+            if rhs is None:
+                v.append(Violation(
+                    "interchange", (x, y, z, t),
+                    "sums of a composable pair of pairs fail to compose"))
+            elif lhs != rhs:
+                v.append(Violation(
+                    "interchange", (x, y, z, t),
+                    "sum of products differs from product of sums"))
+    return v
+
+
+def group_groupoid_by_pair_scan(gg):
+    """validate_group_groupoid's report with its interchange witnesses taken
+    from the full pair scan, which runs unless the pre-check failed."""
+    report = list(validate_group_groupoid(gg).violations)
+    if _precheck_failed(report):
+        return tuple(report)
+    head = [v for v in report if v.axiom not in ("interchange", "neg-compat")]
+    tail = [v for v in report if v.axiom == "neg-compat"]
+    return tuple(head + interchange_by_pair_scan(gg) + tail)
+
+
+def twisted_group_groupoid(m, dim, seed):
+    """pair(m) x (Z2^dim as a one-unit groupoid), added componentwise with Z_m
+    on the points and a relabelled cyclic group of order 2^dim on the second
+    factor.  Every law but interchange holds (inversion in Z2^dim is the
+    identity, so it is additive for any group), and interchange fails
+    whenever the cyclic group differs from Z2^dim (Eckmann-Hilton)."""
+    v = gf_vector_group(2, dim)
+    k = v.order
+    rng = random.Random(seed)
+    relabel = [0] + rng.sample(range(1, k), k - 1)
+    back = {w: i for i, w in enumerate(relabel)}
+    c = cyclic_group(k)
+    twisted = [[relabel[c.table[back[a]][back[b]]] for b in range(k)] for a in range(k)]
+    twisted_inv = [relabel[c.inv[back[a]]] for a in range(k)]
+    carrier = direct_product(pair_groupoid(m), from_group(v))
+    arrows = pair_arrows(m)
+    elements = [(i, j, a) for (i, j) in arrows for a in range(k)]
+    index = {e: n for n, e in enumerate(elements)}
+    table = [[index[(*arrows[pair_index(m, (i + i2) % m, (j + j2) % m)], twisted[a][a2])]
+              for (i2, j2, a2) in elements] for (i, j, a) in elements]
+    elem_group = GroupTable.build(
+        carrier.elements, table, 0,
+        [index[((-i) % m, (-j) % m, twisted_inv[a])] for (i, j, a) in elements])
+    point = cyclic_group(m)
+    unit_group = GroupTable.build(
+        [carrier.elements[u] for u in carrier.units], point.table, 0, point.inv)
+    return GroupGroupoid(carrier, elem_group, unit_group)
+
+
+def group_groupoid_mutant(gg, rng):
+    """gg with one to three seeded edits of its addition, its negation, its
+    carrier's products, or a relabelling of the addition by a transposition."""
+    g, t = gg.carrier, gg.elem_group
+    n = len(g)
+    rows, neg, zero = [list(r) for r in t.table], list(t.inv), t.identity
+    mul = dict(g.mul)
+    for _ in range(rng.randint(1, 3)):
+        edit, x, y = rng.randrange(4), rng.randrange(n), rng.randrange(n)
+        if edit == 0:
+            rows[x][y] = rng.randrange(n)
+        elif edit == 1:
+            neg[x] = y
+        elif edit == 2:
+            mul[rng.choice(sorted(mul))] = x
+        else:
+            swap = list(range(n))
+            swap[x], swap[y] = y, x
+            rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
+            neg, zero = [swap[neg[swap[a]]] for a in range(n)], swap[zero]
+    carrier = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+    return GroupGroupoid(carrier, GroupTable.build(t.labels, rows, zero, neg), gg.unit_group)
+
+
+def test_interchange_matches_pair_scan_on_mutants():
+    rng = random.Random(1729)
+    corpus = [
+        (pair_vector_space_groupoid(2, 2).structure, 120),
+        (pair_vector_space_groupoid(2, 3).structure, 12),
+        (pair_group_groupoid(cyclic_group(3)), 60),
+        (group_as_group_groupoid(klein_four_group()), 60),
+        (twisted_group_groupoid(2, 2, 0), 30),
+    ]
+    for gg, mutants in corpus:
+        assert validate_group_groupoid(gg).violations == group_groupoid_by_pair_scan(gg)
+        for _ in range(mutants):
+            mutant = group_groupoid_mutant(gg, rng)
+            assert validate_group_groupoid(mutant).violations == group_groupoid_by_pair_scan(mutant)
+
+
+def test_interchange_failure_behind_passing_additivity_is_listed_by_the_full_scan():
+    for m, dim in [(1, 2), (1, 3), (2, 2)]:
+        for seed in range(3):
+            gg = twisted_group_groupoid(m, dim, seed)
+            report = validate_group_groupoid(gg).violations
+            assert report == group_groupoid_by_pair_scan(gg)
+            axioms = {v.axiom for v in report}
+            assert "interchange" in axioms
+            assert not axioms & {"alpha-additive", "beta-additive", "inv-additive", "unit-additive"}
