@@ -55,6 +55,10 @@ from .subgroupoids import enumerate_subgroupoids
 
 __all__ = ["main"]
 
+# A degree-6 document would be about 0.6 GB of JSON, so `build` stops at
+# degree 5; the library (and `counts`) go up to quasiperm.DEGREE_LIMIT.
+_DOCUMENT_DEGREE_LIMIT = 5
+
 
 def _load_valid(path: str) -> FiniteGroupoid:
     """Parse a document and insist its groupoid validates."""
@@ -192,9 +196,11 @@ def _build_document(args: argparse.Namespace) -> dict:
     if what == "cyclic":
         return plain_document(from_group(cyclic_group(args.n)))
     if what == "symmetric":
-        return quasiperm_document(symmetric_groupoid(args.n), args.n)
+        return quasiperm_document(
+            symmetric_groupoid(args.n, limit=_DOCUMENT_DEGREE_LIMIT), args.n)
     if what == "alternating":
-        return quasiperm_document(alternating_groupoid(args.n), args.n)
+        return quasiperm_document(
+            alternating_groupoid(args.n, limit=_DOCUMENT_DEGREE_LIMIT), args.n)
     if what == "union":
         return plain_document(disjoint_union(*[_load_valid(f) for f in args.files]))
     if what == "product":

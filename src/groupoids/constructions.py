@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,6 +37,14 @@ __all__ = [
 PAIR_BASE_LIMIT = 64
 CYCLIC_ORDER_LIMIT = 256
 PRODUCT_MUL_LIMIT = 5_874_516  # the product count of the degree-6 quasipermutation groupoid
+
+
+def _bound_products(what: str, count: int, got: str = "") -> None:
+    """Refuse a construction with more than ``PRODUCT_MUL_LIMIT`` products;
+    called with the count worked out before any table is built."""
+    if count > PRODUCT_MUL_LIMIT:
+        raise SizeLimitError(
+            f"{what} limited to {PRODUCT_MUL_LIMIT} products, got {got or count}")
 
 
 @dataclass(frozen=True)
@@ -242,9 +251,11 @@ def from_group(t: GroupTable) -> FiniteGroupoid:
 
 def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
     """The disjoint union of groupoids; elements are tagged copies, and no
-    cross-factor pair is composable."""
+    cross-factor pair is composable.  Raises SizeLimitError when it would
+    have more than ``PRODUCT_MUL_LIMIT`` products, before building."""
     if not factors:
         raise ValueError("disjoint union needs at least one factor")
+    _bound_products("disjoint union", sum(len(g.mul) for g in factors))
     elements: list[str] = []
     units: list[int] = []
     alpha: list[int] = []
@@ -268,10 +279,8 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     """The direct product: all element pairs, with componentwise structure.
     Raises SizeLimitError when it would have more than ``PRODUCT_MUL_LIMIT``
     products, before building."""
-    if len(g.mul) * len(h.mul) > PRODUCT_MUL_LIMIT:
-        raise SizeLimitError(
-            f"direct product limited to {PRODUCT_MUL_LIMIT} products, "
-            f"got {len(g.mul)} x {len(h.mul)}")
+    _bound_products("direct product", len(g.mul) * len(h.mul),
+                    f"{len(g.mul)} x {len(h.mul)}")
     nh = len(h)
     elements = [f"({a},{b})" for a in g.elements for b in h.elements]
     pair = lambda x, y: x * nh + y
@@ -294,7 +303,9 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     base labels and equal target base labels, composed componentwise.
 
     The bases are identified through ``base_labels`` (element labels of the
-    units when absent); the two label sets must coincide.
+    units when absent); the two label sets must coincide.  Raises
+    SizeLimitError when the sum would have more than ``PRODUCT_MUL_LIMIT``
+    products, counted from the fibre sizes before building.
     """
     base_g = {u: g.unit_base_label(u) for u in g.units}
     base_h = {u: h.unit_base_label(u) for u in h.units}
@@ -303,16 +314,23 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
             "whitney sum needs identical base label sets, got "
             f"{sorted(base_g.values())} vs {sorted(base_h.values())}"
         )
+    anchor_g = [(base_g[g.alpha[x]], base_g[g.beta[x]]) for x in range(len(g))]
+    fibres_h: dict[tuple[str, str], list[int]] = {}
+    for y in range(len(h)):
+        fibres_h.setdefault((base_h[h.alpha[y]], base_h[h.beta[y]]), []).append(y)
     elements: list[tuple[int, int]] = []
+    from_base: dict[str, list[tuple[int, int]]] = {}
     for x in range(len(g)):
-        sa, sb = base_g[g.alpha[x]], base_g[g.beta[x]]
-        for y in range(len(h)):
-            if base_h[h.alpha[y]] == sa and base_h[h.beta[y]] == sb:
-                elements.append((x, y))
+        for y in fibres_h.get(anchor_g[x], ()):
+            elements.append((x, y))
+            from_base.setdefault(anchor_g[x][0], []).append((x, y))
+    # no larger than the product count: each element composes with its source unit
+    _bound_products("whitney sum",
+                    sum(len(from_base.get(anchor_g[x][1], ())) for x, _ in elements))
     index = {p: k for k, p in enumerate(elements)}
     mul = {}
     for x1, y1 in elements:
-        for x2, y2 in elements:
+        for x2, y2 in from_base.get(anchor_g[x1][1], ()):
             z1 = g.mul.get((x1, x2))
             if z1 is None:
                 continue
@@ -338,7 +356,10 @@ def induced_triples(
 ) -> tuple[list[str], dict[str, int], list[tuple[str, str, int]]]:
     """Element order shared by induced_groupoid and its canonical morphism:
     the points of f's key set, the unit of g over each image base point, and
-    the triples (x, y, a) with alpha(a) over f(x) and beta(a) over f(y)."""
+    the triples (x, y, a) with alpha(a) over f(x) and beta(a) over f(y).
+    Raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` products of the
+    induced groupoid, counted from the hom-set sizes before any triple is
+    listed."""
     points = list(f.keys())
     if not points:
         raise ValueError("induced groupoid needs a nonempty point set")
@@ -347,12 +368,18 @@ def induced_triples(
         if f[x] not in base_to_unit:
             raise ValueError(f"f({x!r}) = {f[x]!r} is not a base label of the groupoid")
     target_unit = {x: base_to_unit[f[x]] for x in points}
-    triples: list[tuple[str, str, int]] = []
-    for x in points:
-        for y in points:
-            for a in range(len(g)):
-                if g.alpha[a] == target_unit[x] and g.beta[a] == target_unit[y]:
-                    triples.append((x, y, a))
+    homs: dict[tuple[int, int], list[int]] = {}
+    for a in range(len(g)):
+        homs.setdefault((g.alpha[a], g.beta[a]), []).append(a)
+    # (x, y, a) * (y, z, b) for every y: (arrows into f(y)) x (arrows out of f(y))
+    over = Counter(target_unit.values())
+    into, out_of = Counter(), Counter()
+    for (u, v), arrows in homs.items():
+        into[v] += over[u] * len(arrows)
+        out_of[u] += len(arrows) * over[v]
+    _bound_products("induced groupoid", sum(c * into[u] * out_of[u] for u, c in over.items()))
+    triples = [(x, y, a) for x in points for y in points
+               for a in homs.get((target_unit[x], target_unit[y]), ())]
     return points, target_unit, triples
 
 
@@ -362,15 +389,18 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
     Elements are triples (x, y, a) with f(x) the source base point of a and
     f(y) the target; (x, y, a) * (y, z, b) = (x, z, a*b) and the inverse is
     (y, x, inv(a)).  The new base is the key set of f, in its given order.
+    Raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` products, before
+    building.
     """
     points, target_unit, triples = induced_triples(g, f)
     index = {t: k for k, t in enumerate(triples)}
+    starting: dict[str, list[tuple[str, str, int]]] = {}
+    for t in triples:
+        starting.setdefault(t[0], []).append(t)
     mul = {}
     for x, y, a in triples:
-        for z in points:
-            for b in range(len(g)):
-                if g.alpha[b] == target_unit[y] and g.beta[b] == target_unit[z]:
-                    mul[(index[(x, y, a)], index[(y, z, b)])] = index[(x, z, g.mul[(a, b)])]
+        for _, z, b in starting[y]:
+            mul[(index[(x, y, a)], index[(y, z, b)])] = index[(x, z, g.mul[(a, b)])]
     unit_index = {x: index[(x, x, target_unit[x])] for x in points}
     return FiniteGroupoid(
         elements=[f"({x},{y},{g.elements[a]})" for x, y, a in triples],

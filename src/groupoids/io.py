@@ -18,7 +18,7 @@ from typing import Any, Optional
 from .core import FiniteGroupoid, ValidationReport, Violation
 from .constructions import GroupTable
 from .morphisms import GroupoidMorphism
-from .quasiperm import Quasipermutation, _composites
+from .quasiperm import Quasipermutation, _composites, _coordinates
 from .structured import GroupGroupoid, VectorSpaceGroupoid
 
 __all__ = [
@@ -374,10 +374,18 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     """Verify that the groupoid's tables agree with its quasipermutation
     payloads: units are identity maps, anchors pick the identities on
     domain and range, inverses and products match map inversion and
-    composition."""
+    composition.
+
+    Products are read over the sorted union of ``g.mul``'s pairs and the
+    composable ones, each composite compared by its coordinate from
+    ``quasiperm._composites`` (no map built per product).
+    Payloads of different degrees raise ValueError before any of this."""
     v: list[Violation] = []
     if g.payloads is None:
         return ValidationReport((Violation("payload", (), "no payloads present"),))
+    for f in g.payloads:
+        if f.degree != g.payloads[0].degree:
+            raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")
     by_value = {}
     for i, f in enumerate(g.payloads):
         key = (f.domain, f.image)
@@ -400,14 +408,15 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
         fi = g.payloads[g.inv[x]]
         if fi != f.inverse():
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    composites = {(x, y): h for x, y, h in _composites(g.payloads)}
+    coords, perms = _coordinates(g.payloads)
+    composites = {(x, y): h for x, y, h in _composites(coords, perms)}
     for pair in sorted(composites.keys() | g.mul.keys()):
         composed, z = composites.get(pair), g.mul.get(pair)
         if composed is None:
             v.append(Violation("payload", pair, "product defined but maps do not compose"))
         elif z is None:
             v.append(Violation("payload", pair, "maps compose but product is undefined"))
-        elif g.payloads[z] != composed:
+        elif coords[z] != composed:
             v.append(Violation("payload", pair, "product disagrees with map composition"))
     return ValidationReport(tuple(v))
 

@@ -28,6 +28,10 @@ __all__ = [
 
 DEGREE_LIMIT = 6
 
+# (domain, sorted range, r): the map domain[i] -> range[perms[r][i]], with
+# perms the permutations numbered by _coordinates
+_Coordinate = tuple[tuple[int, ...], tuple[int, ...], int]
+
 
 @dataclass(frozen=True)
 class Quasipermutation:
@@ -167,30 +171,71 @@ def _enumerate(n: int, limit: int) -> list[Quasipermutation]:
     return units + rest
 
 
-def _composites(maps: Sequence[Quasipermutation]) -> Iterator[tuple[int, int, Quasipermutation]]:
-    """Each pair (i, j) of maps that compose, i then j ascending, with the
-    composite; j runs only over the maps whose domain is the range of map i."""
-    by_domain: dict[frozenset[int], list[int]] = {}
-    for j, g in enumerate(maps):
-        by_domain.setdefault(g.domain_set, []).append(j)
-    for i, f in enumerate(maps):
-        for j in by_domain.get(f.range_set, ()):
-            yield i, j, qp_compose(f, maps[j])
+def _coordinates(
+    maps: Sequence[Quasipermutation],
+) -> tuple[list[_Coordinate], list[tuple[int, ...]]]:
+    """Each map as (domain, sorted range, r) with ``image[i] ==
+    range[perms[r][i]]``, and ``perms``, the permutations of range(k) met,
+    numbered in the order met.  For maps of one degree a coordinate names
+    one map.  Equal subsets share one tuple, so lookups compare by identity
+    first."""
+    subsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rank: dict[tuple[int, ...], int] = {}
+    coords: list[_Coordinate] = []
+    for f in maps:
+        rng = tuple(sorted(f.image))
+        at = {v: i for i, v in enumerate(rng)}
+        pi = tuple(at[v] for v in f.image)
+        coords.append((
+            subsets.setdefault(f.domain, f.domain),
+            subsets.setdefault(rng, rng),
+            rank.setdefault(pi, len(rank)),
+        ))
+    return coords, list(rank)
+
+
+def _composites(
+    coords: Sequence[_Coordinate], perms: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, int, _Coordinate]]:
+    """Each pair (i, j) of maps that compose, i ascending, then j ascending
+    among the maps whose domain is the range of map i, with the coordinate
+    of the composite: (A, B, p) * (B, C, q) = (A, C, p;q), no map built.
+    The (j, C, p;q) that follow a given (B, p) are worked out the first time
+    that (B, p) is met and then reused, so the work follows the products in
+    the input, not k!; a permutation not in ``perms`` gets the next free
+    number.  Takes ``_coordinates(maps)``."""
+    by_domain: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
+    for j, (b, c, q) in enumerate(coords):
+        by_domain.setdefault(b, []).append((j, c, q))
+    rank = {p: r for r, p in enumerate(perms)}
+    after: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...], int]]] = {}
+    for i, (a, b, p) in enumerate(coords):
+        tail = after.get((b, p))
+        if tail is None:
+            tail = after[(b, p)] = []
+            for j, c, q in by_domain.get(b, ()):
+                pq = tuple(map(perms[q].__getitem__, perms[p]))
+                tail.append((j, c, rank.setdefault(pq, len(rank))))
+        for j, c, r in tail:
+            yield i, j, (a, c, r)
 
 
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
     and inversion, with elements in list order and the maps as payloads."""
-    index = {(f.domain, f.image): i for i, f in enumerate(maps)}
-    unit_of_subset = {f.domain_set: i for i, f in enumerate(maps) if f.is_identity()}
-    mul = {(i, j): index[(h.domain, h.image)] for i, j, h in _composites(maps)}
+    coords, perms = _coordinates(maps)
+    pos = {c: i for i, c in enumerate(coords)}
+    rank = {p: r for r, p in enumerate(perms)}
+    undo = [rank[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in perms]
+    units = [i for i, f in enumerate(maps) if f.is_identity()]
+    unit_of_subset = {coords[u][0]: u for u in units}
     return FiniteGroupoid(
         elements=[f.text_form() for f in maps],
-        units=[i for i, f in enumerate(maps) if f.is_identity()],
-        alpha=[unit_of_subset[f.domain_set] for f in maps],
-        beta=[unit_of_subset[f.range_set] for f in maps],
-        inv=[index[(f.inverse().domain, f.inverse().image)] for f in maps],
-        mul=mul,
+        units=units,
+        alpha=[unit_of_subset[a] for a, _, _ in coords],
+        beta=[unit_of_subset[b] for _, b, _ in coords],
+        inv=[pos[(b, a, undo[p])] for a, b, p in coords],
+        mul={(i, j): pos[h] for i, j, h in _composites(coords, perms)},
         payloads=maps,
     )
 

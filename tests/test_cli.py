@@ -3,6 +3,8 @@ import json
 import pytest
 
 from groupoids import (
+    FiniteGroupoid,
+    Quasipermutation,
     canonical_dumps,
     cyclic_group,
     disjoint_union,
@@ -12,6 +14,7 @@ from groupoids import (
     quasiperm_document,
     symmetric_groupoid,
 )
+from groupoids import constructions
 from groupoids.cli import main
 
 GOLDEN = None
@@ -88,6 +91,14 @@ def test_verify_quasiperm_payload_mismatch(tmp_path, s2, capsys):
     assert "[payload]" in capsys.readouterr().out
 
 
+def test_verify_quasiperm_document_of_long_maps(tmp_path, capsys):
+    identity = Quasipermutation.identity(8, tuple(range(1, 9)))
+    g = FiniteGroupoid(["e"], [0], [0], [0], [0], {(0, 0): 0}, payloads=[identity])
+    path = write_doc(tmp_path, "degree8.json", quasiperm_document(g, 8))
+    assert main(["verify", path]) == 0
+    assert "8: 1 2 3 4 5 6 7 8 -> 1 2 3 4 5 6 7 8" in (tmp_path / "degree8.json").read_text()
+
+
 def test_analyze_pair_groupoid(gp2_file, capsys):
     assert main(["analyze", gp2_file]) == 0
     out = capsys.readouterr().out
@@ -132,6 +143,8 @@ def test_size_limit_exit_codes(tmp_path, s5, capsys):
     capsys.readouterr()
     assert main(["build", "product", s5_file, s5_file]) == 3
     assert "126525 x 126525" in capsys.readouterr().err
+    assert main(["build", "symmetric", "6"]) == 3
+    assert main(["build", "alternating", "6"]) == 3
 
 
 def test_value_error_exit_codes(capsys):
@@ -208,6 +221,18 @@ def test_build_induced(tmp_path, z2_file, capsys):
     missing_base = tmp_path / "missing.json"
     missing_base.write_text(json.dumps({"x": "7"}), encoding="utf-8")
     assert main(["build", "induced", z2_file, str(missing_base)]) == 1
+
+
+def test_product_bounded_builders_exit_3(tmp_path, gp2_file, z2_file, capsys, monkeypatch):
+    # each build below has at least 8 products
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"x": "0", "y": "0"}), encoding="utf-8")
+    monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", 7)
+    for argv in (["union", gp2_file, z2_file], ["whitney", gp2_file, gp2_file],
+                 ["induced", z2_file, str(map_path)]):
+        assert main(["build"] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limited to 7 products" in captured.err
 
 
 def test_build_cayley(z4_file, tmp_path, capsys):

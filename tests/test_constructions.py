@@ -9,11 +9,13 @@ from groupoids import (
     FiniteGroupoid,
     GroupTable,
     IsotropyGroup,
+    SizeLimitError,
     cyclic_group,
     direct_product,
     disjoint_union,
     from_group,
     group_table_of,
+    induced_canonical_morphism,
     induced_groupoid,
     is_isomorphic,
     klein_four_group,
@@ -28,6 +30,7 @@ from groupoids import (
     validate,
     whitney_sum,
 )
+from groupoids import constructions
 from groupoids.core import Violation
 
 
@@ -325,6 +328,27 @@ def test_induced_groupoid_errors(z2):
         induced_groupoid(z2, {})
     with pytest.raises(ValueError):
         induced_groupoid(z2, {"x": "missing"})
+
+
+def test_union_whitney_induced_bound_products_before_building(golden, gp3, z2, monkeypatch):
+    base = [golden.unit_base_label(u) for u in golden.units]
+    z2_over_three = induced_groupoid(z2, {"1": "0", "2": "0", "3": "0"})
+    builds = [
+        lambda: disjoint_union(golden, gp3, z2),
+        lambda: whitney_sum(gp3, z2_over_three),
+        lambda: whitney_sum(z2_over_three, z2_over_three),
+        lambda: induced_groupoid(golden, {"a": base[0], "b": base[1], "c": base[1],
+                                          "d": base[4], "e": base[5]}),
+        lambda: induced_canonical_morphism(z2, {"x": "0", "y": "0", "z": "0"}).domain,
+    ]
+    for build in builds:
+        products = len(build().mul)
+        monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", products)
+        assert len(build().mul) == products
+        monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", products - 1)
+        with pytest.raises(SizeLimitError, match=f"got {products}$"):
+            build()
+        monkeypatch.undo()
 
 
 def test_left_translation_tables(z4, gp2):

@@ -7,6 +7,7 @@ import pytest
 from groupoids import (
     FiniteGroupoid,
     ParseError,
+    Quasipermutation,
     Violation,
     alternating_groupoid,
     canonical_dumps,
@@ -14,9 +15,11 @@ from groupoids import (
     check_quasiperm_payloads,
     cyclic_group,
     document_for,
+    from_group,
     group_groupoid_document,
     is_strong,
     kernel,
+    left_translation_groupoid,
     load_groupoid,
     load_morphism,
     pair_group_groupoid,
@@ -293,6 +296,29 @@ def test_payload_cross_check_matches_pair_scan():
         "maps compose but product is undefined",
         "product disagrees with map composition",
     }
+
+
+def test_payload_cross_check_rejects_mixed_degrees_up_front(s2):
+    # the degree-3 map composes with no other, yet the degrees are refused
+    payloads = list(s2.payloads)
+    payloads[3] = Quasipermutation(3, (3,), (3,))
+    mixed = FiniteGroupoid(
+        s2.elements, s2.units, s2.alpha, s2.beta, s2.inv, s2.mul, payloads=payloads)
+    with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+        check_quasiperm_payloads(mixed)
+
+
+def test_payload_cross_check_on_long_maps():
+    # the left translations of C10 are maps of length 10: the check's work
+    # follows the 100 products, not the 10! permutations of that length
+    g = left_translation_groupoid(from_group(cyclic_group(10)))
+    assert check_quasiperm_payloads(g).passed
+    mul = dict(g.mul)
+    mul[(1, 1)] = 3
+    wrong = FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, g.inv, mul, payloads=g.payloads)
+    assert check_quasiperm_payloads(wrong).violations == (
+        Violation("payload", (1, 1), "product disagrees with map composition"),)
 
 
 def test_morphism_document_with_path_and_inline(tmp_path, z4, z2):

@@ -1,6 +1,7 @@
 import pytest
 
 from groupoids import (
+    FiniteGroupoid,
     Quasipermutation,
     SizeLimitError,
     alternating_groupoid,
@@ -11,6 +12,7 @@ from groupoids import (
     symmetric_groupoid,
     validate,
 )
+from groupoids.quasiperm import DEGREE_LIMIT
 
 
 def test_text_form_round_trip():
@@ -197,3 +199,46 @@ def test_degree_bounds():
         alternating_groupoid(1)
     with pytest.raises(SizeLimitError):
         alternating_groupoid(9)
+    assert DEGREE_LIMIT == 6  # degree 6 stays in the library; only `build` stops at 5
+
+
+def groupoid_by_qp_compose(maps):
+    """Reference for quasiperm._groupoid: every product and inverse built
+    as a Quasipermutation and looked up by (domain, image)."""
+    index = {(f.domain, f.image): i for i, f in enumerate(maps)}
+    unit_of_subset = {f.domain_set: i for i, f in enumerate(maps) if f.is_identity()}
+    by_domain = {}
+    for j, g in enumerate(maps):
+        by_domain.setdefault(g.domain_set, []).append(j)
+    mul = {}
+    for i, f in enumerate(maps):
+        for j in by_domain.get(f.range_set, ()):
+            h = qp_compose(f, maps[j])
+            mul[(i, j)] = index[(h.domain, h.image)]
+    return FiniteGroupoid(
+        elements=[f.text_form() for f in maps],
+        units=[i for i, f in enumerate(maps) if f.is_identity()],
+        alpha=[unit_of_subset[f.domain_set] for f in maps],
+        beta=[unit_of_subset[f.range_set] for f in maps],
+        inv=[index[(f.inverse().domain, f.inverse().image)] for f in maps],
+        mul=mul,
+        payloads=maps,
+    )
+
+
+def kernel_inputs(s5):
+    yield from (symmetric_groupoid(n) for n in (1, 2, 3, 4))
+    yield s5
+    yield from (alternating_groupoid(n) for n in (2, 3, 4, 5))
+
+
+def test_groupoid_matches_the_qp_compose_reference(s5):
+    for g in kernel_inputs(s5):
+        expected = groupoid_by_qp_compose(list(g.payloads))
+        assert g.elements == expected.elements
+        assert g.units == expected.units
+        assert g.alpha == expected.alpha
+        assert g.beta == expected.beta
+        assert g.inv == expected.inv
+        assert list(g.mul.items()) == list(expected.mul.items())
+        assert g.payloads == expected.payloads
