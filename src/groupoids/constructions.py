@@ -419,12 +419,17 @@ def left_translation_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
 
     L_a acts on {x : alpha(x) = beta(a)} by x -> a*x; the translations
     multiply by L_a * L_b = L_{a*b} on the pairs where a and b compose, and
-    a -> L_a is a bijection.
+    a -> L_a is a bijection.  Raises SizeLimitError when g has more than
+    ``PRODUCT_MUL_LIMIT`` products, before building.
     """
+    _bound_products("cayley groupoid", len(g.mul))
     n = len(g)
+    by_alpha: dict[int, list[int]] = {}
+    for x in range(n):
+        by_alpha.setdefault(g.alpha[x], []).append(x)
     payloads = []
     for a in range(n):
-        domain = tuple(x for x in range(n) if g.alpha[x] == g.beta[a])
+        domain = tuple(by_alpha.get(g.beta[a], ()))
         image = tuple(g.mul[(a, x)] for x in domain)
         payloads.append(
             Quasipermutation(

@@ -11,8 +11,9 @@ labels exist for display and serialization only.
 surjectivity of source/target onto the units, and exactness of the partial
 product's domain) and reports violations with witnesses instead of raising.
 Associativity is decided on a generating set (Light's test: the elements
-that associate in the middle are closed under products); the full triple
-scan runs only to list the witnesses of a failure.
+that associate in the middle are closed under products), component by
+component; the triple scan runs only to list the witnesses of a failure,
+in the components where it occurs.
 """
 
 from __future__ import annotations
@@ -138,12 +139,16 @@ class FiniteGroupoid:
             if len(table) != n:
                 raise ValueError(f"{name} must assign every element, got {len(table)} of {n}")
 
-        product: dict[tuple[int, int], int] = {}
-        for key, value in mul.items():
-            pair = tuple(key)
-            if len(pair) != 2:
-                raise ValueError(f"mul keys must be element pairs, got {key!r}")
-            product[(int(pair[0]), int(pair[1]))] = int(value)
+        product = dict(mul)
+        if not all(type(key) is tuple and len(key) == 2
+                   and type(key[0]) is type(key[1]) is type(value) is int
+                   for key, value in product.items()):
+            product = {}
+            for key, value in mul.items():
+                pair = tuple(key)
+                if len(pair) != 2:
+                    raise ValueError(f"mul keys must be element pairs, got {key!r}")
+                product[(int(pair[0]), int(pair[1]))] = int(value)
         self.mul: dict[tuple[int, int], int] = product
 
         if base_labels is not None:
@@ -379,37 +384,39 @@ def _greedy_generators(start: int, members: Iterable[int], times) -> list[int]:
     return gens
 
 
-def _generators(g: FiniteGroupoid) -> Optional[list[int]]:
-    """Generators of g from Brandt's decomposition: per component, the arrows
-    t_u : r -> u out of its least unit r, their inverses, and greedy
-    generators of the vertex group at r.  Returns None unless right
-    multiplication by composable generators, starting from the units,
-    reaches every element.  g must pass the structure checks of validate."""
+def _generators(g: FiniteGroupoid) -> list[tuple[tuple[int, ...], Optional[list[int]]]]:
+    """Generators of g from Brandt's decomposition, per component: its units
+    and the arrows t_u : r -> u out of its least unit r, their inverses, and
+    greedy generators of the vertex group at r.  A component's generators
+    are None unless right multiplication by composable generators, starting
+    from its units, reaches every element of it.  g must pass the structure
+    checks of validate."""
     loops: dict[int, list[int]] = {u: [] for u in g.units}
     for x in g.isotropy_bundle():
         loops[g.alpha[x]].append(x)
-    gens: list[int] = []
-    for r, tree in _components(g):
-        gens.extend(z for u, t in tree.items() if u != r for z in (t, g.inv[t]))
-        gens.extend(_greedy_generators(r, loops[r], lambda a, s: g.mul.get((a, s))))
     out_of: dict[int, list[int]] = {u: [] for u in g.units}
-    for s in gens:
-        out_of[g.alpha[s]].append(s)
+    components: list[tuple[tuple[int, ...], list[int]]] = []
+    for r, tree in _components(g):
+        gens = [z for u, t in tree.items() if u != r for z in (t, g.inv[t])]
+        gens.extend(_greedy_generators(r, loops[r], lambda a, s: g.mul.get((a, s))))
+        for s in gens:
+            out_of[g.alpha[s]].append(s)
+        components.append((tuple(sorted(tree)), gens))
     reached = _right_closure(
         set(g.units), lambda a: (g.mul.get((a, s)) for s in out_of[g.beta[a]]))
-    return gens if len(reached) == len(g) else None
+    short = {g.alpha[x] for x in range(len(g)) if x not in reached}
+    return [(units, None if short.intersection(units) else gens)
+            for units, gens in components]
 
 
 def _associative_middles(
-    g: FiniteGroupoid, middles: Iterable[int], by_alpha: Mapping[int, Sequence[int]]
+    g: FiniteGroupoid, middles: Iterable[int],
+    by_alpha: Mapping[int, Sequence[int]], by_beta: Mapping[int, Sequence[int]],
 ) -> tuple[bool, int]:
     """Whether (x*s)*z == x*(s*z) for every middle s and all composable x, z,
     with the number of triples checked; g's products must be defined exactly
     on the composable pairs, with the anchors of their factors."""
     mul = g.mul
-    by_beta: dict[int, list[int]] = {}
-    for x in range(len(g)):
-        by_beta.setdefault(g.beta[x], []).append(x)
     checked = 0
     for s in middles:
         zs = by_alpha.get(g.beta[s], ())
@@ -436,12 +443,15 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
       G2            identity laws alpha(x)*x = x = x*beta(x)
       G3            inverse laws inv(x)*x = beta(x), x*inv(x) = alpha(x)
 
-    When every other check passes, associativity is decided with the middle
-    factor drawn from a generating set (see ``_generators``): the elements
-    that associate in the middle contain the units and are closed under
-    products.  Only when that cannot prove the law does the full triple
-    scan run, listing every failing triple.  ``checks`` on the report counts
-    the law instances checked per tag.
+    When every other check passes, associativity is decided per connected
+    component with the middle factor drawn from its generating set (see
+    ``_generators``): the elements that associate in the middle contain the
+    units and are closed under products.  The triple scan then runs only
+    over the components where that cannot prove the law, listing every
+    failing triple; no composable triple leaves its component, so the
+    report is the full scan's.  After any other violation the scan covers
+    every component.  ``checks`` on the report counts the law instances
+    checked per tag.
     """
     v: list[Violation] = []
     n = len(g.elements)
@@ -520,14 +530,27 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if g.alpha[z] != g.alpha[x] or g.beta[z] != g.beta[y]:
             v.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
 
-    gens = None if v else _generators(g)
-    if gens is not None:
-        holds, checked = _associative_middles(g, gens, by_alpha)
-        checks["G1"] += checked
-        if holds:
+    # composable triples stay inside a component, so once every other check
+    # passed only the components failing the generator test are scanned
+    scanned: Optional[set[int]] = None
+    if not v:
+        by_beta: dict[int, list[int]] = {}
+        for x in range(n):
+            by_beta.setdefault(g.beta[x], []).append(x)
+        scanned = set()
+        for units, gens in _generators(g):
+            holds = False
+            if gens is not None:
+                holds, checked = _associative_middles(g, gens, by_alpha, by_beta)
+                checks["G1"] += checked
+            if not holds:
+                scanned.update(units)
+        if not scanned:
             return ValidationReport((), checks)
 
     for (x, y), xy in g.mul.items():
+        if scanned is not None and g.alpha[x] not in scanned:
+            continue
         zs = by_alpha.get(g.beta[y], ())
         checks["G1"] += len(zs)
         for z in zs:

@@ -101,9 +101,19 @@ def _label_triples(
     data: dict, field: str, index: dict[str, int], third: str
 ) -> dict[tuple[int, int], int]:
     """Read a list of [x, y, third] label triples into {(x, y): third} by
-    position; a malformed, unknown or repeated entry raises ParseError."""
-    out: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(_require(data, field, list)):
+    position; a malformed, unknown or repeated entry raises ParseError.
+
+    Well-formed lists are read in one pass; anything else is reread entry
+    by entry to name the first bad one."""
+    rows = _require(data, field, list)
+    try:
+        out = {(index[x], index[y]): index[z] for x, y, z in rows}
+        if len(out) == len(rows) and all(type(row) is list for row in rows):
+            return out
+    except (KeyError, TypeError, ValueError):
+        pass
+    out = {}
+    for i, triple in enumerate(rows):
         if (not isinstance(triple, list) or len(triple) != 3
                 or not all(isinstance(t, str) for t in triple)):
             raise ParseError(f"{field}[{i}]", f"expected a [x, y, {third}] label triple")
@@ -376,9 +386,11 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     domain and range, inverses and products match map inversion and
     composition.
 
-    Products are read over the sorted union of ``g.mul``'s pairs and the
-    composable ones, each composite compared by its coordinate from
-    ``quasiperm._composites`` (no map built per product).
+    Products are compared by their coordinates from
+    ``quasiperm._composites`` (no map built per product), streamed in its
+    pair order; only on a mismatch, or when ``g.mul`` has other pairs, is
+    the sorted union of ``g.mul``'s pairs and the composable ones walked to
+    list every failing pair.
     Payloads of different degrees raise ValueError before any of this."""
     v: list[Violation] = []
     if g.payloads is None:
@@ -409,6 +421,15 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
         if fi != f.inverse():
             v.append(Violation("payload", (x,), "inverse map mismatch"))
     coords, perms = _coordinates(g.payloads)
+    mul, matched = g.mul, 0
+    for x, y, h in _composites(coords, perms):
+        z = mul.get((x, y))
+        if z is None or coords[z] != h:
+            break
+        matched += 1
+    else:
+        if matched == len(mul):  # the composable pairs are exactly mul's keys
+            return ValidationReport(tuple(v))
     composites = {(x, y): h for x, y, h in _composites(coords, perms)}
     for pair in sorted(composites.keys() | g.mul.keys()):
         composed, z = composites.get(pair), g.mul.get(pair)

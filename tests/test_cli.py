@@ -229,7 +229,7 @@ def test_product_bounded_builders_exit_3(tmp_path, gp2_file, z2_file, capsys, mo
     map_path.write_text(json.dumps({"x": "0", "y": "0"}), encoding="utf-8")
     monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", 7)
     for argv in (["union", gp2_file, z2_file], ["whitney", gp2_file, gp2_file],
-                 ["induced", z2_file, str(map_path)]):
+                 ["induced", z2_file, str(map_path)], ["cayley", gp2_file]):
         assert main(["build"] + argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "limited to 7 products" in captured.err

@@ -340,6 +340,7 @@ def test_union_whitney_induced_bound_products_before_building(golden, gp3, z2, m
         lambda: induced_groupoid(golden, {"a": base[0], "b": base[1], "c": base[1],
                                           "d": base[4], "e": base[5]}),
         lambda: induced_canonical_morphism(z2, {"x": "0", "y": "0", "z": "0"}).domain,
+        lambda: left_translation_groupoid(golden),
     ]
     for build in builds:
         products = len(build().mul)

@@ -64,6 +64,17 @@ def test_constructor_rejects_bad_shapes():
         FiniteGroupoid(**{**good, "elements": ["0", 1, "2", "3"]})
 
 
+def test_constructor_converts_products_that_are_not_int_pairs():
+    good = z4_tables()
+    exact = FiniteGroupoid(**good).mul
+    odd = {(bool(x) if x < 2 else x, str(y)): str(z) for (x, y), z in good["mul"].items()}
+    g = FiniteGroupoid(**{**good, "mul": odd})
+    assert list(g.mul.items()) == list(exact.items())
+    assert all(type(x) is type(y) is type(z) is int for (x, y), z in g.mul.items())
+    with pytest.raises(ValueError, match=r"mul keys must be element pairs, got \(0, 1, 2\)"):
+        FiniteGroupoid(**{**good, "mul": {**good["mul"], (0, 1, 2): 3}})
+
+
 def test_validate_flags_out_of_range_tables():
     good = z4_tables()
     report = validate(FiniteGroupoid(**{**good, "units": [0, 9]}))
@@ -237,6 +248,13 @@ def groupoid_mutant(g, rng, kinds=6):
     return FiniteGroupoid(g.elements, g.units, alpha, beta, inv, mul)
 
 
+def three_component_union():
+    """A(4), Z6 and pair(3) x Z2 side by side: components of many shapes."""
+    return disjoint_union(
+        alternating_groupoid(4), from_group(cyclic_group(6)),
+        direct_product(pair_groupoid(3), from_group(cyclic_group(2))))
+
+
 def test_validate_matches_triple_scan_on_mutants(golden):
     rng = random.Random(5150)
     corpus = [
@@ -244,6 +262,7 @@ def test_validate_matches_triple_scan_on_mutants(golden):
         (alternating_groupoid(4), 25), (golden, 150),
         (direct_product(pair_groupoid(4), from_group(cyclic_group(2))), 60),
         (from_group(cyclic_group(6)), 150), (from_group(klein_four_group()), 150),
+        (three_component_union(), 90),
     ]
     fast_path_failed = 0
     for g, mutants in corpus:
@@ -258,10 +277,29 @@ def test_validate_matches_triple_scan_on_mutants(golden):
     assert fast_path_failed > 0
 
 
+def test_validate_scans_only_the_failing_component():
+    g = three_component_union()
+    x, y = g.index("2/1"), g.index("2/2")  # 1 + 2 = 3 in Z6, retargeted to 4
+    mul = dict(g.mul)
+    mul[(x, y)] = g.index("2/4")
+    mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+    report = validate(mutant)
+    assert report.violations == validate_by_triple_scan(mutant) != ()
+    by_alpha, by_beta = {}, {}
+    for z in range(len(g)):
+        by_alpha.setdefault(g.alpha[z], []).append(z)
+        by_beta.setdefault(g.beta[z], []).append(z)
+    z6_triples = sum(len(by_alpha[g.beta[b]]) for a, b in mul if g.alpha[a] == g.alpha[x])
+    generator_triples = sum(len(by_beta[g.alpha[s]]) * len(by_alpha[g.beta[s]])
+                            for _, gens in _generators(mutant) for s in gens or ())
+    assert report.checks["G1"] <= len(mul) + generator_triples + z6_triples
+    assert all(g.alpha[v.witness[0]] == g.alpha[x] for v in report.violations)
+
+
 def test_associativity_failure_off_the_generators_is_listed_by_the_full_scan():
     tables = z4_tables()
     g = FiniteGroupoid(**tables)
-    assert _generators(g) == [1]
+    assert _generators(g) == [((0,), [1])]
     tables["mul"][(2, 3)] = 0  # 2 + 3 is 1 in Z4; no identity or inverse product changes
     report = validate(FiniteGroupoid(**tables))
     assert {v.axiom for v in report.violations} == {"G1"}
@@ -278,7 +316,7 @@ def test_generators_must_reach_every_element():
            for x in range(6) for y in range(6) if beta[x] == alpha[y]}
     g = FiniteGroupoid(["r", "u", "t", "t'", "t^", "t'^"], [0, 1], alpha, beta,
                        [0, 1, 4, 5, 2, 3], mul)
-    assert _generators(g) is None
+    assert _generators(g) == [((0, 1), None)]
     report = validate(g)
     assert {v.axiom for v in report.violations} == {"G1"}
     assert report.violations == validate_by_triple_scan(g)

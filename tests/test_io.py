@@ -148,6 +148,30 @@ def test_parse_error_fields(gp2):
     assert err.value.field == "document"
 
 
+def z3_with_mul_row(row):
+    """The Z3 document, labels "0", "1", "2", with mul[1] (the pair 0, 1)
+    replaced by ``row``."""
+    doc = plain_document(from_group(cyclic_group(3)))
+    doc["mul"][1] = row
+    return doc
+
+
+@pytest.mark.parametrize("row, field, message", [
+    ("0", "mul[1]", "expected a [x, y, product] label triple"),
+    (["0", "1"], "mul[1]", "expected a [x, y, product] label triple"),
+    ("012", "mul[1]", "expected a [x, y, product] label triple"),
+    ({"0": "0", "1": "1", "2": "2"}, "mul[1]", "expected a [x, y, product] label triple"),
+    (["0", 1, "1"], "mul[1]", "expected a [x, y, product] label triple"),
+    (["0", "1", "zzz"], "mul[1]", "unknown label 'zzz'"),
+    (["0", "0", "0"], "mul[1]", "duplicate triple for ('0', '0')"),
+])
+def test_malformed_label_triples_name_the_first_bad_entry(row, field, message):
+    # a 3-character string or a 3-key object unpacks to three known labels
+    with pytest.raises(ParseError) as err:
+        parse_groupoid_document(z3_with_mul_row(row))
+    assert (err.value.field, err.value.message) == (field, message)
+
+
 def test_load_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -278,6 +302,20 @@ def payload_mutant(g, rng):
         g.elements, g.units, g.alpha, g.beta, inv, mul, payloads=payloads)
 
 
+def extra_or_missing_product(g, rng):
+    """g with one product deleted, or one added on a pair that does not
+    compose: its only defect."""
+    mul = dict(g.mul)
+    if rng.random() < 0.5:
+        del mul[rng.choice(sorted(mul))]
+    else:
+        n = len(g)
+        pair = rng.choice([(x, y) for x in range(n) for y in range(n) if (x, y) not in mul])
+        mul[pair] = rng.randrange(n)
+    return FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, g.inv, mul, payloads=g.payloads)
+
+
 def test_payload_cross_check_matches_pair_scan():
     rng = random.Random(4096)
     details = set()
@@ -290,6 +328,11 @@ def test_payload_cross_check_matches_pair_scan():
             expected = payloads_by_pair_scan(mutant)
             assert check_quasiperm_payloads(mutant).violations == expected
             details.update(v.detail for v in expected if len(v.witness) == 2)
+        for _ in range(mutants // 5):
+            mutant = extra_or_missing_product(g, rng)
+            expected = payloads_by_pair_scan(mutant)
+            assert len(expected) == 1
+            assert check_quasiperm_payloads(mutant).violations == expected
     assert details == {
         "duplicate quasipermutation",
         "product defined but maps do not compose",
