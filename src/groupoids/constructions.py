@@ -47,6 +47,12 @@ def _bound_products(what: str, count: int, got: str = "") -> None:
             f"{what} limited to {PRODUCT_MUL_LIMIT} products, got {got or count}")
 
 
+def _bound_pair_base(points: int) -> None:
+    """Refuse a pair groupoid on more than ``PAIR_BASE_LIMIT`` points."""
+    if points > PAIR_BASE_LIMIT:
+        raise SizeLimitError(f"pair groupoid limited to {PAIR_BASE_LIMIT} points, got {points}")
+
+
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group as labels, a total multiplication table, identity and
@@ -183,8 +189,7 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     pts = list(points)
     if not pts:
         raise ValueError("pair groupoid needs at least one point")
-    if len(pts) > PAIR_BASE_LIMIT:
-        raise SizeLimitError(f"pair groupoid limited to {PAIR_BASE_LIMIT} points, got {len(pts)}")
+    _bound_pair_base(len(pts))
     if len(set(pts)) != len(pts):
         raise ValueError("pair groupoid points must be distinct")
     n = len(pts)
@@ -206,9 +211,12 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """The pair groupoid on the points 1..n; type (n^2; n)."""
+    """The pair groupoid on the points 1..n; type (n^2; n).  Raises
+    SizeLimitError above ``PAIR_BASE_LIMIT`` points, before making any
+    label."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one point")
+    _bound_pair_base(n)
     return pair_groupoid_over([str(i) for i in range(1, n + 1)])
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Optional
 
@@ -373,8 +374,55 @@ def canonicalize_document(doc: dict) -> dict:
     return out
 
 
+class _Encoded(dict):
+    """The JSON text of each string, encoded on first use."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = json.dumps(s)
+        return text
+
+
+def _indented(o: Any, indent: str, enc: _Encoded) -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)`` with every line after the
+    first indented by ``indent``.
+
+    String-keyed dicts, string lists and lists of string triples (the
+    shapes the document builders produce) are written here, each string
+    through the cache; anything else, such as ints, empty containers,
+    tuples or other keys, goes to json.  JSON text holds no raw newline,
+    so re-indenting json's output line by line is safe."""
+    kind = type(o)
+    if kind is str:
+        return enc[o]
+    if o and (kind is dict or kind is list):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            if set(map(type, o)) == {str}:
+                return ("{\n" + inner
+                        + sep.join([enc[k] + ": " + _indented(o[k], inner, enc)
+                                    for k in sorted(o)])
+                        + "\n" + indent + "}")
+        else:
+            items = set(map(type, o))
+            if items == {str}:
+                return "[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]"
+            if (items == {list} and set(map(len, o)) == {3}
+                    and set(map(type, chain.from_iterable(o))) == {str}):
+                cell = inner + "  "
+                row = (inner + "[\n" + cell + "%s,\n" + cell + "%s,\n" + cell + "%s\n"
+                       + inner + "]")
+                return ("[\n" + ",\n".join([row % (enc[x], enc[y], enc[z]) for x, y, z in o])
+                        + "\n" + indent + "]")
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
+    """The canonical text of a document: ``canonicalize_document(doc)``
+    written as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
+    (ASCII only, every list item and object member on its own line),
+    plus one trailing newline; the bytes are the same."""
+    return _indented(canonicalize_document(doc), "", _Encoded()) + "\n"
 
 
 # ----- payload cross-check -------------------------------------------------

@@ -23,8 +23,10 @@ from .core import (
     validate,
 )
 from .constructions import (
+    CYCLIC_ORDER_LIMIT,
     PAIR_BASE_LIMIT,
     GroupTable,
+    _bound_products,
     direct_product,
     from_group,
     null_groupoid,
@@ -417,9 +419,12 @@ def group_as_group_groupoid(t: GroupTable) -> GroupGroupoid:
 
 def pair_group_groupoid(t: GroupTable) -> GroupGroupoid:
     """The pair groupoid on a group's elements with componentwise addition
-    of arrows; the canonical valid group-groupoid."""
-    t.validate().require("not a group")
+    of arrows; the canonical valid group-groupoid.  Its addition table has
+    |G|^4 entries; raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` of
+    them, before building."""
     n = t.order
+    _bound_products("pair group-groupoid addition table", n ** 4, f"{n * n} x {n * n}")
+    t.validate().require("not a group")
     carrier = pair_groupoid_over(t.labels)
     pairs = pair_arrows(n)
     table = [
@@ -441,9 +446,21 @@ def pair_group_groupoid(t: GroupTable) -> GroupGroupoid:
     return GroupGroupoid(carrier, elem_group, unit_group)
 
 
+def _bound_vector_count(p: int, dim: int, limit: int, what: str) -> None:
+    """Refuse GF(p)^dim with more than ``limit`` vectors without working out
+    a large p ** dim: every p >= 2 has p ** dim >= 2 ** dim.  Arguments that
+    name no vector space (p < 2 or dim < 1) pass, for the ValueErrors that
+    follow."""
+    if p >= 2 and dim >= 1 and (
+            p > limit or dim >= limit.bit_length() or p ** dim > limit):
+        raise SizeLimitError(f"{what} limited to {limit} points, got {p}^{dim}")
+
+
 def gf_vector_group(p: int, dim: int) -> GroupTable:
     """The additive group of GF(p)^dim; coordinates joined with commas for
-    dim at least 2."""
+    dim at least 2.  Raises SizeLimitError above ``CYCLIC_ORDER_LIMIT``
+    vectors, before testing p for primality."""
+    _bound_vector_count(p, dim, CYCLIC_ORDER_LIMIT, "GF(p)^dim")
     if not is_prime(p):
         raise ValueError(f"field size must be prime, got {p}")
     if dim < 1:
@@ -467,15 +484,10 @@ def gf_vector_group(p: int, dim: int) -> GroupTable:
 
 def pair_vector_space_groupoid(p: int, dim: int) -> VectorSpaceGroupoid:
     """The pair groupoid on GF(p)^dim with componentwise addition and
-    scalar action; the canonical valid vector-space groupoid."""
-    if not is_prime(p):
-        raise ValueError(f"field size must be prime, got {p}")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if p ** dim > PAIR_BASE_LIMIT:
-        raise SizeLimitError(
-            f"pair vector-space groupoid base limited to {PAIR_BASE_LIMIT} points, "
-            f"got {p ** dim}")
+    scalar action; the canonical valid vector-space groupoid.  Raises
+    SizeLimitError above ``PAIR_BASE_LIMIT`` base points or
+    ``PRODUCT_MUL_LIMIT`` addition-table entries, before building."""
+    _bound_vector_count(p, dim, PAIR_BASE_LIMIT, "pair vector-space groupoid base")
     t = gf_vector_group(p, dim)
     gg = pair_group_groupoid(t)
     n = t.order

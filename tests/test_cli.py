@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from groupoids import (
     FiniteGroupoid,
     Quasipermutation,
     canonical_dumps,
+    canonicalize_document,
     cyclic_group,
     disjoint_union,
     from_group,
@@ -14,7 +16,7 @@ from groupoids import (
     quasiperm_document,
     symmetric_groupoid,
 )
-from groupoids import constructions
+from groupoids import cli, constructions
 from groupoids.cli import main
 
 GOLDEN = None
@@ -145,12 +147,30 @@ def test_size_limit_exit_codes(tmp_path, s5, capsys):
     assert "126525 x 126525" in capsys.readouterr().err
     assert main(["build", "symmetric", "6"]) == 3
     assert main(["build", "alternating", "6"]) == 3
+    capsys.readouterr()
+    # refused from the arguments alone, before any label, primality test or p^dim
+    for argv, message in [
+        (["pair", "100000000000000"], "pair groupoid limited to 64 points"),
+        (["pair-vsg", "1000000000000000003", "1"], "base limited to 64 points"),
+        (["pair-vsg", "2", "100000000000"], "base limited to 64 points"),
+        (["pair-vsg", "61", "1"], "got 3721 x 3721"),
+    ]:
+        assert main(["build"] + argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
 
 
 def test_value_error_exit_codes(capsys):
     assert main(["build", "pair-vsg", "4", "1"]) == 1
     assert main(["build", "cyclic", "0"]) == 1
     assert main(["build", "null", "0"]) == 1
+    capsys.readouterr()
+    for argv, message in [(["0", "1"], "field size must be prime, got 0"),
+                          (["1", "1"], "field size must be prime, got 1"),
+                          (["4", "1"], "field size must be prime, got 4"),
+                          (["2", "0"], "dimension must be at least 1")]:
+        assert main(["build", "pair-vsg"] + argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_counts_match(capsys):
@@ -253,6 +273,46 @@ def test_build_pair_gg(z4_file, gp2_file, tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     assert "group-groupoid groupoid of type (16;4)" in capsys.readouterr().out
     assert main(["build", "pair-gg", gp2_file]) == 1
+
+
+def stdlib_dumps(doc):
+    """The reference for canonical text: the stdlib's own indent encoder."""
+    return json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_every_build_kind_writes_the_stdlib_bytes(tmp_path, gp2_file, z2_file, z4_file,
+                                                  capsys, monkeypatch):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"x": "0", "y": "0"}), encoding="utf-8")
+    kinds = [["pair", "3"], ["null", "2"], ["cyclic", "4"], ["symmetric", "3"],
+             ["alternating", "3"], ["union", gp2_file, z2_file], ["product", gp2_file, z2_file],
+             ["whitney", z4_file, z2_file], ["induced", z2_file, str(map_path)],
+             ["cayley", z4_file], ["pair-gg", z4_file], ["pair-vsg", "3", "1"]]
+    built = []
+    for argv in kinds:
+        assert main(["build"] + argv) == 0, argv
+        built.append(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "canonical_dumps", stdlib_dumps)
+    for argv, out in zip(kinds, built):
+        assert main(["build"] + argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
+
+
+# sha256 of the stdout of `groupoids build ...` as json's own indent encoder
+# writes it; pins the layout of the quasiperm, vsg and group-groupoid kinds
+BUILD_PINS = {
+    ("symmetric", "4"): "070f33888b04ed9dfc33115d347f7add5cb34e6190650c983e138b4efb8589cd",
+    ("pair-vsg", "2", "2"): "8045c29d9a57b5582609f7129c46d6c2ef6b222228f6f89b2161e601c7d7e5cb",
+    ("pair-gg", "z4.json"): "2be5c589433e13fff7bf21aabf6ace9ed4b8da222355938587a0fac0ae3fd0d1",
+}
+
+
+def test_build_layouts_are_pinned(z4_file, capsys):
+    for argv, digest in BUILD_PINS.items():
+        args = [z4_file if a == "z4.json" else a for a in argv]
+        assert main(["build", *args]) == 0, argv
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest, argv
 
 
 def test_verify_group_groupoid_mutation(z4_file, tmp_path, capsys):

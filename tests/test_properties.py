@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupoids import (
     Quasipermutation,
     anchor_morphism,
     canonical_dumps,
+    canonicalize_document,
     cyclic_group,
     direct_product,
     disjoint_union,
@@ -198,3 +199,60 @@ def test_text_form_round_trips(pair):
     f, g = pair
     for h in (f, g):
         assert Quasipermutation.from_text(h.degree, h.text_form()) == h
+
+
+# Labels that JSON escapes or that read like other JSON values.
+LABELS = st.one_of(
+    st.sampled_from(["", "true", "1", "null", '"', "\\", "\n", "\x00\x1f", "é", "\u2028", "✓"]),
+    st.text(max_size=5),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), LABELS)
+TRIPLES = st.lists(LABELS, min_size=3, max_size=3)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.one_of(TRIPLES, inner), max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(LABELS, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+LAYOUT_FIELDS = ("elements", "units", "mul", "add", "unit_add")
+
+
+@st.composite
+def documents(draw):
+    """Documents that canonicalize_document accepts: element, unit and
+    triple labels drawn from LABELS, and any other fields from VALUES,
+    string-keyed label maps and lists of label triples among them."""
+    elements = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
+    units = draw(st.lists(st.sampled_from(elements), max_size=3, unique=True))
+    label = st.sampled_from(elements)
+    doc = draw(st.dictionaries(
+        st.text(max_size=8).filter(lambda k: k not in LAYOUT_FIELDS),
+        st.one_of(VALUES, st.lists(TRIPLES, max_size=4),
+                  st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=4),
+                  st.dictionaries(LABELS, st.dictionaries(LABELS, LABELS, max_size=3),
+                                  max_size=3)),
+        max_size=5))
+    doc["elements"], doc["units"] = elements, units
+    doc["mul"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8))
+    if draw(st.booleans()):
+        doc["add"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8))
+    if units and draw(st.booleans()):
+        doc["unit_add"] = draw(st.lists(
+            st.lists(st.sampled_from(units), min_size=3, max_size=3), max_size=4))
+    return doc
+
+
+# 1, True and 1.0 are equal dict keys: a string cache that took them in
+# would write all three alike.
+@settings(max_examples=200, deadline=None)
+@given(documents())
+@example({"elements": ["a"], "units": [], "mul": [["a", "a", "a"]],
+          "equal keys, other types": [[1, True, 1.0], [0, False, 0.0], ["1", [], {}]]})
+def test_canonical_dumps_writes_the_stdlib_bytes(doc):
+    expected = json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
+    assert canonical_dumps(doc) == expected

@@ -29,6 +29,7 @@ from groupoids import (
     validate_vector_space_groupoid,
     validate_vector_space_groupoid_via_morphisms,
 )
+from groupoids import constructions, structured
 from groupoids.constructions import pair_arrows
 from groupoids.structured import _precheck_failed, is_prime
 
@@ -124,6 +125,50 @@ def test_unit_additivity_violation():
 def test_pair_group_groupoid_size_bound():
     with pytest.raises(SizeLimitError):
         pair_group_groupoid(cyclic_group(65))
+
+
+def test_pair_group_groupoid_bounds_its_addition_table(monkeypatch):
+    # the pair group-groupoid over Z3 adds 9 x 9 = 3^4 pairs of arrows
+    monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", 81)
+    assert pair_group_groupoid(cyclic_group(3)).elem_group.order == 9
+    monkeypatch.setattr(constructions, "PRODUCT_MUL_LIMIT", 80)
+    with pytest.raises(SizeLimitError, match="limited to 80 products, got 9 x 9"):
+        pair_group_groupoid(cyclic_group(3))
+    monkeypatch.undo()
+    # 61 points pass the 64-point cap, but 61^4 entries do not
+    with pytest.raises(SizeLimitError, match="got 3721 x 3721"):
+        pair_vector_space_groupoid(61, 1)
+
+
+def test_oversized_vector_and_pair_arguments_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the size bound")
+
+    monkeypatch.setattr(structured, "is_prime", no_work)
+    monkeypatch.setattr(constructions, "pair_groupoid_over", no_work)
+    with pytest.raises(SizeLimitError, match="got 100000000000000"):
+        pair_groupoid(10 ** 14)
+    for build in (gf_vector_group, pair_vector_space_groupoid):
+        with pytest.raises(SizeLimitError, match=r"got 1000000000000000003\^1"):
+            build(10 ** 18 + 3, 1)
+        with pytest.raises(SizeLimitError, match=r"got 2\^100000000000"):
+            build(2, 10 ** 11)
+    with pytest.raises(SizeLimitError, match=r"limited to 64 points, got 2\^7"):
+        pair_vector_space_groupoid(2, 7)
+    with pytest.raises(SizeLimitError, match=r"limited to 256 points, got 2\^9"):
+        gf_vector_group(2, 9)
+
+
+def test_vector_arguments_that_name_no_space_keep_their_errors():
+    for p, dim, message in [(0, 1, "field size must be prime, got 0"),
+                            (1, 1, "field size must be prime, got 1"),
+                            (4, 1, "field size must be prime, got 4"),
+                            (2, 0, "dimension must be at least 1"),
+                            (2, -3, "dimension must be at least 1")]:
+        for build in (gf_vector_group, pair_vector_space_groupoid):
+            with pytest.raises(ValueError, match=message) as excinfo:
+                build(p, dim)
+            assert excinfo.type is ValueError, (p, dim)
 
 
 def test_group_groupoid_morphism_diagonal():
