@@ -382,39 +382,50 @@ class _Encoded(dict):
         return text
 
 
-def _indented(o: Any, indent: str, enc: _Encoded) -> str:
-    """``json.dumps(o, sort_keys=True, indent=2)`` with every line after the
-    first indented by ``indent``.
+def _write(o: Any, indent: str, enc: _Encoded, out: list[str]) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(o, sort_keys=True,
+    indent=2)`` with every line after the first indented by ``indent``.
 
     String-keyed dicts, string lists and lists of string triples (the
     shapes the document builders produce) are written here, each string
     through the cache; anything else, such as ints, empty containers,
     tuples or other keys, goes to json.  JSON text holds no raw newline,
-    so re-indenting json's output line by line is safe."""
+    so re-indenting json's output line by line is safe.  The caller joins
+    the pieces once: joining at every level would copy a large list's
+    text again at each enclosing level."""
     kind = type(o)
     if kind is str:
-        return enc[o]
+        out.append(enc[o])
+        return
     if o and (kind is dict or kind is list):
         inner = indent + "  "
         sep = ",\n" + inner
         if kind is dict:
             if set(map(type, o)) == {str}:
-                return ("{\n" + inner
-                        + sep.join([enc[k] + ": " + _indented(o[k], inner, enc)
-                                    for k in sorted(o)])
-                        + "\n" + indent + "}")
+                lead = "{\n" + inner
+                for k in sorted(o):
+                    out.append(lead + enc[k] + ": ")
+                    _write(o[k], inner, enc, out)
+                    lead = sep
+                out.append("\n" + indent + "}")
+                return
         else:
             items = set(map(type, o))
             if items == {str}:
-                return "[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]"
+                out.append("[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]")
+                return
             if (items == {list} and set(map(len, o)) == {3}
                     and set(map(type, chain.from_iterable(o))) == {str}):
                 cell = inner + "  "
-                row = (inner + "[\n" + cell + "%s,\n" + cell + "%s,\n" + cell + "%s\n"
+                # every row begins with its separator; the first row's is cut
+                row = (sep + "[\n" + cell + "%s,\n" + cell + "%s,\n" + cell + "%s\n"
                        + inner + "]")
-                return ("[\n" + ",\n".join([row % (enc[x], enc[y], enc[z]) for x, y, z in o])
-                        + "\n" + indent + "]")
-    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+                first = len(out)
+                out.extend([row % (enc[x], enc[y], enc[z]) for x, y, z in o])
+                out[first] = "[\n" + out[first][2:]
+                out.append("\n" + indent + "]")
+                return
+    out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
 def canonical_dumps(doc: dict) -> str:
@@ -422,7 +433,10 @@ def canonical_dumps(doc: dict) -> str:
     written as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
     (ASCII only, every list item and object member on its own line),
     plus one trailing newline; the bytes are the same."""
-    return _indented(canonicalize_document(doc), "", _Encoded()) + "\n"
+    out: list[str] = []
+    _write(canonicalize_document(doc), "", _Encoded(), out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ----- payload cross-check -------------------------------------------------
