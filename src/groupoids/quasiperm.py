@@ -150,10 +150,11 @@ def signature(f: Quasipermutation) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _enumerate(n: int, limit: int) -> list[Quasipermutation]:
-    """All quasipermutations of degree n: identity maps first (by length,
-    then domain), then the rest by (length, domain, image).  Raises
-    SizeLimitError above the degree bound, before enumerating."""
+def _enumerate(n: int, limit: int, *, even: bool = False) -> list[Quasipermutation]:
+    """All quasipermutations of degree n, or only those of signature +1 when
+    ``even``: identity maps first (by length, then domain), then the rest by
+    (length, domain, image).  Raises SizeLimitError above the degree bound,
+    before enumerating."""
     if n > limit:
         raise SizeLimitError(f"degree {n} exceeds the bound {limit}")
     units: list[Quasipermutation] = []
@@ -167,7 +168,9 @@ def _enumerate(n: int, limit: int) -> list[Quasipermutation]:
         for domain in itertools.combinations(points, k):
             for image in itertools.permutations(points, k):
                 if image != domain:
-                    rest.append(Quasipermutation(n, domain, image))
+                    f = Quasipermutation(n, domain, image)
+                    if not even or signature(f) == 1:
+                        rest.append(f)
     return units + rest
 
 
@@ -257,7 +260,7 @@ def alternating_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid
     with the elements in the order they have in the full groupoid."""
     if n < 2:
         raise ValueError("the even quasipermutations need degree at least 2")
-    return _groupoid([f for f in _enumerate(n, limit) if signature(f) == 1])
+    return _groupoid(_enumerate(n, limit, even=True))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import FiniteGroupoid, SizeLimitError, restricted
+from .core import (
+    FiniteGroupoid, SizeLimitError, _components, _right_closure, restricted, validate,
+)
 
 __all__ = [
     "ENUM_SIZE_LIMIT",
@@ -105,19 +109,21 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
         if u not in inside:
             return SubsetClassification(
                 "subgroupoid", mem, (u,), f"unit {g.elements[u]} is missing")
+    loops: dict[int, list[int]] = {}
+    for h in mem:
+        if g.alpha[h] == g.beta[h]:
+            loops.setdefault(g.alpha[h], []).append(h)
     for x in range(len(g)):
-        bx = g.beta[x]
-        for h in mem:
-            if g.alpha[h] == bx and g.beta[h] == bx:
-                z = g.mul.get((g.mul.get((x, h)), g.inv[x]))
-                if z is None:
-                    raise ValueError(
-                        f"conjugate of {g.elements[h]} by {g.elements[x]} is undefined; "
-                        "not a groupoid")
-                if z not in inside:
-                    return SubsetClassification(
-                        "wide", mem, (x, h, z),
-                        f"conjugate of {g.elements[h]} by {g.elements[x]} escapes")
+        for h in loops.get(g.beta[x], ()):
+            z = g.mul.get((g.mul.get((x, h)), g.inv[x]))
+            if z is None:
+                raise ValueError(
+                    f"conjugate of {g.elements[h]} by {g.elements[x]} is undefined; "
+                    "not a groupoid")
+            if z not in inside:
+                return SubsetClassification(
+                    "wide", mem, (x, h, z),
+                    f"conjugate of {g.elements[h]} by {g.elements[x]} escapes")
     return SubsetClassification("normal", mem)
 
 
@@ -151,42 +157,87 @@ def generated_subgroupoid(g: FiniteGroupoid, seeds: Iterable[int]) -> Subgroupoi
     return subgroupoid_handle(g, current)
 
 
+def _subgroups(g: FiniteGroupoid, c: int, loops: Sequence[int]) -> list[frozenset[int]]:
+    """The subgroups of the vertex group ``loops`` at c, by cyclic extension
+    from {c}: every subgroup is <K, x> for one already listed K and a loop x
+    outside K."""
+    found = {frozenset([c]): ()}
+    queue = list(found.items())
+    for k, gens in queue:
+        for x in loops:
+            if x not in k:
+                more = gens + (x,)
+                h = frozenset(_right_closure({c}, lambda a: (g.mul[a, s] for s in more)))
+                if h not in found:
+                    found[h] = more
+                    queue.append((h, more))
+    return list(found)
+
+
+def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
+    """The member lists of the nonempty subgroupoids of a groupoid, each once.
+
+    By Brandt's theorem a subgroupoid is a partial partition of the units
+    into classes, each inside one component, and for a class with least
+    unit c a subgroup K of the vertex group at c and, for every other unit
+    u of the class, one of the sets K*h with h : c -> u.  With K itself the
+    set for c, the class holds inv(a)*b for a and b in the chosen sets; one
+    a per set already gives them all."""
+    hom: dict[tuple[int, int], list[int]] = {}
+    for x in range(len(g)):
+        hom.setdefault((g.alpha[x], g.beta[x]), []).append(x)
+    component = {u: r for r, tree in _components(g) for u in tree}
+
+    @functools.cache
+    def subgroups(c: int) -> list[frozenset[int]]:
+        return _subgroups(g, c, hom[c, c])
+
+    @functools.cache
+    def class_options(units: tuple[int, ...]) -> list[list[int]]:
+        c, out = units[0], []
+        for k in subgroups(c):
+            cosets = [list({frozenset(g.mul[y, h] for y in k): None for h in hom[c, u]})
+                      for u in units[1:]]
+            for chosen in itertools.product([k], *cosets):
+                back = [g.inv[min(a)] for a in chosen]
+                out.append([g.mul[t, b] for t in back for s in chosen for b in s])
+        return out
+
+    def within(units: tuple[int, ...]) -> list[list[int]]:
+        """Subgroupoids whose units lie among ``units``, the empty one too."""
+        if not units:
+            return [[]]
+        u, rest = units[0], units[1:]
+        out = within(rest)
+        mates = [v for v in rest if component[v] == component[u]]
+        for size in range(len(mates) + 1):
+            for others in itertools.combinations(mates, size):
+                tails = within(tuple(v for v in rest if v not in others))
+                for head in class_options((u,) + others):
+                    out.extend(head + tail for tail in tails)
+        return out
+
+    return [members for members in within(g.units) if members]
+
+
 def enumerate_subgroupoids(
     g: FiniteGroupoid,
     *,
     normal_only: bool = False,
     max_size: int = ENUM_SIZE_LIMIT,
 ) -> list[SubgroupoidHandle]:
-    """All subgroupoids, by exhaustive subset scan, in (order, members)
-    order.  Limited to small groupoids; raises SizeLimitError beyond
-    max_size elements."""
+    """All subgroupoids in (order, members) order, built from Brandt's
+    decomposition, so the work follows the number found.  Raises
+    SizeLimitError beyond max_size elements, then ValueError when g is not
+    a groupoid."""
     n = len(g)
     if n > max_size:
         raise SizeLimitError(
             f"subgroupoid enumeration supports at most {max_size} elements, got {n}")
-    triples = [(x, y, z) for (x, y), z in g.mul.items()]
-    inv_bit = [1 << g.inv[x] for x in range(n)]
-    unit_mask = 0
-    for u in g.units:
-        unit_mask |= 1 << u
-    found: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << n):
-        ok = True
-        for x in range(n):
-            if mask >> x & 1 and not mask & inv_bit[x]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for x, y, z in triples:
-            if mask >> x & 1 and mask >> y & 1 and not mask >> z & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        found.append(tuple(x for x in range(n) if mask >> x & 1))
+    validate(g).require("enumerate_subgroupoids: not a groupoid")
     handles = []
-    for mem in sorted(found, key=lambda t: (len(t), t)):
+    for mem in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),
+                      key=lambda t: (len(t), t)):
         cls = classify_subset(g, mem)
         handle = SubgroupoidHandle(g, cls.members, cls.is_wide, cls.is_normal)
         if normal_only and not handle.is_normal:

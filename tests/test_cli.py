@@ -426,3 +426,13 @@ def test_morphism_domain_source_off_the_units(tmp_path, z4, z2, capsys):
 
 def test_morphism_missing_file(tmp_path, capsys):
     assert main(["morphism", "verify", str(tmp_path / "absent.json")]) == 2
+
+
+def test_counts_six_builds_no_groupoid(monkeypatch, capsys):
+    def refuse(maps):
+        raise AssertionError("counts built a product table")
+
+    monkeypatch.setattr("groupoids.quasiperm._groupoid", refuse)
+    assert main(["counts", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("-> match") for line in lines)

@@ -1,19 +1,30 @@
+import random
+
 import pytest
 
 from conftest import symmetric_group_3
+from test_isomorphism import relabelled
 
 from groupoids import (
+    FiniteGroupoid,
     SizeLimitError,
+    SubgroupoidHandle,
     classify_subset,
+    cyclic_group,
+    direct_product,
+    disjoint_union,
     enumerate_subgroupoids,
     from_group,
     generated_subgroupoid,
     isotropy_subgroupoid,
+    klein_four_group,
     null_subgroupoid,
+    pair_groupoid,
     subgroupoid_handle,
     symmetric_groupoid,
     validate,
 )
+from groupoids.constructions import GroupTable
 
 
 def test_classify_whole_and_units(gp2):
@@ -138,3 +149,112 @@ def test_handles_reclassify_consistently(s2):
         assert again.is_wide == handle.is_wide
         assert again.is_normal == handle.is_normal
         assert validate(handle.as_groupoid()).passed
+
+
+def subgroupoids_by_mask_scan(
+    g: FiniteGroupoid, *, normal_only: bool = False
+) -> list[SubgroupoidHandle]:
+    """Reference enumerator: test every nonempty subset for closure under
+    inverses and products, then classify the closed ones in (order, members)
+    order."""
+    n = len(g)
+    triples = [(x, y, z) for (x, y), z in g.mul.items()]
+    inv_bit = [1 << g.inv[x] for x in range(n)]
+    found: list[tuple[int, ...]] = []
+    for mask in range(1, 1 << n):
+        ok = True
+        for x in range(n):
+            if mask >> x & 1 and not mask & inv_bit[x]:
+                ok = False
+                break
+        if not ok:
+            continue
+        for x, y, z in triples:
+            if mask >> x & 1 and mask >> y & 1 and not mask >> z & 1:
+                ok = False
+                break
+        if not ok:
+            continue
+        found.append(tuple(x for x in range(n) if mask >> x & 1))
+    handles = []
+    for mem in sorted(found, key=lambda t: (len(t), t)):
+        cls = classify_subset(g, mem)
+        handle = SubgroupoidHandle(g, cls.members, cls.is_wide, cls.is_normal)
+        if normal_only and not handle.is_normal:
+            continue
+        handles.append(handle)
+    return handles
+
+
+def quaternion_group() -> GroupTable:
+    """Q8 with labels 1, i, j, k, -1, -i, -j, -k; element 4*s + a is
+    (-1)^s times basis element a."""
+    def basis_times(a, b):
+        if a == 0 or b == 0:
+            return 1, a + b
+        if a == b:
+            return -1, 0
+        return (1 if (b - a) % 3 == 1 else -1), 6 - a - b
+
+    def times(x, y):
+        sign, c = basis_times(x % 4, y % 4)
+        return c + 4 * ((x // 4 + y // 4 + (sign < 0)) % 2)
+
+    table = [[times(x, y) for y in range(8)] for x in range(8)]
+    return GroupTable.build(
+        labels=["1", "i", "j", "k", "-1", "-i", "-j", "-k"],
+        table=table,
+        identity=0,
+        inv=[row.index(0) for row in table],
+    )
+
+
+PIECES = (
+    [pair_groupoid(m) for m in (1, 2, 3, 4)]
+    + [direct_product(pair_groupoid(2), from_group(t))
+       for t in (cyclic_group(2), cyclic_group(3), klein_four_group())]
+    + [from_group(t) for t in [cyclic_group(n) for n in range(2, 9)]
+       + [klein_four_group(), symmetric_group_3(), quaternion_group()]]
+)
+
+
+def _random_union(rng: random.Random, limit: int = 16) -> FiniteGroupoid:
+    parts, size = [], 0
+    while True:
+        fits = [p for p in PIECES if size + len(p) <= limit]
+        if not fits or (parts and rng.random() < 0.4):
+            return relabelled(disjoint_union(*parts), rng)
+        parts.append(rng.choice(fits))
+        size += len(parts[-1])
+
+
+def test_quaternion_table_is_a_group():
+    q8 = from_group(quaternion_group())
+    assert validate(q8).passed
+    assert len(enumerate_subgroupoids(q8)) == 6
+    assert [h.is_normal for h in enumerate_subgroupoids(q8)] == [True] * 6
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enumeration_matches_the_mask_scan(seed):
+    g = _random_union(random.Random(seed))
+    for normal_only in (False, True):
+        got = enumerate_subgroupoids(g, normal_only=normal_only)
+        want = subgroupoids_by_mask_scan(g, normal_only=normal_only)
+        assert ([(h.members, h.is_wide, h.is_normal) for h in got]
+                == [(h.members, h.is_wide, h.is_normal) for h in want])
+
+
+def test_enumeration_matches_the_mask_scan_on_named_groupoids(golden, s2, a3):
+    cases = [golden, s2, a3, pair_groupoid(4), from_group(cyclic_group(16)),
+             direct_product(pair_groupoid(2), from_group(cyclic_group(4)))]
+    for g in cases:
+        assert ([(h.members, h.is_wide, h.is_normal) for h in enumerate_subgroupoids(g)]
+                == [(h.members, h.is_wide, h.is_normal) for h in subgroupoids_by_mask_scan(g)])
+
+
+def test_enumeration_refuses_a_table_that_is_not_a_groupoid(z4):
+    cut = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, z4.inv,
+                         {k: v for k, v in z4.mul.items() if k != (1, 3)})
+    with pytest.raises(ValueError, match="not a groupoid"):
+        enumerate_subgroupoids(cut)
