@@ -8,9 +8,8 @@ error, 3 size bound exceeded.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
-from pathlib import Path
 
 from .core import FiniteGroupoid, SizeLimitError, ValidationReport, validate
 from .constructions import (
@@ -27,6 +26,7 @@ from .constructions import (
 )
 from .io import (
     ParseError,
+    _read_json,
     canonical_dumps,
     check_quasiperm_payloads,
     group_groupoid_document,
@@ -211,11 +211,7 @@ def _build_document(args: argparse.Namespace) -> dict:
         return plain_document(whitney_sum(_load_valid(args.first), _load_valid(args.second)))
     if what == "induced":
         g = _load_valid(args.file)
-        text = Path(args.map_file).read_text(encoding="utf-8")
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("map", str(exc)) from exc
+        mapping = _read_json(args.map_file)
         if not isinstance(mapping, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
             raise ParseError("map", "expected an object of label pairs")
@@ -299,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A command's tables (tuple keys, JSON rows) hold no reference cycles,
+    # so the cyclic collector would only rescan them; reference counting
+    # still frees them, and the caller's collector state comes back after.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

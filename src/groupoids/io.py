@@ -71,7 +71,8 @@ def _require(data: dict, field: str, kind: type, *, optional: bool = False):
             return None
         raise ParseError(field, "missing required field")
     value = data[field]
-    if not isinstance(value, kind):
+    # JSON true and false decode to bool, which Python counts as an int
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
         raise ParseError(field, f"expected {kind.__name__}")
     return value
 
@@ -271,13 +272,20 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
     return parsed
 
 
-def load_groupoid(path: str | Path) -> ParsedDocument:
-    text = Path(path).read_text(encoding="utf-8")
+def _read_json(path: str | Path) -> Any:
+    """Read and decode a JSON file.  Text that is not UTF-8, not JSON or
+    nested too deeply for the decoder raises ParseError("json", ...);
+    OSError passes through."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError("json", str(exc)) from exc
-    return parse_groupoid_document(data)
+    except RecursionError as exc:
+        raise ParseError("json", "nested too deeply") from exc
+
+
+def load_groupoid(path: str | Path) -> ParsedDocument:
+    return parse_groupoid_document(_read_json(path))
 
 
 # ----- serialization -------------------------------------------------------
@@ -521,6 +529,8 @@ def parse_morphism_document(
     def resolve(field: str) -> FiniteGroupoid:
         value = _require(data, field, dict)
         if set(value.keys()) == {"path"}:
+            if not isinstance(value["path"], str):
+                raise ParseError(field, "path must be a string")
             path = Path(value["path"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
@@ -568,10 +578,4 @@ def parse_morphism_document(
 
 
 def load_morphism(path: str | Path) -> GroupoidMorphism:
-    p = Path(path)
-    text = p.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("json", str(exc)) from exc
-    return parse_morphism_document(data, base_dir=p.parent)
+    return parse_morphism_document(_read_json(path), base_dir=Path(path).parent)

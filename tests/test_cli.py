@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -16,7 +17,7 @@ from groupoids import (
     quasiperm_document,
     symmetric_groupoid,
 )
-from groupoids import cli, constructions
+from groupoids import cli, constructions, pair_vector_space_groupoid, vsg_document
 from groupoids.cli import main
 
 GOLDEN = None
@@ -436,3 +437,89 @@ def test_counts_six_builds_no_groupoid(monkeypatch, capsys):
     assert main(["counts", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(line.endswith("-> match") for line in lines)
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was, whatever the test leaves."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_main_restores_the_collector_on_every_exit(tmp_path, z2_file, monkeypatch, capsys,
+                                                   collector_state):
+    def broken(g):
+        raise RuntimeError("validate broke")
+
+    runs = [(["build", "pair", "2"], 0), (["build", "cyclic", "0"], 1),
+            (["verify", str(tmp_path / "absent.json")], 2), (["build", "pair", "65"], 3)]
+    for enabled in (True, False):
+        for argv, code in runs:
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == code, argv
+            assert gc.isenabled() == enabled, argv
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() == enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "validate", broken)
+            with pytest.raises(RuntimeError, match="validate broke"):
+                main(["verify", z2_file])
+        assert gc.isenabled() == enabled
+    capsys.readouterr()
+
+
+def test_commands_run_with_the_collector_paused(z4_file, monkeypatch, capsys,
+                                                 collector_state):
+    seen = []
+    real_validate = cli.validate
+
+    def recording(g):
+        seen.append(gc.isenabled())
+        return real_validate(g)
+
+    monkeypatch.setattr(cli, "validate", recording)
+    gc.enable()
+    assert main(["verify", z4_file]) == 0
+    assert main(["analyze", z4_file]) == 0
+    assert seen == [False, False] and gc.isenabled()
+    capsys.readouterr()
+
+
+def test_unreadable_documents_exit_2_without_a_traceback(tmp_path, z2_file, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="ascii")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff" + json.dumps({"format_version": 1}).encode())
+    # JSON true where an integer belongs
+    format_true = write_doc(tmp_path, "fv.json", {
+        **plain_document(from_group(cyclic_group(2))), "format_version": True})
+    degree_true = write_doc(tmp_path, "s2.json", {
+        **quasiperm_document(symmetric_groupoid(2), 2), "degree": True})
+    p_true = write_doc(tmp_path, "v.json", {
+        **vsg_document(pair_vector_space_groupoid(2, 1)), "p": True})
+    morphism = tmp_path / "morphism.json"
+    morphism.write_text(json.dumps({
+        "format_version": 1, "domain": {"path": 5}, "codomain": {"path": "z2.json"},
+        "f": {}}), encoding="utf-8")
+    cases = [
+        (["verify", str(deep)], "json: nested too deeply"),
+        (["verify", str(not_utf8)], "json: 'utf-8' codec can't decode"),
+        (["morphism", "verify", str(deep)], "json: nested too deeply"),
+        (["build", "induced", z2_file, str(deep)], "json: nested too deeply"),
+        (["build", "induced", z2_file, str(not_utf8)], "json: 'utf-8' codec"),
+        (["morphism", "strong", str(morphism)], "domain: path must be a string"),
+        (["verify", format_true], "format_version: expected int"),
+        (["verify", degree_true], "degree: expected int"),
+        (["verify", p_true], "p: expected int"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: " + message), (argv, err)
+        assert "Traceback" not in err, argv
