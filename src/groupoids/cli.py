@@ -115,7 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_subgroupoids(args: argparse.Namespace) -> int:
-    g = _load_valid(args.file)
+    g = load_groupoid(args.file).groupoid
     handles = enumerate_subgroupoids(g, normal_only=args.normal)
     what = "normal subgroupoids" if args.normal else "subgroupoids"
     print(f"{len(handles)} {what}")

@@ -10,10 +10,12 @@ labels exist for display and serialization only.
 ``validate`` checks the axioms (associativity, identities, inverses,
 surjectivity of source/target onto the units, and exactness of the partial
 product's domain) and reports violations with witnesses instead of raising.
-Associativity is decided on a generating set (Light's test: the elements
-that associate in the middle are closed under products), component by
-component; the triple scan runs only to list the witnesses of a failure,
-in the components where it occurs.
+Associativity is decided per component from Brandt coordinates
+c(x) = t_u * x * inv(t_v) in the vertex group H_r at its least unit r: when
+x -> (alpha(x), beta(x), c(x)) is injective, c is multiplicative and H_r
+passes the group laws, the component embeds in the associative pair(U) x H_r.
+The triple scan runs only to list the witnesses of a failure, in the
+components where a condition fails.
 """
 
 from __future__ import annotations
@@ -384,49 +386,17 @@ def _greedy_generators(start: int, members: Iterable[int], times) -> list[int]:
     return gens
 
 
-def _generators(g: FiniteGroupoid) -> list[tuple[tuple[int, ...], Optional[list[int]]]]:
-    """Generators of g from Brandt's decomposition, per component: its units
-    and the arrows t_u : r -> u out of its least unit r, their inverses, and
-    greedy generators of the vertex group at r.  A component's generators
-    are None unless right multiplication by composable generators, starting
-    from its units, reaches every element of it.  g must pass the structure
-    checks of validate."""
-    loops: dict[int, list[int]] = {u: [] for u in g.units}
-    for x in g.isotropy_bundle():
-        loops[g.alpha[x]].append(x)
-    out_of: dict[int, list[int]] = {u: [] for u in g.units}
-    components: list[tuple[tuple[int, ...], list[int]]] = []
+def _generators(g: FiniteGroupoid) -> list[int]:
+    """Generators of a groupoid g from Brandt's decomposition: per component,
+    the arrows t_u : r -> u out of its least unit r, their inverses, and
+    greedy generators of the vertex group at r.  Right multiplication by
+    composable generators, starting from the units, reaches every element."""
+    gens: list[int] = []
     for r, tree in _components(g):
-        gens = [z for u, t in tree.items() if u != r for z in (t, g.inv[t])]
-        gens.extend(_greedy_generators(r, loops[r], lambda a, s: g.mul.get((a, s))))
-        for s in gens:
-            out_of[g.alpha[s]].append(s)
-        components.append((tuple(sorted(tree)), gens))
-    reached = _right_closure(
-        set(g.units), lambda a: (g.mul.get((a, s)) for s in out_of[g.beta[a]]))
-    short = {g.alpha[x] for x in range(len(g)) if x not in reached}
-    return [(units, None if short.intersection(units) else gens)
-            for units, gens in components]
-
-
-def _associative_middles(
-    g: FiniteGroupoid, middles: Iterable[int],
-    by_alpha: Mapping[int, Sequence[int]], by_beta: Mapping[int, Sequence[int]],
-) -> tuple[bool, int]:
-    """Whether (x*s)*z == x*(s*z) for every middle s and all composable x, z,
-    with the number of triples checked; g's products must be defined exactly
-    on the composable pairs, with the anchors of their factors."""
-    mul = g.mul
-    checked = 0
-    for s in middles:
-        zs = by_alpha.get(g.beta[s], ())
-        szs = [mul[s, z] for z in zs]
-        for x in by_beta.get(g.alpha[s], ()):
-            checked += len(zs)
-            xs = mul[x, s]
-            if [mul[xs, z] for z in zs] != [mul[x, sz] for sz in szs]:
-                return False, checked
-    return True, checked
+        gens.extend(z for u, t in tree.items() if u != r for z in (t, g.inv[t]))
+        gens.extend(_greedy_generators(
+            r, g.isotropy_members(r), lambda a, s: g.mul.get((a, s))))
+    return gens
 
 
 # ----- validation ----------------------------------------------------------
@@ -444,14 +414,17 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
       G3            inverse laws inv(x)*x = beta(x), x*inv(x) = alpha(x)
 
     When every other check passes, associativity is decided per connected
-    component with the middle factor drawn from its generating set (see
-    ``_generators``): the elements that associate in the middle contain the
-    units and are closed under products.  The triple scan then runs only
-    over the components where that cannot prove the law, listing every
-    failing triple; no composable triple leaves its component, so the
-    report is the full scan's.  After any other violation the scan covers
-    every component.  ``checks`` on the report counts the law instances
-    checked per tag.
+    component from Brandt coordinates c(x) in the vertex group H_r at its
+    least unit r (``_coordinate_failures``).  If x -> (alpha(x), beta(x),
+    c(x)) is injective, c(x*y) == c(x)*c(y) on every product and H_r passes
+    the group laws, the component embeds in pair(U) x H_r, which is
+    associative, so it is associative too.  The triple scan runs only over
+    the components where a condition fails, listing every failing triple;
+    no composable triple leaves its component, so the report is the full
+    scan's.  After any other violation the scan covers every component.
+    ``checks`` counts the law instances checked per tag; for G1 these are
+    the anchor checks, one coordinate per element, one multiplicativity
+    check per product, one cell per table H_r and any scanned triples.
     """
     v: list[Violation] = []
     n = len(g.elements)
@@ -531,20 +504,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
             v.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
 
     # composable triples stay inside a component, so once every other check
-    # passed only the components failing the generator test are scanned
+    # passed only the components that coordinates do not prove are scanned
     scanned: Optional[set[int]] = None
     if not v:
-        by_beta: dict[int, list[int]] = {}
-        for x in range(n):
-            by_beta.setdefault(g.beta[x], []).append(x)
-        scanned = set()
-        for units, gens in _generators(g):
-            holds = False
-            if gens is not None:
-                holds, checked = _associative_middles(g, gens, by_alpha, by_beta)
-                checks["G1"] += checked
-            if not holds:
-                scanned.update(units)
+        scanned, checked = _coordinate_failures(g)
+        checks["G1"] += checked
         if not scanned:
             return ValidationReport((), checks)
 
@@ -680,6 +644,41 @@ def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
             placed.update(arrows[r])
             components.append((r, arrows[r]))
     return components
+
+
+def _coordinate_failures(g: FiniteGroupoid) -> tuple[set[int], int]:
+    """The units of the components that Brandt coordinates do not prove
+    associative, and the number of checks made.  With t_u : r -> u the
+    arrows of ``_components`` and t_r = r, x : u -> v has the coordinate
+    c(x) = t_u * x * inv(t_v) in the vertex group H_r; see ``validate`` for
+    the three conditions.  g must pass every other check of validate."""
+    mul, alpha, beta = g.mul, g.alpha, g.beta
+    root: dict[int, int] = {}
+    arrow: dict[int, int] = {}
+    for r, tree in _components(g):
+        root.update(dict.fromkeys(tree, r))
+        arrow.update({**tree, r: r})
+    loops: dict[int, list[int]] = {r: [] for r in root.values()}
+    for x in g.isotropy_bundle():
+        if alpha[x] in loops:
+            loops[alpha[x]].append(x)
+    # each H_r as a table over the positions of its members, c(x) as a position
+    pos: dict[int, int] = {}
+    table: dict[int, list[list[int]]] = {}
+    failed: set[int] = set()
+    for r, members in loops.items():
+        pos.update((x, i) for i, x in enumerate(members))
+        table[r] = [[pos[mul[x, y]] for y in members] for x in members]
+        if any(_group_law_violations(table[r], pos[r], [pos[g.inv[x]] for x in members])):
+            failed.add(r)
+    c = [pos[mul[mul[arrow[alpha[x]], x], g.inv[arrow[beta[x]]]]] for x in range(len(g))]
+    row = [table[root[alpha[x]]][cx] for x, cx in enumerate(c)]
+    failed.update({root[alpha[x]] for (x, y), z in mul.items() if row[x][c[y]] != c[z]})
+    first: dict[tuple[int, int, int], int] = {}
+    failed.update(root[alpha[x]] for x, cx in enumerate(c)
+                  if first.setdefault((alpha[x], beta[x], cx), x) != x)
+    checked = len(c) + len(mul) + sum(len(members) ** 2 for members in loops.values())
+    return {u for u, r in root.items() if r in failed}, checked
 
 
 def _vertex_group_iso(

@@ -538,6 +538,8 @@ def parse_morphism_document(
                 return load_groupoid(path).groupoid
             except OSError as exc:
                 raise ParseError(field, f"cannot read {path}: {exc}") from exc
+            except ParseError as exc:
+                raise ParseError(field, f"{path}: {exc}") from exc
         return parse_groupoid_document(value).groupoid
 
     domain = resolve("domain")

@@ -127,10 +127,7 @@ def _interchange_on_generators(g: FiniteGroupoid, add: Sequence[Sequence[int]]) 
     which it holds for every b are closed under products in G x G and, once
     the structure maps and the unit inclusion are additive, contain its
     units; these a generate G x G, so the law then holds everywhere."""
-    components = _generators(g)
-    if any(gens is None for _, gens in components):
-        return False
-    gens = [s for _, component_gens in components for s in component_gens]
+    gens = _generators(g)
     mul = g.mul
     by_alpha: dict[int, list[int]] = {}
     for y in range(len(g)):

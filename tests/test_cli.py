@@ -16,6 +16,7 @@ from groupoids import (
     plain_document,
     quasiperm_document,
     symmetric_groupoid,
+    validate,
 )
 from groupoids import cli, constructions, pair_vector_space_groupoid, vsg_document
 from groupoids.cli import main
@@ -203,6 +204,36 @@ def test_subgroupoids_size_limit(tmp_path, capsys):
     doc = quasiperm_document(symmetric_groupoid(3), 3)
     path = write_doc(tmp_path, "s3.json", doc)
     assert main(["subgroupoids", path]) == 3
+
+
+def test_subgroupoids_validates_once(tmp_path, gp2_file, capsys, monkeypatch):
+    from groupoids import subgroupoids
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(subgroupoids, "validate", counted)
+    assert main(["subgroupoids", gp2_file]) == 0
+    assert "4 subgroupoids" in capsys.readouterr().out
+    assert len(calls) == 1
+    # the size bound refuses before any validation
+    calls.clear()
+    s3 = write_doc(tmp_path, "s3.json", quasiperm_document(symmetric_groupoid(3), 3))
+    assert main(["subgroupoids", s3]) == 3
+    assert calls == []
+
+
+def test_subgroupoids_rejects_a_non_groupoid(tmp_path, capsys):
+    doc = plain_document(from_group(cyclic_group(4)))
+    doc["mul"] = [row if row[:2] != ["2", "3"] else ["2", "3", "0"] for row in doc["mul"]]
+    path = write_doc(tmp_path, "broken.json", doc)
+    assert main(["subgroupoids", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a groupoid" in captured.err and "Traceback" not in captured.err
 
 
 def test_build_union_reproduces_reference(tmp_path, golden, capsys):
@@ -427,6 +458,28 @@ def test_morphism_domain_source_off_the_units(tmp_path, z4, z2, capsys):
 
 def test_morphism_missing_file(tmp_path, capsys):
     assert main(["morphism", "verify", str(tmp_path / "absent.json")]) == 2
+
+
+def test_morphism_endpoint_parse_errors_name_the_endpoint(tmp_path, z2_file, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="ascii")
+    no_elements = plain_document(from_group(cyclic_group(2)))
+    del no_elements["elements"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(no_elements), encoding="utf-8")
+    cases = [
+        ({"domain": {"path": str(deep)}, "codomain": {"path": z2_file}},
+         f"domain: {deep}: json: nested too deeply"),
+        ({"domain": {"path": z2_file}, "codomain": {"path": str(bare)}},
+         f"codomain: {bare}: elements: missing required field"),
+    ]
+    for endpoints, message in cases:
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps({"format_version": 1, **endpoints, "f": {}}),
+                        encoding="utf-8")
+        assert main(["morphism", "verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {message}\n"
 
 
 def test_counts_six_builds_no_groupoid(monkeypatch, capsys):

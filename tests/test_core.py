@@ -22,7 +22,6 @@ from groupoids import (
     validate,
     with_base_labels,
 )
-from groupoids.core import _generators
 
 
 def z4_tables():
@@ -271,10 +270,18 @@ def test_validate_matches_triple_scan_on_mutants(golden):
             mutant = groupoid_mutant(g, rng, kinds=1 if i % 3 == 0 else 6)
             report = validate(mutant)
             assert report.violations == validate_by_triple_scan(mutant)
-            # with no other violation, the generating-set check ran first and failed
+            # with no other violation, the coordinate check ran first and failed
             fast_path_failed += not report.passed and all(
                 v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
     assert fast_path_failed > 0
+
+
+def _coordinate_checks(g):
+    """validate's G1 count before any scan: the anchor checks, one coordinate
+    per element, one multiplicativity check per product and one entry per
+    vertex-group table at each component's least unit."""
+    roots = {min(g.beta[x] for x in range(len(g)) if g.alpha[x] == u) for u in g.units}
+    return 2 * len(g.mul) + len(g) + sum(len(g.isotropy_members(r)) ** 2 for r in roots)
 
 
 def test_validate_scans_only_the_failing_component():
@@ -285,21 +292,34 @@ def test_validate_scans_only_the_failing_component():
     mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
     report = validate(mutant)
     assert report.violations == validate_by_triple_scan(mutant) != ()
-    by_alpha, by_beta = {}, {}
+    by_alpha = {}
     for z in range(len(g)):
         by_alpha.setdefault(g.alpha[z], []).append(z)
-        by_beta.setdefault(g.beta[z], []).append(z)
     z6_triples = sum(len(by_alpha[g.beta[b]]) for a, b in mul if g.alpha[a] == g.alpha[x])
-    generator_triples = sum(len(by_beta[g.alpha[s]]) * len(by_alpha[g.beta[s]])
-                            for _, gens in _generators(mutant) for s in gens or ())
-    assert report.checks["G1"] <= len(mul) + generator_triples + z6_triples
+    assert report.checks["G1"] == _coordinate_checks(mutant) + z6_triples
     assert all(g.alpha[v.witness[0]] == g.alpha[x] for v in report.violations)
 
 
-def test_associativity_failure_off_the_generators_is_listed_by_the_full_scan():
+def test_validate_scans_a_component_whose_coordinates_are_not_multiplicative():
+    # in pair(3) x Z2, (2,3)*(3,1) = (2,1) with Z2 part 0 + 0, retargeted to
+    # part 1; no product that fixes a coordinate, no unit or inverse law and
+    # no vertex group changes, so the coordinates stay injective and only
+    # c(x*y) == c(x)*c(y) fails
+    g = three_component_union()
+    x, y = g.index("3/((2,3),0)"), g.index("3/((3,1),0)")
+    mul = dict(g.mul)
+    assert mul[(x, y)] == g.index("3/((2,1),0)")
+    mul[(x, y)] = g.index("3/((2,1),1)")
+    mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+    report = validate(mutant)
+    assert {v.axiom for v in report.violations} == {"G1"}
+    assert report.violations == validate_by_triple_scan(mutant)
+    component = {g.alpha[z] for z in range(len(g)) if g.elements[z].startswith("3/")}
+    assert all(g.alpha[v.witness[0]] in component for v in report.violations)
+
+
+def test_vertex_group_associativity_failure_is_listed_by_the_full_scan():
     tables = z4_tables()
-    g = FiniteGroupoid(**tables)
-    assert _generators(g) == [((0,), [1])]
     tables["mul"][(2, 3)] = 0  # 2 + 3 is 1 in Z4; no identity or inverse product changes
     report = validate(FiniteGroupoid(**tables))
     assert {v.axiom for v in report.violations} == {"G1"}
@@ -307,16 +327,16 @@ def test_associativity_failure_off_the_generators_is_listed_by_the_full_scan():
     assert (1, 2, 3) in [v.witness for v in report.violations]
 
 
-def test_generators_must_reach_every_element():
+def test_validate_scans_a_component_whose_coordinates_collide():
     # units r, u; two arrows r -> u with their inverses, and every product of
-    # two non-units the unit at its ends: closure, G2 and G3 hold, but the
-    # spanning tree and the trivial vertex groups miss one arrow each way
+    # two non-units the unit at its ends: closure, G2 and G3 hold and the
+    # products are multiplicative over the trivial vertex groups, but both
+    # arrows r -> u get the coordinate r
     alpha, beta = [0, 1, 0, 0, 1, 1], [0, 1, 1, 1, 0, 0]
     mul = {(x, y): y if x < 2 else x if y < 2 else alpha[x]
            for x in range(6) for y in range(6) if beta[x] == alpha[y]}
     g = FiniteGroupoid(["r", "u", "t", "t'", "t^", "t'^"], [0, 1], alpha, beta,
                        [0, 1, 4, 5, 2, 3], mul)
-    assert _generators(g) == [((0, 1), None)]
     report = validate(g)
     assert {v.axiom for v in report.violations} == {"G1"}
     assert report.violations == validate_by_triple_scan(g)
@@ -328,7 +348,7 @@ def test_validate_counts_checks_per_axiom(s5):
     assert set(report.checks) == {"structure", "surjectivity", "closure", "G1", "G2", "G3"}
     assert report.checks["G2"] == report.checks["G3"] == 2 * len(s5)
     # the full scan would check 12,608,625 composable triples on top of the 126,525 products
-    assert len(s5.mul) < report.checks["G1"] < 500_000
+    assert len(s5.mul) < report.checks["G1"] == _coordinate_checks(s5) < 500_000
     assert report == ValidationReport() and hash(report) == hash(ValidationReport())
     broken = validate(FiniteGroupoid(**{**z4_tables(), "inv": [0, 1, 2, 9]}))
     assert set(broken.checks) == {"structure"}
