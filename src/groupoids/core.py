@@ -413,6 +413,12 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
       G2            identity laws alpha(x)*x = x = x*beta(x)
       G3            inverse laws inv(x)*x = beta(x), x*inv(x) = alpha(x)
 
+    One pass over the products checks their index range, that they sit on
+    composable pairs and that their anchors do not drift.  No composable
+    pair lacks a product when, in addition, there are as many products as
+    composable pairs; only otherwise are the pairs scanned for the missing
+    ones.
+
     When every other check passes, associativity is decided per connected
     component from Brandt coordinates c(x) in the vertex group H_r at its
     least unit r (``_coordinate_failures``).  If x -> (alpha(x), beta(x),
@@ -437,9 +443,28 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         for x, value in enumerate(table):
             if not 0 <= value < n:
                 v.append(Violation("structure", (x,), f"{name}({x}) = {value} out of range"))
-    for (x, y), z in g.mul.items():
+    # one pass over the products finds those out of range, defined off a
+    # composable pair or drifting from their factors' anchors; an index of n
+    # or more raises IndexError, and then every product is examined
+    mul, alpha, beta = g.mul, g.alpha, g.beta
+    suspects: Iterable[tuple[tuple[int, int], int]] = mul.items()
+    if not v:
+        try:
+            suspects = [((x, y), z) for (x, y), z in mul.items()
+                        if x < 0 or y < 0 or z < 0 or beta[x] != alpha[y]
+                        or alpha[z] != alpha[x] or beta[z] != beta[y]]
+        except IndexError:
+            pass
+    off_pairs: list[Violation] = []
+    drifts: list[Violation] = []
+    for (x, y), z in suspects:
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
             v.append(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range"))
+            continue
+        if beta[x] != alpha[y]:
+            off_pairs.append(Violation("closure", (x, y), "product defined on a non-composable pair"))
+        if alpha[z] != alpha[x] or beta[z] != beta[y]:
+            drifts.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
     if v:
         return ValidationReport(tuple(v), checks)
 
@@ -463,16 +488,16 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     for y in range(n):
         by_alpha.setdefault(g.alpha[y], []).append(y)
 
-    checks["closure"] = len(g.mul)
-    for (x, y) in g.mul:
-        if g.beta[x] != g.alpha[y]:
-            v.append(Violation("closure", (x, y), "product defined on a non-composable pair"))
-    for x in range(n):
-        ys = by_alpha.get(g.beta[x], ())
-        checks["closure"] += len(ys)
-        for y in ys:
-            if (x, y) not in g.mul:
-                v.append(Violation("closure", (x, y), "composable pair has no product"))
+    # with every product on a composable pair, as many products as
+    # composable pairs means that none is missing
+    composable = sum(len(by_alpha.get(b, ())) for b in beta)
+    checks["closure"] = len(mul) + composable
+    v.extend(off_pairs)
+    if off_pairs or len(mul) != composable:
+        for x in range(n):
+            for y in by_alpha.get(beta[x], ()):
+                if (x, y) not in mul:
+                    v.append(Violation("closure", (x, y), "composable pair has no product"))
 
     checks["G2"] = 2 * n
     for x in range(n):
@@ -499,9 +524,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
             v.append(Violation("G3", (x,), f"{x} * inv({x}) != alpha({x})"))
 
     checks["G1"] = len(g.mul)
-    for (x, y), z in g.mul.items():
-        if g.alpha[z] != g.alpha[x] or g.beta[z] != g.beta[y]:
-            v.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
+    v.extend(drifts)
 
     # composable triples stay inside a component, so once every other check
     # passed only the components that coordinates do not prove are scanned

@@ -11,15 +11,23 @@ bytes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .core import FiniteGroupoid, ValidationReport, Violation
 from .constructions import GroupTable
 from .morphisms import GroupoidMorphism
-from .quasiperm import Quasipermutation, _composites, _coordinates
+from .quasiperm import (
+    Quasipermutation,
+    _composites,
+    _Coordinate,
+    _coordinates,
+    _inverse_ranks,
+)
 from .structured import GroupGroupoid, VectorSpaceGroupoid
 
 __all__ = [
@@ -450,17 +458,59 @@ def canonical_dumps(doc: dict) -> str:
 # ----- payload cross-check -------------------------------------------------
 
 
+def _products_are_composites(
+    mul: dict[tuple[int, int], int],
+    coords: Sequence[_Coordinate],
+    perms: Sequence[tuple[int, ...]],
+) -> bool:
+    """Whether the pairs of ``mul`` are exactly the pairs of maps that
+    compose, each with the composite as its product.  There are
+    sum_B #(range = B) * #(domain = B) such pairs, so the pairs of ``mul``
+    are these when there are as many of them and each one composes; a
+    product (A, B, p) * (B, C, q) must then be (A, C, p;q).  p;q is worked
+    out once for each p of a map into B and q of a map out of B, no more
+    often than there are products, and is None when not in ``perms``.
+    Takes ``_coordinates(maps)``."""
+    dom, rng, num = zip(*coords)
+    into = Counter(rng)
+    if len(mul) != sum(k * into[b] for b, k in Counter(dom).items()):
+        return False
+    ends: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
+    for a, b, p in coords:
+        ends.setdefault(b, (set(), set()))[0].add(p)
+        ends.setdefault(a, (set(), set()))[1].add(p)
+    index = {p: r for r, p in enumerate(perms)}
+    composite: list[dict[int, Optional[int]]] = [{} for _ in perms]
+    for ps, qs in ends.values():
+        for p in ps:
+            # p;q is (q[p[0]], ..., q[p[-1]]); itemgetter gives q[p[0]] bare for one point
+            pick, row = itemgetter(*perms[p]), composite[p]
+            for q in qs:
+                pq = pick(perms[q])
+                row[q] = index.get(pq if type(pq) is tuple else (pq,))
+    try:
+        for (x, y), z in mul.items():
+            if (x < 0 or y < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
+                    or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
+                return False
+    except IndexError:
+        return False
+    return True
+
+
 def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     """Verify that the groupoid's tables agree with its quasipermutation
     payloads: units are identity maps, anchors pick the identities on
     domain and range, inverses and products match map inversion and
     composition.
 
-    Products are compared by their coordinates from
-    ``quasiperm._composites`` (no map built per product), streamed in its
-    pair order; only on a mismatch, or when ``g.mul`` has other pairs, is
-    the sorted union of ``g.mul``'s pairs and the composable ones walked to
-    list every failing pair.
+    Every check reads the coordinates (domain, range, permutation number)
+    of ``quasiperm._coordinates``; no map is built.  The map (A, B, p) is
+    an identity when A is B and p is an identity permutation, and its
+    inverse is (B, A, undo[p]).  Products pass in one pass over ``g.mul``
+    (``_products_are_composites``); only when they do not is the sorted
+    union of ``g.mul``'s pairs and the composable ones, from
+    ``quasiperm._composites``, walked to list every failing pair.
     Payloads of different degrees raise ValueError before any of this."""
     v: list[Violation] = []
     if g.payloads is None:
@@ -468,38 +518,32 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     for f in g.payloads:
         if f.degree != g.payloads[0].degree:
             raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")
-    by_value = {}
-    for i, f in enumerate(g.payloads):
-        key = (f.domain, f.image)
-        if key in by_value:
-            v.append(Violation("payload", (by_value[key], i), "duplicate quasipermutation"))
-        by_value[key] = i
-    for x in range(len(g)):
-        f = g.payloads[x]
-        if g.is_unit(x) != f.is_identity():
+    # for maps of one degree a coordinate names one map
+    coords, perms = _coordinates(g.payloads)
+    by_value: dict[_Coordinate, int] = {}
+    for i, c in enumerate(coords):
+        if c in by_value:
+            v.append(Violation("payload", (by_value[c], i), "duplicate quasipermutation"))
+        by_value[c] = i
+    identities = {r for r, p in enumerate(perms) if p == tuple(range(len(p)))}
+    is_identity = [a is b and p in identities for a, b, p in coords]
+    undo = _inverse_ranks(perms)
+    for x, (a, b, p) in enumerate(coords):
+        if g.is_unit(x) != is_identity[x]:
             v.append(Violation(
                 "payload", (x,), "unit flag disagrees with being an identity map"))
-        fa = g.payloads[g.alpha[x]]
-        if not (fa.is_identity() and fa.domain == f.domain):
+        s = g.alpha[x]
+        if not (is_identity[s] and coords[s][0] is a):
             v.append(Violation(
                 "payload", (x,), "source is not the identity on the domain"))
-        fb = g.payloads[g.beta[x]]
-        if not (fb.is_identity() and fb.domain == tuple(sorted(f.image))):
+        t = g.beta[x]
+        if not (is_identity[t] and coords[t][0] is b):
             v.append(Violation(
                 "payload", (x,), "target is not the identity on the range"))
-        fi = g.payloads[g.inv[x]]
-        if fi != f.inverse():
+        if coords[g.inv[x]] != (b, a, undo[p]):
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    coords, perms = _coordinates(g.payloads)
-    mul, matched = g.mul, 0
-    for x, y, h in _composites(coords, perms):
-        z = mul.get((x, y))
-        if z is None or coords[z] != h:
-            break
-        matched += 1
-    else:
-        if matched == len(mul):  # the composable pairs are exactly mul's keys
-            return ValidationReport(tuple(v))
+    if _products_are_composites(g.mul, coords, perms):
+        return ValidationReport(tuple(v))
     composites = {(x, y): h for x, y, h in _composites(coords, perms)}
     for pair in sorted(composites.keys() | g.mul.keys()):
         composed, z = composites.get(pair), g.mul.get(pair)

@@ -223,13 +223,20 @@ def _composites(
             yield i, j, (a, c, r)
 
 
+def _inverse_ranks(perms: Sequence[tuple[int, ...]]) -> list[Optional[int]]:
+    """The number in ``perms`` of each permutation's inverse, None where
+    the inverse is not in ``perms``; the map (A, B, p) has the inverse
+    (B, A, undo[p])."""
+    rank = {p: r for r, p in enumerate(perms)}
+    return [rank.get(tuple(sorted(range(len(p)), key=p.__getitem__))) for p in perms]
+
+
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
     and inversion, with elements in list order and the maps as payloads."""
     coords, perms = _coordinates(maps)
     pos = {c: i for i, c in enumerate(coords)}
-    rank = {p: r for r, p in enumerate(perms)}
-    undo = [rank[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in perms]
+    undo = _inverse_ranks(perms)
     units = [i for i, f in enumerate(maps) if f.is_identity()]
     unit_of_subset = {coords[u][0]: u for u in units}
     return FiniteGroupoid(

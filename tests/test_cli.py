@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from groupoids import (
     cyclic_group,
     disjoint_union,
     from_group,
+    group_groupoid_document,
+    pair_group_groupoid,
     pair_groupoid,
     plain_document,
     quasiperm_document,
@@ -576,3 +579,52 @@ def test_unreadable_documents_exit_2_without_a_traceback(tmp_path, z2_file, caps
         err = capsys.readouterr().err
         assert err.startswith("parse error: " + message), (argv, err)
         assert "Traceback" not in err, argv
+
+
+def _positions(node, out):
+    """Every (container, key) of a decoded document, and whether its value
+    is a scalar."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key, not isinstance(value, (dict, list))))
+        if isinstance(value, (dict, list)):
+            _positions(value, out)
+    return out
+
+
+def fuzzed_document(doc, rng):
+    """A copy of doc with one seeded edit: two scalars swapped, one entry
+    deleted, or one scalar retargeted to an element label."""
+    doc = json.loads(json.dumps(doc))
+    positions = _positions(doc, [])
+    scalars = [(node, key) for node, key, scalar in positions if scalar]
+    edit = rng.randrange(3)
+    if edit == 0:
+        (a, i), (b, j) = rng.sample(scalars, 2)
+        a[i], b[j] = b[j], a[i]
+    elif edit == 1:
+        node, key, _ = rng.choice(positions)
+        del node[key]
+    else:
+        node, key = rng.choice(scalars)
+        node[key] = rng.choice(doc["elements"])
+    return doc
+
+
+def test_verify_survives_seeded_single_edits(tmp_path, capsys):
+    rng = random.Random(90210)
+    documents = [
+        plain_document(disjoint_union(pair_groupoid(2), from_group(cyclic_group(3)))),
+        quasiperm_document(symmetric_groupoid(2), 2),
+        group_groupoid_document(pair_group_groupoid(cyclic_group(2))),
+        vsg_document(pair_vector_space_groupoid(2, 1)),
+    ]
+    codes = set()
+    for doc in documents:
+        for i in range(80):
+            path = tmp_path / f"fuzz{i}.json"
+            path.write_text(json.dumps(fuzzed_document(doc, rng)), encoding="utf-8")
+            code = main(["verify", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (path, err)
+            codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -211,10 +211,74 @@ def associativity_by_triple_scan(g):
     return v
 
 
+def head_by_separate_scans(g):
+    """Reference for validate's violations other than associativity: one
+    scan per check, in validate's order, with the missing products found by
+    testing every composable pair; stops after the first structure check
+    that fails, as validate does."""
+    v = []
+    n = len(g.elements)
+    for u in g.units:
+        if not 0 <= u < n:
+            v.append(Violation("structure", (u,), "unit index out of range"))
+    for name, table in (("alpha", g.alpha), ("beta", g.beta), ("inv", g.inv)):
+        for x, value in enumerate(table):
+            if not 0 <= value < n:
+                v.append(Violation("structure", (x,), f"{name}({x}) = {value} out of range"))
+    for (x, y), z in g.mul.items():
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            v.append(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range"))
+    if v:
+        return v
+    for x in range(n):
+        if g.alpha[x] not in g.units:
+            v.append(Violation("structure", (x,), f"alpha({x}) is not a unit"))
+        if g.beta[x] not in g.units:
+            v.append(Violation("structure", (x,), f"beta({x}) is not a unit"))
+    if v:
+        return v
+    unit_set = set(g.units)
+    for u in unit_set - {g.alpha[x] for x in range(n)}:
+        v.append(Violation("surjectivity", (u,), "unit is not the source of any element"))
+    for u in unit_set - {g.beta[x] for x in range(n)}:
+        v.append(Violation("surjectivity", (u,), "unit is not the target of any element"))
+    for (x, y) in g.mul:
+        if g.beta[x] != g.alpha[y]:
+            v.append(Violation("closure", (x, y), "product defined on a non-composable pair"))
+    for x in range(n):
+        for y in range(n):
+            if g.beta[x] == g.alpha[y] and (x, y) not in g.mul:
+                v.append(Violation("closure", (x, y), "composable pair has no product"))
+    for x in range(n):
+        a, b = g.alpha[x], g.beta[x]
+        if g.beta[a] != a:
+            v.append(Violation("G2", (x,), f"left identity pair ({a}, {x}) not composable"))
+        elif g.mul.get((a, x)) != x:
+            v.append(Violation("G2", (x,), f"alpha({x}) * {x} != {x}"))
+        if g.alpha[b] != b:
+            v.append(Violation("G2", (x,), f"right identity pair ({x}, {b}) not composable"))
+        elif g.mul.get((x, b)) != x:
+            v.append(Violation("G2", (x,), f"{x} * beta({x}) != {x}"))
+    for x in range(n):
+        xi = g.inv[x]
+        if g.beta[xi] != g.alpha[x]:
+            v.append(Violation("G3", (x,), f"pair (inv({x}), {x}) not composable"))
+        elif g.mul.get((xi, x)) != g.beta[x]:
+            v.append(Violation("G3", (x,), f"inv({x}) * {x} != beta({x})"))
+        if g.beta[x] != g.alpha[xi]:
+            v.append(Violation("G3", (x,), f"pair ({x}, inv({x})) not composable"))
+        elif g.mul.get((x, xi)) != g.alpha[x]:
+            v.append(Violation("G3", (x,), f"{x} * inv({x}) != alpha({x})"))
+    for (x, y), z in g.mul.items():
+        if g.alpha[z] != g.alpha[x] or g.beta[z] != g.beta[y]:
+            v.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
+    return v
+
+
 def validate_by_triple_scan(g):
-    """validate's report with its associativity witnesses taken from the
-    full triple scan, which runs unless a structure check stopped early."""
-    head = [v for v in validate(g).violations if not (v.axiom == "G1" and len(v.witness) == 3)]
+    """Reference for validate's report: the separate scans, then the full
+    triple scan, which runs unless a structure check stopped early."""
+    head = head_by_separate_scans(g)
     if any(v.axiom == "structure" for v in head):
         return tuple(head)
     return tuple(head + associativity_by_triple_scan(g))
@@ -274,6 +338,40 @@ def test_validate_matches_triple_scan_on_mutants(golden):
             fast_path_failed += not report.passed and all(
                 v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
     assert fast_path_failed > 0
+
+
+def test_validate_lists_both_closure_defects_when_the_product_count_is_kept():
+    # one composable product deleted and one non-composable product added:
+    # as many products as composable pairs, but not the same pairs
+    g = symmetric_groupoid(3)
+    mul = dict(g.mul)
+    kept = next(key for key in sorted(mul) if not g.is_unit(key[0]) and not g.is_unit(key[1]))
+    off = next((x, y) for x in range(len(g)) for y in range(len(g))
+               if g.beta[x] != g.alpha[y] and not g.is_unit(x) and not g.is_unit(y))
+    mul[off] = mul.pop(kept)
+    mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+    report = validate(mutant)
+    assert len(mutant.mul) == len(g.mul)
+    assert report.violations == validate_by_triple_scan(mutant)
+    closure = [(v.witness, v.detail) for v in report.violations if v.axiom == "closure"]
+    assert closure == [(off, "product defined on a non-composable pair"),
+                       (kept, "composable pair has no product")]
+
+
+@pytest.mark.parametrize("key, value", [
+    ((0, 99), 0), ((99, 0), 0), ((0, 0), 99),  # past the end: IndexError
+    ((-1, 1), 1), ((1, -3), 1), ((1, 1), -2),  # negative: would wrap around
+    ((-99, 0), 0), ((0, 0), -99),
+])
+def test_validate_reports_only_structure_for_an_out_of_range_product(key, value):
+    tables = z4_tables()
+    del tables["mul"][(2, 3)]  # a closure defect, not reported
+    tables["mul"][key] = value
+    g = FiniteGroupoid(**tables)
+    report = validate(g)
+    assert report.violations == validate_by_triple_scan(g)
+    assert [v.axiom for v in report.violations] == ["structure"]
+    assert report.violations[0].witness == key
 
 
 def _coordinate_checks(g):

@@ -36,6 +36,8 @@ from groupoids import (
     validate_vector_space_groupoid,
     vsg_document,
 )
+from groupoids.io import _products_are_composites
+from groupoids.quasiperm import _coordinates
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
 
@@ -247,7 +249,8 @@ def test_payload_cross_check_flags_mismatches(s2, gp2):
 
 def payloads_by_pair_scan(g):
     """Reference for check_quasiperm_payloads: the products read over every
-    ordered pair of elements."""
+    ordered pair of elements and every other pair of the product table, in
+    ascending order."""
     v = []
     by_value = {}
     for i, f in enumerate(g.payloads):
@@ -266,17 +269,19 @@ def payloads_by_pair_scan(g):
             v.append(Violation("payload", (x,), "target is not the identity on the range"))
         if g.payloads[g.inv[x]] != f.inverse():
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    for x in range(len(g)):
-        for y in range(len(g)):
+    n = len(g)
+    for x, y in sorted({(x, y) for x in range(n) for y in range(n)} | g.mul.keys()):
+        composed = None
+        if 0 <= x < n and 0 <= y < n:
             composed = qp_compose(g.payloads[x], g.payloads[y])
-            z = g.mul.get((x, y))
-            if composed is None:
-                if z is not None:
-                    v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
-            elif z is None:
-                v.append(Violation("payload", (x, y), "maps compose but product is undefined"))
-            elif g.payloads[z] != composed:
-                v.append(Violation("payload", (x, y), "product disagrees with map composition"))
+        z = g.mul.get((x, y))
+        if composed is None:
+            if z is not None:
+                v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
+        elif z is None:
+            v.append(Violation("payload", (x, y), "maps compose but product is undefined"))
+        elif g.payloads[z] != composed:
+            v.append(Violation("payload", (x, y), "product disagrees with map composition"))
     return tuple(v)
 
 
@@ -339,6 +344,67 @@ def test_payload_cross_check_matches_pair_scan():
         "maps compose but product is undefined",
         "product disagrees with map composition",
     }
+
+
+def count_preserving_product_mutant(g, rng):
+    """g with one edit of its products that keeps their number: a product
+    retargeted to another element with the same anchors, the values of two
+    products swapped, or a product moved to a pair that does not compose."""
+    mul = dict(g.mul)
+    keys = sorted(mul)
+    edit = rng.randrange(3)
+    if edit == 0:
+        hom = {}
+        for w in range(len(g)):
+            hom.setdefault(g.anchor(w), []).append(w)
+        key = rng.choice([k for k in keys if len(hom[g.anchor(mul[k])]) > 1])
+        mul[key] = rng.choice([w for w in hom[g.anchor(mul[key])] if w != mul[key]])
+    elif edit == 1:
+        a, b = rng.sample(keys, 2)
+        mul[a], mul[b] = mul[b], mul[a]
+    else:
+        n = len(g)
+        pair = rng.choice([(x, y) for x in range(n) for y in range(n) if (x, y) not in mul])
+        mul[pair] = mul.pop(rng.choice(keys))
+    return FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, g.inv, mul, payloads=g.payloads)
+
+
+def test_payload_cross_check_matches_pair_scan_on_count_preserving_mutants():
+    rng = random.Random(8128)
+    for g, mutants in ((symmetric_groupoid(3), 150), (alternating_groupoid(4), 20)):
+        for _ in range(mutants):
+            mutant = count_preserving_product_mutant(g, rng)
+            assert len(mutant.mul) == len(g.mul)
+            expected = payloads_by_pair_scan(mutant)
+            assert expected
+            assert check_quasiperm_payloads(mutant).violations == expected
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_payload_cross_check_sees_a_product_moved_out_of_range(shift):
+    # the product of (x, y) moved to (x - n, y) or (x + n, y): as many
+    # products as composable pairs, and x - n indexes the same map as x
+    g = symmetric_groupoid(3)
+    n = len(g)
+    x, y = max(g.mul)
+    mul = dict(g.mul)
+    mul[(x + shift * n, y)] = mul.pop((x, y))
+    moved = FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, g.inv, mul, payloads=g.payloads)
+    report = check_quasiperm_payloads(moved).violations
+    assert report == payloads_by_pair_scan(moved)
+    assert sorted((v.witness, v.detail) for v in report) == sorted([
+        ((x, y), "maps compose but product is undefined"),
+        ((x + shift * n, y), "product defined but maps do not compose"),
+    ])
+
+
+def test_products_of_valid_groupoids_pass_the_one_pass_check():
+    # a valid table never needs the walk, including the maps of one point
+    for g in (symmetric_groupoid(1), symmetric_groupoid(3), alternating_groupoid(4),
+              left_translation_groupoid(from_group(cyclic_group(10)))):
+        assert _products_are_composites(g.mul, *_coordinates(g.payloads))
 
 
 def test_payload_cross_check_rejects_mixed_degrees_up_front(s2):

@@ -283,15 +283,99 @@ def interchange_by_pair_scan(gg):
     return v
 
 
+def additivity_by_pair_scan(gg):
+    """Reference for the additivity of the structure maps: every pair of
+    elements, then every pair of units."""
+    g, add, add0 = gg.carrier, gg.elem_group.table, gg.unit_group.table
+    pos = {u: i for i, u in enumerate(g.units)}
+    v = []
+    for x in range(len(g)):
+        for y in range(len(g)):
+            s = add[x][y]
+            if pos[g.alpha[s]] != add0[pos[g.alpha[x]]][pos[g.alpha[y]]]:
+                v.append(Violation(
+                    "alpha-additive", (x, y), "source is not additive on this pair"))
+            if pos[g.beta[s]] != add0[pos[g.beta[x]]][pos[g.beta[y]]]:
+                v.append(Violation(
+                    "beta-additive", (x, y), "target is not additive on this pair"))
+            if g.inv[s] != add[g.inv[x]][g.inv[y]]:
+                v.append(Violation(
+                    "inv-additive", (x, y),
+                    "groupoid inversion is not additive on this pair"))
+    for i, u in enumerate(g.units):
+        for j, w in enumerate(g.units):
+            if add[u][w] != g.units[add0[i][j]]:
+                v.append(Violation(
+                    "unit-additive", (i, j),
+                    "unit inclusion is not a homomorphism on this pair"))
+    return v
+
+
+def negation_by_product_scan(gg):
+    g, neg = gg.carrier, gg.elem_group.inv
+    v = []
+    for (x, y), xy in g.mul.items():
+        rhs = g.mul.get((neg[x], neg[y]))
+        if rhs is None or neg[xy] != rhs:
+            v.append(Violation(
+                "neg-compat", (x, y),
+                "group negation fails to distribute over this product"))
+    return v
+
+
 def group_groupoid_by_pair_scan(gg):
-    """validate_group_groupoid's report with its interchange witnesses taken
-    from the full pair scan, which runs unless the pre-check failed."""
-    report = list(validate_group_groupoid(gg).violations)
-    if _precheck_failed(report):
-        return tuple(report)
-    head = [v for v in report if v.axiom not in ("interchange", "neg-compat")]
-    tail = [v for v in report if v.axiom == "neg-compat"]
-    return tuple(head + interchange_by_pair_scan(gg) + tail)
+    """Reference for validate_group_groupoid's report: the library's
+    pre-check, then every law by its full scan."""
+    pre = structured._precheck_violations(gg)
+    if pre:
+        return tuple(pre)
+    return tuple(additivity_by_pair_scan(gg) + interchange_by_pair_scan(gg)
+                 + negation_by_product_scan(gg))
+
+
+def vector_space_laws_by_scan(v):
+    """Reference for the vector-space laws: commutativity, then for each
+    action the identity, the two distributive laws over the scalars and
+    distributivity over the addition (k.(x+y)), each over all of its
+    instances."""
+    gg, p = v.structure, v.p
+    out = []
+    if not gg.elem_group.is_commutative():
+        out.append(Violation("commutative", (), "element group is not commutative"))
+    if not gg.unit_group.is_commutative():
+        out.append(Violation("commutative", (), "unit group is not commutative"))
+    for name, act, table in (("scalar", v.scalar, gg.elem_group.table),
+                             ("unit-scalar", v.unit_scalar, gg.unit_group.table)):
+        size = len(table)
+        for x in range(size):
+            if act[1 % p][x] != x:
+                out.append(Violation(f"{name}-identity", (x,), "1.x differs from x"))
+        for k in range(p):
+            for l in range(p):
+                for x in range(size):
+                    if act[k][act[l][x]] != act[(k * l) % p][x]:
+                        out.append(Violation(
+                            f"{name}-assoc", (k, l, x), "k.(l.x) differs from (kl).x"))
+                    if act[(k + l) % p][x] != table[act[k][x]][act[l][x]]:
+                        out.append(Violation(
+                            f"{name}-distrib", (k, l, x),
+                            "(k+l).x differs from k.x + l.x"))
+        for k in range(p):
+            for x in range(size):
+                for y in range(size):
+                    if act[k][table[x][y]] != table[act[k][x]][act[k][y]]:
+                        out.append(Violation(
+                            f"{name}-distrib-add", (k, x, y),
+                            "k.(x+y) differs from k.x + k.y"))
+    return out
+
+
+def vector_space_by_scan(v):
+    """Reference for validate_vector_space_groupoid's report."""
+    head = group_groupoid_by_pair_scan(v.structure)
+    if _precheck_failed(head):
+        return head
+    return head + tuple(vector_space_laws_by_scan(v) + structured._linearity_violations(v))
 
 
 def twisted_group_groupoid(m, dim, seed):
@@ -372,3 +456,78 @@ def test_interchange_failure_behind_passing_additivity_is_listed_by_the_full_sca
             axioms = {v.axiom for v in report}
             assert "interchange" in axioms
             assert not axioms & {"alpha-additive", "beta-additive", "inv-additive", "unit-additive"}
+
+
+def vector_space_mutant(v, rng):
+    """v with one to three seeded edits of its scalar tables, or of its
+    group-groupoid by ``group_groupoid_mutant``."""
+    scalar, unit_scalar = [list(r) for r in v.scalar], [list(r) for r in v.unit_scalar]
+    structure = v.structure
+    n, m = len(scalar[0]), len(unit_scalar[0])
+    for _ in range(rng.randint(1, 3)):
+        edit, k = rng.randrange(4), rng.randrange(v.p)
+        if edit == 0:
+            scalar[k][rng.randrange(n)] = rng.randrange(n)
+        elif edit == 1:
+            unit_scalar[k][rng.randrange(m)] = rng.randrange(m)
+        elif edit == 2:  # a relabelled row: k. stays a bijection
+            a, b = rng.sample(range(n), 2)
+            scalar[k] = [b if y == a else a if y == b else y for y in scalar[k]]
+        else:
+            structure = group_groupoid_mutant(structure, rng)
+    return VectorSpaceGroupoid(structure, v.p, scalar, unit_scalar)
+
+
+def test_vector_space_laws_match_full_scans_on_mutants():
+    rng = random.Random(2718)
+    corpus = [
+        (pair_vector_space_groupoid(2, 2), 120),
+        (pair_vector_space_groupoid(3, 1), 120),
+        (pair_vector_space_groupoid(2, 3), 6),
+    ]
+    seen = set()
+    for v, mutants in corpus:
+        assert validate_vector_space_groupoid(v).violations == vector_space_by_scan(v) == ()
+        for _ in range(mutants):
+            mutant = vector_space_mutant(v, rng)
+            report = validate_vector_space_groupoid(mutant).violations
+            assert report == vector_space_by_scan(mutant)
+            seen.update(x.axiom for x in report)
+    assert {"scalar-distrib-add", "unit-scalar-distrib-add", "alpha-additive",
+            "inv-additive"} <= seen
+
+
+def test_additivity_failure_missed_by_every_pair_of_generators_is_found():
+    # relabelling the addition of the GF(2)^2 pair group-groupoid by the
+    # transposition (8 11) keeps it a group, and the structure maps fail to
+    # be additive for it only at pairs that are not both generators
+    gg = pair_vector_space_groupoid(2, 2).structure
+    g, t = gg.carrier, gg.elem_group
+    n = len(g)
+    swap = list(range(n))
+    swap[8], swap[11] = 11, 8
+    rows = [[swap[t.table[swap[x]][swap[y]]] for y in range(n)] for x in range(n)]
+    elem_group = GroupTable.build(
+        t.labels, rows, swap[t.identity], [swap[t.inv[swap[x]]] for x in range(n)])
+    mutant = GroupGroupoid(g, elem_group, gg.unit_group)
+    assert elem_group.validate().passed
+    report = validate_group_groupoid(mutant).violations
+    assert report == group_groupoid_by_pair_scan(mutant)
+    additive = [x.witness for x in report if x.axiom in ("alpha-additive", "beta-additive")]
+    gens = set(structured._generators_with_identity(elem_group))
+    assert additive and not any(x in gens and y in gens for x, y in additive)
+    assert any(y not in gens for _, y in additive)
+
+
+def test_valid_structures_pass_the_checks_at_the_generators():
+    # the scans over all pairs run only after a failure
+    for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
+        gg = v.structure
+        g, add, add0 = gg.carrier, gg.elem_group.table, gg.unit_group.table
+        assert structured._interchange_on_generators(g, add)
+        pos = {u: i for i, u in enumerate(g.units)}
+        gens = structured._generators_with_identity(gg.elem_group)
+        assert len(gens) < len(g)
+        for f, add_to in (([pos[u] for u in g.alpha], add0), ([pos[u] for u in g.beta], add0),
+                          (g.inv, add), *((row, add) for row in v.scalar)):
+            assert structured._additive_on(f, add, add_to, gens)
