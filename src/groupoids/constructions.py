@@ -199,7 +199,7 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     for i, j in pairs:
         for l in range(n):
             mul[(index[(i, j)], index[(j, l)])] = index[(i, l)]
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[f"({pts[i]},{pts[j]})" for i, j in pairs],
         units=list(range(n)),
         alpha=[index[(i, i)] for i, j in pairs],
@@ -230,7 +230,7 @@ def null_groupoid(labels: Sequence[str]) -> FiniteGroupoid:
         raise ValueError("null groupoid labels must be distinct")
     n = len(pts)
     idx = list(range(n))
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=pts,
         units=idx,
         alpha=idx,
@@ -280,7 +280,7 @@ def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
         for (x, y), z in g.mul.items():
             mul[(offset + x, offset + y)] = offset + z
         offset += len(g)
-    return FiniteGroupoid(elements, units, alpha, beta, inv, mul)
+    return FiniteGroupoid._typed(elements, units, alpha, beta, inv, mul)
 
 
 def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
@@ -296,7 +296,7 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     for (x1, y1), z1 in g.mul.items():
         for (x2, y2), z2 in h.mul.items():
             mul[(pair(x1, x2), pair(y1, y2))] = pair(z1, z2)
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=elements,
         units=[pair(u, w) for u in g.units for w in h.units],
         alpha=[pair(g.alpha[x], h.alpha[y]) for x in range(len(g)) for y in range(nh)],
@@ -347,7 +347,7 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
                 continue
             mul[(index[(x1, y1)], index[(x2, y2)])] = index[(z1, z2)]
     units = [index[(u, w)] for (u, w) in elements if g.is_unit(u) and h.is_unit(w)]
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[f"({g.elements[x]},{h.elements[y]})" for x, y in elements],
         units=units,
         alpha=[index[(g.alpha[x], h.alpha[y])] for x, y in elements],
@@ -410,7 +410,7 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
         for _, z, b in starting[y]:
             mul[(index[(x, y, a)], index[(y, z, b)])] = index[(x, z, g.mul[(a, b)])]
     unit_index = {x: index[(x, x, target_unit[x])] for x in points}
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[f"({x},{y},{g.elements[a]})" for x, y, a in triples],
         units=[unit_index[x] for x in points],
         alpha=[unit_index[x] for x, y, a in triples],
@@ -448,7 +448,7 @@ def left_translation_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
         )
     if len({(p.domain, p.image) for p in payloads}) != n:
         raise ValueError("left translations are not pairwise distinct; input is not a groupoid")
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[f"L[{lbl}]" for lbl in g.elements],
         units=g.units,
         alpha=g.alpha,

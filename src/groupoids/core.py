@@ -84,6 +84,23 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _int_pairs(mul: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """A copy of ``mul`` with ``(int, int)`` tuple keys and int values;
+    a key that is not a pair raises ValueError."""
+    product = dict(mul)
+    if all(type(key) is tuple and len(key) == 2
+           and type(key[0]) is type(key[1]) is type(value) is int
+           for key, value in product.items()):
+        return product
+    product = {}
+    for key, value in mul.items():
+        pair = tuple(key)
+        if len(pair) != 2:
+            raise ValueError(f"mul keys must be element pairs, got {key!r}")
+        product[(int(pair[0]), int(pair[1]))] = int(value)
+    return product
+
+
 class FiniteGroupoid:
     """A finite groupoid over indexed elements.
 
@@ -116,6 +133,24 @@ class FiniteGroupoid:
         base_labels: Mapping[int, str] | None = None,
         payloads: Sequence[object] | None = None,
     ) -> None:
+        self._set(elements, units, alpha, beta, inv, mul, base_labels, payloads, typed=False)
+
+    @classmethod
+    def _typed(cls, elements: Sequence[str], units: Iterable[int], alpha: Sequence[int],
+               beta: Sequence[int], inv: Sequence[int], mul: dict[tuple[int, int], int], *,
+               base_labels: Mapping[int, str] | None = None,
+               payloads: Sequence[object] | None = None) -> "FiniteGroupoid":
+        """The groupoid on a product table that the caller built with exact
+        ``(int, int)`` tuple keys and exact int values.  The dict is kept as
+        it is, neither copied nor re-checked, so the caller must not change
+        it afterwards; every other argument is checked as the constructor
+        checks it."""
+        g = cls.__new__(cls)
+        g._set(elements, units, alpha, beta, inv, mul, base_labels, payloads, typed=True)
+        return g
+
+    def _set(self, elements, units, alpha, beta, inv, mul, base_labels, payloads,
+             *, typed: bool) -> None:
         self.elements: tuple[str, ...] = tuple(elements)
         if not self.elements:
             raise ValueError("a groupoid needs at least one element")
@@ -141,17 +176,7 @@ class FiniteGroupoid:
             if len(table) != n:
                 raise ValueError(f"{name} must assign every element, got {len(table)} of {n}")
 
-        product = dict(mul)
-        if not all(type(key) is tuple and len(key) == 2
-                   and type(key[0]) is type(key[1]) is type(value) is int
-                   for key, value in product.items()):
-            product = {}
-            for key, value in mul.items():
-                pair = tuple(key)
-                if len(pair) != 2:
-                    raise ValueError(f"mul keys must be element pairs, got {key!r}")
-                product[(int(pair[0]), int(pair[1]))] = int(value)
-        self.mul: dict[tuple[int, int], int] = product
+        self.mul: dict[tuple[int, int], int] = mul if typed else _int_pairs(mul)
 
         if base_labels is not None:
             base = {int(u): str(lbl) for u, lbl in base_labels.items()}
@@ -614,7 +639,7 @@ def restricted(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
     payloads = None
     if g.payloads is not None:
         payloads = [g.payloads[x] for x in subset]
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[g.elements[x] for x in subset],
         units=[new_index[u] for u in g.units if u in member_set],
         alpha=[new_index[g.alpha[x]] for x in subset],

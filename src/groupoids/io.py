@@ -118,7 +118,8 @@ def _label_triples(
     rows = _require(data, field, list)
     try:
         out = {(index[x], index[y]): index[z] for x, y, z in rows}
-        if len(out) == len(rows) and all(type(row) is list for row in rows):
+        # a 3-character string or a 3-key object also unpacks into three labels
+        if len(out) == len(rows) and set(map(type, rows)) <= {list}:
             return out
     except (KeyError, TypeError, ValueError):
         pass
@@ -148,18 +149,20 @@ def _group_fields(
     index = {lbl: i for i, lbl in enumerate(labels)}
     n = len(labels)
     add = _label_triples(data, f"{prefix}add", index, "sum")
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in add:
-                raise ParseError(
-                    f"{prefix}add", f"missing entry for ({labels[x]!r}, {labels[y]!r})")
+    try:
+        table = [[add[x, y] for y in range(n)] for x in range(n)]
+    except KeyError as exc:
+        # rows are read in order, so this is the first missing pair
+        x, y = exc.args[0]
+        raise ParseError(
+            f"{prefix}add", f"missing entry for ({labels[x]!r}, {labels[y]!r})") from None
     zero = _require(data, f"{prefix}zero", str)
     if zero not in index:
         raise ParseError(f"{prefix}zero", f"unknown label {zero!r}")
     neg = _label_map(data, f"{prefix}neg", index, labels)
     return GroupTable.build(
         labels=labels,
-        table=[[add[x, y] for y in range(n)] for x in range(n)],
+        table=table,
         identity=index[zero],
         inv=[index[neg[lbl]] for lbl in labels],
     )
@@ -244,7 +247,7 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
             except ValueError as exc:
                 raise ParseError(f"payloads[{i}]", str(exc)) from exc
     try:
-        groupoid = FiniteGroupoid(
+        groupoid = FiniteGroupoid._typed(
             elements=elements,
             units=[index[u] for u in units],
             alpha=[index[alpha[lbl]] for lbl in elements],

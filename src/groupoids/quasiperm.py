@@ -103,9 +103,9 @@ class Quasipermutation:
         try:
             head, rest = text.split(":", 1)
             dom_part, img_part = rest.split("->", 1)
-            k = int(head.strip())
-            domain = tuple(int(t) for t in dom_part.split())
-            image = tuple(int(t) for t in img_part.split())
+            k = int(head)
+            domain = tuple(map(int, dom_part.split()))
+            image = tuple(map(int, img_part.split()))
         except (ValueError, IndexError):
             raise ValueError(f"malformed quasipermutation text {text!r}") from None
         if k != len(domain):
@@ -239,7 +239,7 @@ def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     undo = _inverse_ranks(perms)
     units = [i for i, f in enumerate(maps) if f.is_identity()]
     unit_of_subset = {coords[u][0]: u for u in units}
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=[f.text_form() for f in maps],
         units=units,
         alpha=[unit_of_subset[a] for a, _, _ in coords],

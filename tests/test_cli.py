@@ -7,7 +7,9 @@ import pytest
 
 from groupoids import (
     FiniteGroupoid,
+    GroupoidMorphism,
     Quasipermutation,
+    anchor_morphism,
     canonical_dumps,
     canonicalize_document,
     cyclic_group,
@@ -591,9 +593,10 @@ def _positions(node, out):
     return out
 
 
-def fuzzed_document(doc, rng):
+def fuzzed_document(doc, rng, labels=None):
     """A copy of doc with one seeded edit: two scalars swapped, one entry
-    deleted, or one scalar retargeted to an element label."""
+    deleted, or one scalar retargeted to one of ``labels`` (the document's
+    element labels by default)."""
     doc = json.loads(json.dumps(doc))
     positions = _positions(doc, [])
     scalars = [(node, key) for node, key, scalar in positions if scalar]
@@ -606,7 +609,7 @@ def fuzzed_document(doc, rng):
         del node[key]
     else:
         node, key = rng.choice(scalars)
-        node[key] = rng.choice(doc["elements"])
+        node[key] = rng.choice(labels or doc["elements"])
     return doc
 
 
@@ -627,4 +630,46 @@ def test_verify_survives_seeded_single_edits(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3) and "Traceback" not in err, (path, err)
             codes.add(code)
+    assert {0, 1, 2} <= codes
+
+
+def morphism_document(m, domain, codomain):
+    """The document of the morphism m with the given endpoint entries."""
+    g, h = m.domain, m.codomain
+    return {
+        "format_version": 1,
+        "domain": domain,
+        "codomain": codomain,
+        "f": {g.elements[x]: h.elements[y] for x, y in enumerate(m.elem_map)},
+        "f0": {g.elements[u]: h.elements[v] for u, v in m.unit_map.items()},
+    }
+
+
+def test_morphism_commands_survive_seeded_single_edits(tmp_path, capsys):
+    rng = random.Random(1729)
+    s2 = symmetric_groupoid(2)
+    z4 = from_group(cyclic_group(4))
+    z2 = from_group(cyclic_group(2))
+    morphisms = [
+        (anchor_morphism(s2), quasiperm_document(s2, 2)),
+        (GroupoidMorphism(z4, z2, [0, 1, 0, 1]), plain_document(z4)),
+    ]
+    codes = set()
+    for m, domain in morphisms:
+        codomain = plain_document(m.codomain)
+        labels = list(m.domain.elements) + list(m.codomain.elements)
+        by_path = {"m.json": morphism_document(m, {"path": "d.json"}, {"path": "c.json"}),
+                   "d.json": domain, "c.json": codomain}
+        for files in ({"m.json": morphism_document(m, domain, codomain)}, by_path):
+            for _ in range(12):
+                edited = rng.choice(sorted(files))
+                case = {**files, edited: fuzzed_document(files[edited], rng, labels)}
+                for name, doc in case.items():
+                    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+                for action in ("verify", "strong", "kernel", "image", "correspondence"):
+                    code = main(["morphism", action, str(tmp_path / "m.json")])
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2, 3) and "Traceback" not in err, (
+                        action, edited, case[edited], err)
+                    codes.add(code)
     assert {0, 1, 2} <= codes

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,18 +9,30 @@ from groupoids import (
     ValidationReport,
     Violation,
     alternating_groupoid,
+    canonical_dumps,
     cyclic_group,
     direct_product,
     disjoint_union,
     from_group,
+    group_groupoid_document,
+    induced_groupoid,
     is_isomorphic,
     isotropy_conjugation,
     klein_four_group,
+    left_translation_groupoid,
     null_groupoid,
+    pair_group_groupoid,
     pair_groupoid,
+    pair_groupoid_over,
+    pair_vector_space_groupoid,
+    parse_groupoid_document,
+    plain_document,
+    quasiperm_document,
     restricted,
     symmetric_groupoid,
     validate,
+    vsg_document,
+    whitney_sum,
     with_base_labels,
 )
 
@@ -72,6 +85,44 @@ def test_constructor_converts_products_that_are_not_int_pairs():
     assert all(type(x) is type(y) is type(z) is int for (x, y), z in g.mul.items())
     with pytest.raises(ValueError, match=r"mul keys must be element pairs, got \(0, 1, 2\)"):
         FiniteGroupoid(**{**good, "mul": {**good["mul"], (0, 1, 2): 3}})
+
+
+def exact_int_pairs(mul):
+    """Whether every key of a product table is a tuple of two ints and
+    every value an int, all of type exactly int (so not bool)."""
+    return all(type(key) is tuple and len(key) == 2
+               and type(key[0]) is type(key[1]) is type(z) is int for key, z in mul.items())
+
+
+def test_typed_producers_hand_over_exact_int_tables(golden, gp2, z2, z4):
+    documents = [
+        plain_document(golden),
+        quasiperm_document(symmetric_groupoid(2), 2),
+        group_groupoid_document(pair_group_groupoid(cyclic_group(2))),
+        vsg_document(pair_vector_space_groupoid(2, 1)),
+    ]
+    produced = {doc["kind"]: parse_groupoid_document(json.loads(canonical_dumps(doc))).groupoid
+                for doc in documents}
+    assert sorted(produced) == ["group-groupoid", "plain", "quasiperm", "vsg"]
+    produced.update({
+        "symmetric": symmetric_groupoid(3),
+        "alternating": alternating_groupoid(3),
+        "pair_over": pair_groupoid_over(["a", "b", "c"]),
+        "null": null_groupoid(["u", "v"]),
+        "union": disjoint_union(gp2, z2),
+        "product": direct_product(gp2, z4),
+        "whitney": whitney_sum(gp2, gp2),
+        "induced": induced_groupoid(z2, {"p": "0", "q": "0"}),
+        "cayley": left_translation_groupoid(z4),
+        "restricted": restricted(golden, [golden.index(f"3/{i}") for i in range(4)]),
+    })
+    for name, g in produced.items():
+        assert exact_int_pairs(g.mul), name
+        assert validate(g).passed, name
+    # the typed path keeps the caller's dict; the constructor copies it
+    tables = z4_tables()
+    assert FiniteGroupoid._typed(**tables).mul is tables["mul"]
+    assert FiniteGroupoid(**tables).mul is not tables["mul"]
 
 
 def test_validate_flags_out_of_range_tables():

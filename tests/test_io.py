@@ -88,17 +88,25 @@ def test_group_groupoid_document_round_trip():
 
 def test_group_groupoid_add_field_errors():
     base = group_groupoid_document(pair_group_groupoid(cyclic_group(2)))
+    add, unit_add = base["add"], base["unit_add"]
     cases = [
-        ({"add": base["add"][:-1]}, "add"),
-        ({"add": base["add"] + [base["add"][0]]}, f"add[{len(base['add'])}]"),
-        ({"add": [base["add"][0][:2]] + base["add"][1:]}, "add[0]"),
-        ({"unit_add": base["unit_add"][1:]}, "unit_add"),
-        ({"unit_zero": "zzz"}, "unit_zero"),
+        ({"add": add[:-1]}, "add", "missing entry for ('(1,0)', '(1,0)')"),
+        ({"add": add[:5] + add[6:]}, "add", "missing entry for ('(1,1)', '(1,1)')"),
+        ({"add": add[:1] + add[2:]}, "add", "missing entry for ('(0,0)', '(1,1)')"),
+        ({"add": add + [add[0]]}, f"add[{len(add)}]", "duplicate triple for ('(0,0)', '(0,0)')"),
+        ({"add": [add[0][:2]] + add[1:]}, "add[0]", "expected a [x, y, sum] label triple"),
+        ({"add": [add[0][:2] + ["zzz"]] + add[1:]}, "add[0]", "unknown label 'zzz'"),
+        ({"unit_add": unit_add[1:]}, "unit_add", "missing entry for ('(0,0)', '(0,0)')"),
+        ({"unit_add": unit_add + [unit_add[-1]]}, "unit_add[4]",
+         "duplicate triple for ('(1,1)', '(1,1)')"),
+        ({"unit_add": [["zzz"] + unit_add[0][1:]] + unit_add[1:]}, "unit_add[0]",
+         "unknown label 'zzz'"),
+        ({"unit_zero": "zzz"}, "unit_zero", "unknown label 'zzz'"),
     ]
-    for changes, field in cases:
+    for changes, field, message in cases:
         with pytest.raises(ParseError) as err:
             parse_groupoid_document({**base, **changes})
-        assert err.value.field == field, field
+        assert (err.value.field, err.value.message) == (field, message), field
 
 
 def test_vsg_document_round_trip():
@@ -208,6 +216,35 @@ def test_quasiperm_parse_errors(s2):
     with pytest.raises(ParseError) as err:
         parse_groupoid_document({**base, "payloads": mangled})
     assert err.value.field == "payloads[0]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "malformed quasipermutation text ''"),
+    ("1 2 -> 2 1", "malformed quasipermutation text '1 2 -> 2 1'"),
+    ("2: 1 2", "malformed quasipermutation text '2: 1 2'"),
+    ("x: 1 -> 1", "malformed quasipermutation text 'x: 1 -> 1'"),
+    ("1: a -> b", "malformed quasipermutation text '1: a -> b'"),
+    ("2: 1 2 -> 2", "domain and image must have equal length"),
+    ("3: 1 2 -> 2 1", "length prefix 3 does not match domain in '3: 1 2 -> 2 1'"),
+    ("2: 2 1 -> 1 2", "domain must be strictly increasing"),
+    ("2: 1 2 -> 1 1", "image entries must be distinct"),
+    ("1: 1 -> 7", "entries must lie in 1..2"),
+])
+def test_payload_text_parse_errors(s2, text, message):
+    doc = quasiperm_document(s2, 2)
+    doc["payloads"][3] = text
+    with pytest.raises(ParseError) as err:
+        parse_groupoid_document(doc)
+    assert (err.value.field, err.value.message) == ("payloads[3]", message)
+
+
+def test_payload_text_around_the_numbers_is_free(s2):
+    doc = quasiperm_document(s2, 2)
+    at = doc["payloads"].index("2: 1 2 -> 2 1")
+    doc["payloads"][at] = " 2:1 2->2 1 "
+    parsed = parse_groupoid_document(doc).groupoid
+    assert parsed.payloads == s2.payloads
+    assert check_quasiperm_payloads(parsed).passed
 
 
 def test_payload_cross_check_flags_mismatches(s2, gp2):

@@ -23,9 +23,28 @@ def test_text_form_round_trip():
 
 
 def test_from_text_rejects_malformed_strings():
-    for bad in ["", "1 2 -> 2 1", "2: 1 2", "2: 1 2 -> 2", "x: 1 -> 1", "1: a -> b"]:
-        with pytest.raises(ValueError):
+    cases = [
+        ("", "malformed quasipermutation text ''"),
+        ("1 2 -> 2 1", "malformed quasipermutation text '1 2 -> 2 1'"),
+        ("2: 1 2", "malformed quasipermutation text '2: 1 2'"),
+        ("2: 1 2 -> 2", "domain and image must have equal length"),
+        ("x: 1 -> 1", "malformed quasipermutation text 'x: 1 -> 1'"),
+        ("1: a -> b", "malformed quasipermutation text '1: a -> b'"),
+        ("1: 1.0 -> 1", "malformed quasipermutation text '1: 1.0 -> 1'"),
+        ("3: 1 2 -> 2 1", "length prefix 3 does not match domain in '3: 1 2 -> 2 1'"),
+        ("2: 2 1 -> 1 2", "domain must be strictly increasing"),
+        ("2: 1 2 -> 1 1", "image entries must be distinct"),
+        ("1: 4 -> 1", "entries must lie in 1..3"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as err:
             Quasipermutation.from_text(3, bad)
+        assert str(err.value) == message, bad
+
+
+@pytest.mark.parametrize("text", [" 2: 1 2 -> 2 1", "2:1 2->2 1", "\t2 :  1  2 -> 2 1\n"])
+def test_from_text_ignores_whitespace_around_the_numbers(text):
+    assert Quasipermutation.from_text(3, text) == Quasipermutation(3, (1, 2), (2, 1))
 
 
 def test_constructor_rejects_bad_maps():
