@@ -8,6 +8,7 @@ error, 3 size bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 
@@ -229,6 +230,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+# Parsing keeps no state in the parser, so one tree serves every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoids",

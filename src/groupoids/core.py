@@ -386,8 +386,10 @@ def _group_law_violations(
 
 
 def _right_closure(span: set, successors) -> set:
-    """Close ``span`` in place under ``successors(a)``, the right multiples
-    of a by the generators; a multiple is None where it is undefined."""
+    """Close ``span`` in place under ``successors(a)``, such as the right
+    multiples of a by the generators; a successor is None where it is
+    undefined.  Each member is passed to ``successors`` once, after it
+    joins ``span``."""
     queue = list(span)
     for a in queue:
         for b in successors(a):

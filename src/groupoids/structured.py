@@ -128,17 +128,22 @@ def _generators_with_identity(t: GroupTable) -> list[int]:
         t.identity, range(t.order), lambda a, s: t.table[a][s])]
 
 
-def _additive_on(
+def _non_additive_pairs(
     f: Sequence[int], add: Sequence[Sequence[int]], add_to: Sequence[Sequence[int]],
     gens: Sequence[int],
-) -> bool:
-    """Whether f(x + s) == f(x) + f(s) for every x and every s in ``gens``,
-    with + read from the group table ``add`` of the domain and ``add_to``
-    of the codomain.  The s at which this holds for every x are closed
-    under + (both tables are associative), so in a finite group they form
-    a subgroup; f is a homomorphism exactly when this holds for ``gens``
-    from ``_generators_with_identity``."""
-    return all(f[row[s]] == add_to[f[x]][f[s]] for x, row in enumerate(add) for s in gens)
+) -> list[tuple[int, int]]:
+    """The pairs (x, y), in row-major order, with f(x + y) != f(x) + f(y),
+    where + is read from the table ``add`` of the domain and ``add_to`` of
+    the codomain.  The pairs (x, s) with s in ``gens`` are checked first,
+    and all pairs only when one of them fails.  When both tables are
+    groups, the s at which the law holds for every x are closed under +,
+    so they form a subgroup, and ``_generators_with_identity`` of the
+    domain is enough; on tables that may not be groups, pass every
+    element."""
+    def failures(ys):
+        return [(x, y) for x, row in enumerate(add) for y in ys
+                if f[row[y]] != add_to[f[x]][f[y]]]
+    return failures(range(len(add))) if failures(gens) else []
 
 
 def _interchange_on_generators(g: FiniteGroupoid, add: Sequence[Sequence[int]]) -> bool:
@@ -173,43 +178,30 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     structure maps are homomorphisms, the interchange law holds, and group
     inversion distributes over the partial product.
 
-    Source, target and inversion are checked for additivity at the pairs
-    (x, s) with s the identity or a generator of the element group
-    (``_additive_on``), and the interchange law at generators of the
-    carrier (``_interchange_on_generators``).  The scans over all pairs
-    run only when these checks fail, to list every witness."""
+    Source, target, inversion and the unit inclusion are checked for
+    additivity by ``_non_additive_pairs`` at the generators of their
+    domain group, and the interchange law at generators of the carrier
+    (``_interchange_on_generators``).  The scans over all pairs run only
+    when these checks fail, to list every witness."""
     v = _precheck_violations(gg)
     if v:
         return ValidationReport(tuple(v))
     g = gg.carrier
-    n = len(g)
     pos = {u: i for i, u in enumerate(g.units)}
     add = gg.elem_group.table
     add0 = gg.unit_group.table
     gens = _generators_with_identity(gg.elem_group)
-    source = [pos[u] for u in g.alpha]
-    target = [pos[u] for u in g.beta]
-    maps = ((source, add0), (target, add0), (g.inv, add))
-    if not all(_additive_on(f, add, add_to, gens) for f, add_to in maps):
-        for x in range(n):
-            for y in range(n):
-                s = add[x][y]
-                if source[s] != add0[source[x]][source[y]]:
-                    v.append(Violation(
-                        "alpha-additive", (x, y), "source is not additive on this pair"))
-                if target[s] != add0[target[x]][target[y]]:
-                    v.append(Violation(
-                        "beta-additive", (x, y), "target is not additive on this pair"))
-                if g.inv[s] != add[g.inv[x]][g.inv[y]]:
-                    v.append(Violation(
-                        "inv-additive", (x, y),
-                        "groupoid inversion is not additive on this pair"))
-    for i, u in enumerate(g.units):
-        for j, w in enumerate(g.units):
-            if add[u][w] != g.units[add0[i][j]]:
-                v.append(Violation(
-                    "unit-additive", (i, j),
-                    "unit inclusion is not a homomorphism on this pair"))
+    for axiom, f, add_to, detail in (
+        ("alpha-additive", [pos[u] for u in g.alpha], add0, "source is not additive"),
+        ("beta-additive", [pos[u] for u in g.beta], add0, "target is not additive"),
+        ("inv-additive", g.inv, add, "groupoid inversion is not additive"),
+    ):
+        v.extend(Violation(axiom, xy, f"{detail} on this pair")
+                 for xy in _non_additive_pairs(f, add, add_to, gens))
+    v.sort(key=lambda x: x.witness)  # stable: alpha, beta, inv within each pair
+    v.extend(Violation("unit-additive", ij, "unit inclusion is not a homomorphism on this pair")
+             for ij in _non_additive_pairs(
+                 g.units, add0, add, _generators_with_identity(gg.unit_group)))
     if v or not _interchange_on_generators(g, add):
         for (x, y), xy in g.mul.items():
             for (z, t), zt in g.mul.items():
@@ -265,26 +257,27 @@ def validate_group_groupoid_morphism(
     m: GroupoidMorphism, dom: GroupGroupoid, cod: GroupGroupoid
 ) -> ValidationReport:
     """A groupoid morphism between group-groupoid carriers that is also
-    additive on elements and on units."""
+    additive on elements and on units.  The group tables are not
+    validated here, so additivity is checked at every pair.  A morphism
+    with structure violations (a unit sent to a non-unit, or an anchor
+    that is not a unit) is reported by those alone."""
     if m.domain != dom.carrier or m.codomain != cod.carrier:
         raise ValueError("morphism endpoints must be the carriers of the two structures")
-    v = list(validate_morphism(m).violations)
-    f = m.elem_map
-    for x in range(len(dom.carrier)):
-        for y in range(len(dom.carrier)):
-            if f[dom.elem_group.table[x][y]] != cod.elem_group.table[f[x]][f[y]]:
-                v.append(Violation(
-                    "additive", (x, y), "element map is not a group homomorphism here"))
-    dpos = {u: i for i, u in enumerate(dom.carrier.units)}
+    report = validate_morphism(m)
+    if any(x.axiom == "structure" for x in report.violations):
+        return report
+    v = list(report.violations)
+    add = dom.elem_group.table
+    v.extend(Violation("additive", xy, "element map is not a group homomorphism here")
+             for xy in _non_additive_pairs(m.elem_map, add, cod.elem_group.table,
+                                           range(len(add))))
+    units = dom.carrier.units
     cpos = {u: i for i, u in enumerate(cod.carrier.units)}
-    for u in dom.carrier.units:
-        for w in dom.carrier.units:
-            left = m.unit_map[dom.carrier.units[dom.unit_group.table[dpos[u]][dpos[w]]]]
-            right = cod.carrier.units[
-                cod.unit_group.table[cpos[m.unit_map[u]]][cpos[m.unit_map[w]]]]
-            if left != right:
-                v.append(Violation(
-                    "additive-units", (u, w), "unit map is not a group homomorphism here"))
+    add0 = dom.unit_group.table
+    v.extend(Violation("additive-units", (units[i], units[j]),
+                       "unit map is not a group homomorphism here")
+             for i, j in _non_additive_pairs([cpos[m.unit_map[u]] for u in units], add0,
+                                             cod.unit_group.table, range(len(add0))))
     return ValidationReport(tuple(v))
 
 
@@ -338,8 +331,8 @@ class VectorSpaceGroupoid:
 def _vector_space_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
     """Commutativity of both groups and the vector-space axioms for both
     scalar actions, assuming the additive groups already validate.  Each
-    k. is checked to distribute over + at the generators of the group
-    (``_additive_on``), and only when that fails over all pairs."""
+    k. is checked to distribute over + by ``_non_additive_pairs``, at the
+    generators of the group, and only when that fails over all pairs."""
     out: list[Violation] = []
     p = v.p
     gg = v.structure
@@ -369,14 +362,9 @@ def _vector_space_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
                             "(k+l).x differs from k.x + l.x"))
         gens = _generators_with_identity(group)
         for k in range(p):
-            if _additive_on(act[k], table, table, gens):
-                continue
-            for x in range(size):
-                for y in range(size):
-                    if act[k][table[x][y]] != table[act[k][x]][act[k][y]]:
-                        out.append(Violation(
-                            f"{name}-distrib-add", (k, x, y),
-                            "k.(x+y) differs from k.x + k.y"))
+            out.extend(Violation(f"{name}-distrib-add", (k, x, y),
+                                 "k.(x+y) differs from k.x + k.y")
+                       for x, y in _non_additive_pairs(act[k], table, table, gens))
     return out
 
 

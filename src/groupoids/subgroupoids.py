@@ -138,23 +138,17 @@ def subgroupoid_handle(g: FiniteGroupoid, members: Iterable[int]) -> Subgroupoid
 
 def generated_subgroupoid(g: FiniteGroupoid, seeds: Iterable[int]) -> SubgroupoidHandle:
     """The smallest subgroupoid containing the seed elements."""
-    current = set(_clean_members(g, seeds))
-    if not current:
+    span = set(_clean_members(g, seeds))
+    if not span:
         raise ValueError("generated subgroupoid needs at least one seed")
-    while True:
-        new = set()
-        for x in current:
-            if g.inv[x] not in current:
-                new.add(g.inv[x])
-        for x in current:
-            for y in current:
-                z = g.mul.get((x, y))
-                if z is not None and z not in current:
-                    new.add(z)
-        if not new:
-            break
-        current |= new
-    return subgroupoid_handle(g, current)
+
+    def inverse_and_products(a):
+        # each pair of members meets when the later of the two is taken
+        members = list(span)
+        return [g.inv[a], *(g.mul.get((a, b)) for b in members),
+                *(g.mul.get((b, a)) for b in members)]
+
+    return subgroupoid_handle(g, _right_closure(span, inverse_and_products))
 
 
 def _subgroups(g: FiniteGroupoid, c: int, loops: Sequence[int]) -> list[frozenset[int]]:

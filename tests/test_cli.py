@@ -633,6 +633,27 @@ def test_verify_survives_seeded_single_edits(tmp_path, capsys):
     assert {0, 1, 2} <= codes
 
 
+def test_analyze_and_subgroupoids_survive_seeded_single_edits(tmp_path, capsys):
+    rng = random.Random(60606)
+    documents = [
+        plain_document(disjoint_union(pair_groupoid(2), from_group(cyclic_group(3)))),
+        quasiperm_document(symmetric_groupoid(2), 2),
+        group_groupoid_document(pair_group_groupoid(cyclic_group(2))),
+        vsg_document(pair_vector_space_groupoid(2, 1)),
+    ]
+    codes = {"analyze": set(), "subgroupoids": set()}
+    for doc in documents:
+        for i in range(160):
+            path = tmp_path / f"fuzz{i}.json"
+            path.write_text(json.dumps(fuzzed_document(doc, rng)), encoding="utf-8")
+            for command in codes:
+                code = main([command, str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (command, path, err)
+                codes[command].add(code)
+    assert all({0, 1, 2} <= seen for seen in codes.values())
+
+
 def morphism_document(m, domain, codomain):
     """The document of the morphism m with the given endpoint entries."""
     g, h = m.domain, m.codomain

@@ -26,6 +26,7 @@ from groupoids import (
     validate_group_groupoid,
     validate_group_groupoid_as_morphisms,
     validate_group_groupoid_morphism,
+    validate_morphism,
     validate_vector_space_groupoid,
     validate_vector_space_groupoid_via_morphisms,
 )
@@ -519,15 +520,130 @@ def test_additivity_failure_missed_by_every_pair_of_generators_is_found():
     assert any(y not in gens for _, y in additive)
 
 
+class CountingRow(tuple):
+    """A table row that counts the entries read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingRow.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        CountingRow.reads += len(self)
+        return tuple.__iter__(self)
+
+
 def test_valid_structures_pass_the_checks_at_the_generators():
-    # the scans over all pairs run only after a failure
+    # no failing pair is found, and the scans over all pairs do not run:
+    # the domain table is read only at the pairs (x, s), s a generator
     for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
         gg = v.structure
         g, add, add0 = gg.carrier, gg.elem_group.table, gg.unit_group.table
         assert structured._interchange_on_generators(g, add)
         pos = {u: i for i, u in enumerate(g.units)}
         gens = structured._generators_with_identity(gg.elem_group)
-        assert len(gens) < len(g)
-        for f, add_to in (([pos[u] for u in g.alpha], add0), ([pos[u] for u in g.beta], add0),
-                          (g.inv, add), *((row, add) for row in v.scalar)):
-            assert structured._additive_on(f, add, add_to, gens)
+        unit_gens = structured._generators_with_identity(gg.unit_group)
+        assert len(gens) < len(g) and len(unit_gens) < len(g.units)
+        checks = [([pos[u] for u in g.alpha], add, add0, gens),
+                  ([pos[u] for u in g.beta], add, add0, gens),
+                  (g.inv, add, add, gens),
+                  (g.units, add0, add, unit_gens),
+                  *((row, add, add, gens) for row in v.scalar),
+                  *((row, add0, add0, unit_gens) for row in v.unit_scalar)]
+        for f, table, add_to, ys in checks:
+            rows = [CountingRow(row) for row in table]
+            CountingRow.reads = 0
+            assert structured._non_additive_pairs(f, rows, add_to, ys) == []
+            assert CountingRow.reads == len(table) * len(ys)
+
+
+def test_unit_additivity_behind_relabelled_unit_groups_matches_the_pair_scan():
+    # a unit group relabelled by a transposition is still a group, so the
+    # unit inclusion is first checked at its generators
+    seen = set()
+    for gg in (pair_vector_space_groupoid(2, 2).structure, pair_group_groupoid(cyclic_group(4))):
+        t = gg.unit_group
+        m = t.order
+        for a in range(m):
+            for b in range(a + 1, m):
+                swap = list(range(m))
+                swap[a], swap[b] = b, a
+                rows = [[swap[t.table[swap[x]][swap[y]]] for y in range(m)] for x in range(m)]
+                unit_group = GroupTable.build(
+                    t.labels, rows, swap[t.identity], [swap[t.inv[swap[x]]] for x in range(m)])
+                mutant = GroupGroupoid(gg.carrier, gg.elem_group, unit_group)
+                report = validate_group_groupoid(mutant).violations
+                assert report == group_groupoid_by_pair_scan(mutant)
+                seen.update(x.axiom for x in report)
+    assert {"unit-additive", "alpha-additive", "beta-additive"} <= seen
+
+
+def morphism_additivity_by_pair_scan(m, dom, cod):
+    """Reference for the additive and additive-units violations of
+    validate_group_groupoid_morphism: every pair of elements, then every
+    pair of units."""
+    f, add, add_to = m.elem_map, dom.elem_group.table, cod.elem_group.table
+    v = []
+    for x in range(len(add)):
+        for y in range(len(add)):
+            if f[add[x][y]] != add_to[f[x]][f[y]]:
+                v.append(Violation(
+                    "additive", (x, y), "element map is not a group homomorphism here"))
+    dunits, cunits = dom.carrier.units, cod.carrier.units
+    dpos = {u: i for i, u in enumerate(dunits)}
+    cpos = {u: i for i, u in enumerate(cunits)}
+    for u in dunits:
+        for w in dunits:
+            left = m.unit_map[dunits[dom.unit_group.table[dpos[u]][dpos[w]]]]
+            right = cunits[cod.unit_group.table[cpos[m.unit_map[u]]][cpos[m.unit_map[w]]]]
+            if left != right:
+                v.append(Violation(
+                    "additive-units", (u, w), "unit map is not a group homomorphism here"))
+    return v
+
+
+def test_group_groupoid_morphism_additivity_matches_the_pair_scan_on_mutants():
+    # scalar maps of vector-space groupoids and identities, with seeded
+    # edits of the element map, the unit map (within the units) and the
+    # group tables of either end, which then need not be groups
+    bases = []
+    for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
+        g = v.carrier
+        for k in range(v.p):
+            bases.append((v.structure, v.structure, v.scalar[k],
+                          {u: g.units[v.unit_scalar[k][i]] for i, u in enumerate(g.units)}))
+    for gg in (pair_group_groupoid(cyclic_group(3)), group_as_group_groupoid(klein_four_group())):
+        identity = range(len(gg.carrier))
+        bases.append((gg, gg, identity, {u: u for u in gg.carrier.units}))
+    rng = random.Random(16180)
+    seen = set()
+    for _ in range(200):
+        dom, cod, f, f0 = rng.choice(bases)
+        f, f0 = list(f), dict(f0)
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.randrange(4)
+            if edit == 0:
+                f[rng.randrange(len(f))] = rng.randrange(len(cod.carrier))
+            elif edit == 1:
+                f0[rng.choice(dom.carrier.units)] = rng.choice(cod.carrier.units)
+            elif edit == 2:
+                dom = group_groupoid_mutant(dom, rng)
+            else:
+                cod = group_groupoid_mutant(cod, rng)
+        m = GroupoidMorphism(dom.carrier, cod.carrier, f, f0)
+        report = validate_group_groupoid_morphism(m, dom, cod).violations
+        additive = [x for x in report if x.axiom in ("additive", "additive-units")]
+        assert additive == morphism_additivity_by_pair_scan(m, dom, cod)
+        assert report[:len(report) - len(additive)] == validate_morphism(m).violations
+        seen.update(x.axiom for x in additive)
+    assert seen == {"additive", "additive-units"}
+
+
+def test_group_groupoid_morphism_sending_a_unit_off_the_units_reports_the_structure():
+    gg = pair_group_groupoid(gf_vector_group(2, 1))
+    g = gg.carrier
+    assert not g.is_unit(2)
+    m = GroupoidMorphism(g, g, range(len(g)), {u: 2 for u in g.units})
+    report = validate_group_groupoid_morphism(m, gg, gg)
+    assert report.violations == validate_morphism(m).violations
+    assert report.violations and {x.axiom for x in report.violations} == {"structure"}

@@ -92,6 +92,48 @@ def test_generated_subgroupoid(gp2, z4, golden):
         generated_subgroupoid(gp2, [])
 
 
+def generated_by_rounds(g, seeds):
+    """Reference for generated_subgroupoid: add every missing inverse and
+    product of the current set, round after round, until none is new."""
+    current = set(seeds)
+    while True:
+        new = {g.inv[x] for x in current}
+        new.update(g.mul.get((x, y)) for x in current for y in current)
+        new -= current | {None}
+        if not new:
+            return current
+        current |= new
+
+
+def test_generated_subgroupoid_matches_the_closure_by_rounds():
+    # on groupoids and on tables with a few entries of mul or inv changed,
+    # the same set, or the same error when that set is not a subgroupoid
+    rng = random.Random(3141)
+    errors = 0
+    for _ in range(300):
+        g = _random_union(rng)
+        mul, inv = dict(g.mul), list(g.inv)
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                mul[rng.choice(sorted(mul))] = rng.randrange(len(g))
+            else:
+                inv[rng.randrange(len(g))] = rng.randrange(len(g))
+        table = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, inv, mul)
+        seeds = rng.sample(range(len(g)), rng.randint(1, min(3, len(g))))
+        try:
+            want = subgroupoid_handle(table, generated_by_rounds(table, seeds))
+        except ValueError as exc:
+            errors += 1
+            with pytest.raises(ValueError) as got:
+                generated_subgroupoid(table, seeds)
+            assert str(got.value) == str(exc)
+        else:
+            got = generated_subgroupoid(table, seeds)
+            assert (got.members, got.is_wide, got.is_normal) == (
+                want.members, want.is_wide, want.is_normal)
+    assert 0 < errors < 300
+
+
 def test_enumerate_pair_groupoid(gp2):
     handles = enumerate_subgroupoids(gp2)
     assert [h.members for h in handles] == [(0,), (1,), (0, 1), (0, 1, 2, 3)]
