@@ -357,8 +357,11 @@ def _group_law_violations(
     """Identity and inverse failures per element, then associativity failures
     (i, j, l) in lexicographic order, of a k x k table with entries in range.
 
-    Once identity and inverses hold, associativity is decided on the middles
-    j drawn from a greedy generating set: the middles that associate are
+    (i*j)*l over every l is the row of i*j, and i*(j*l) the row of i read
+    at the entries of j's row; i and j associate when the two lists are
+    equal, and only a pair whose lists differ is walked per l.  Once
+    identity and inverses hold, associativity is decided on the middles j
+    drawn from a greedy generating set: the middles that associate are
     closed under products and contain e, so they are the whole table exactly
     when they contain the generators.  The full scan runs only on a failure,
     to list its witnesses."""
@@ -372,17 +375,18 @@ def _group_law_violations(
         elif table[i][inv[i]] != e or table[inv[i]][i] != e:
             unit_laws.append(Violation("inverse", (i,), "inverse element fails"))
     yield from unit_laws
+    rows = [list(row) for row in table]  # lists compare equal only to lists
     if not unit_laws:
         gens = _greedy_generators(e, range(k), lambda a, s: table[a][s])
-        if all(list(table[row_i[j]]) == [row_i[jl] for jl in table[j]]
-               for j in gens for row_i in table):
+        if all(rows[row_i[j]] == [row_i[jl] for jl in rows[j]]
+               for j in gens for row_i in rows):
             return
-    for i, row_i in enumerate(table):
+    for i, row_i in enumerate(rows):
         for j, ij in enumerate(row_i):
-            row_ij = table[ij]
-            for l, jl in enumerate(table[j]):
-                if row_ij[l] != row_i[jl]:
-                    yield Violation("associativity", (i, j, l), "associativity fails")
+            right = [row_i[jl] for jl in rows[j]]
+            if rows[ij] != right:
+                yield from (Violation("associativity", (i, j, l), "associativity fails")
+                            for l, (a, b) in enumerate(zip(rows[ij], right)) if a != b)
 
 
 def _right_closure(span: set, successors) -> set:
@@ -455,6 +459,10 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     the components where a condition fails, listing every failing triple;
     no composable triple leaves its component, so the report is the full
     scan's.  After any other violation the scan covers every component.
+    It takes a product x*y at a time: the row ((x*y)*z over z) is compared
+    as one list with the row of x read at the positions of y's row, and
+    only a row that differs is walked per z.  A missing, off-pair or
+    drifting product leaves its row misaligned and is read from the dict.
     ``checks`` counts the law instances checked per tag; for G1 these are
     the anchor checks, one coordinate per element, one multiplicativity
     check per product, one cell per table H_r and any scanned triples.
@@ -562,21 +570,27 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if not scanned:
             return ValidationReport((), checks)
 
-    for (x, y), xy in g.mul.items():
-        if scanned is not None and g.alpha[x] not in scanned:
+    # the row of w: w*z over z in by_alpha[beta[w]]; slot: bucket positions
+    slot = {y: i for bucket in by_alpha.values() for i, y in enumerate(bucket)}
+    rows = {w: [mul.get((w, z)) for z in by_alpha.get(beta[w], ())]
+            for w in range(n) if scanned is None or alpha[w] in scanned}
+    at = {y: [slot[yz] for yz in row] for y, row in rows.items()
+          if None not in row and {alpha[yz] for yz in row} <= {alpha[y]}}
+    for (x, y), xy in mul.items():
+        if scanned is not None and alpha[x] not in scanned:
             continue
-        zs = by_alpha.get(g.beta[y], ())
+        zs = by_alpha.get(beta[y], ())
         checks["G1"] += len(zs)
-        for z in zs:
-            yz = g.mul.get((y, z))
-            if yz is None:
+        if y in at and beta[x] == alpha[y] and beta[xy] == beta[y]:
+            row_x = rows[x]
+            rhs = [row_x[p] for p in at[y]]
+            if rows[xy] == rhs:
                 continue
-            lhs = g.mul.get((xy, z))
-            rhs = g.mul.get((x, yz))
-            if lhs is None or rhs is None:
-                continue
-            if lhs != rhs:
-                v.append(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})"))
+            triples = zip(zs, rows[xy], rhs)
+        else:  # only after other violations, when every component is scanned
+            triples = ((z, mul.get((xy, z)), mul.get((x, mul.get((y, z))))) for z in zs)
+        v.extend(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})")
+                 for z, lhs, rhs in triples if lhs is not None and rhs is not None and lhs != rhs)
 
     return ValidationReport(tuple(v), checks)
 

@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -23,7 +23,6 @@ from .constructions import GroupTable
 from .morphisms import GroupoidMorphism
 from .quasiperm import (
     Quasipermutation,
-    _composites,
     _Coordinate,
     _coordinates,
     _inverse_ranks,
@@ -435,12 +434,15 @@ def _write(o: Any, indent: str, enc: _Encoded, out: list[str]) -> None:
                 return
             if (items == {list} and set(map(len, o)) == {3}
                     and set(map(type, chain.from_iterable(o))) == {str}):
-                cell = inner + "  "
-                # every row begins with its separator; the first row's is cut
-                row = (sep + "[\n" + cell + "%s,\n" + cell + "%s,\n" + cell + "%s\n"
-                       + inner + "]")
+                # a row is the head, mid and tail of its three labels; each
+                # head begins with the separator, cut from the first row's
+                cell, cells = inner + "  ", set(chain.from_iterable(o))
+                heads = {s: sep + "[\n" + cell + enc[s] + ",\n" for s in cells}
+                mids = {s: cell + enc[s] + ",\n" for s in cells}
+                tails = {s: cell + enc[s] + "\n" + inner + "]" for s in cells}
                 first = len(out)
-                out.extend([row % (enc[x], enc[y], enc[z]) for x, y, z in o])
+                for x, y, z in o:
+                    out += (heads[x], mids[y], tails[z])
                 out[first] = "[\n" + out[first][2:]
                 out.append("\n" + indent + "]")
                 return
@@ -461,23 +463,21 @@ def canonical_dumps(doc: dict) -> str:
 # ----- payload cross-check -------------------------------------------------
 
 
-def _products_are_composites(
+def _product_violations(
     mul: dict[tuple[int, int], int],
     coords: Sequence[_Coordinate],
     perms: Sequence[tuple[int, ...]],
-) -> bool:
-    """Whether the pairs of ``mul`` are exactly the pairs of maps that
-    compose, each with the composite as its product.  There are
-    sum_B #(range = B) * #(domain = B) such pairs, so the pairs of ``mul``
-    are these when there are as many of them and each one composes; a
-    product (A, B, p) * (B, C, q) must then be (A, C, p;q).  p;q is worked
-    out once for each p of a map into B and q of a map out of B, no more
-    often than there are products, and is None when not in ``perms``.
-    Takes ``_coordinates(maps)``."""
+) -> list[Violation]:
+    """The violations of the products, sorted by pair: products on a pair
+    out of range or of maps that do not compose, products that are not the
+    composite (A, B, p) * (B, C, q) = (A, C, p;q), found in one pass over
+    ``mul``, and composable pairs without a product, searched for only when
+    fewer than sum_B #(range = B) * #(domain = B) products sit on composable
+    pairs.  p;q is worked out once for each p of a map into B and q of a map
+    out of B, and is None when not in ``perms``.  Takes
+    ``_coordinates(maps)``."""
+    n = len(coords)
     dom, rng, num = zip(*coords)
-    into = Counter(rng)
-    if len(mul) != sum(k * into[b] for b, k in Counter(dom).items()):
-        return False
     ends: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
     for a, b, p in coords:
         ends.setdefault(b, (set(), set()))[0].add(p)
@@ -491,14 +491,34 @@ def _products_are_composites(
             for q in qs:
                 pq = pick(perms[q])
                 row[q] = index.get(pq if type(pq) is tuple else (pq,))
+    # an index of n or more raises IndexError, and then every product is
+    # examined; a loop, since Python 3.11 specialises a comprehension whose
+    # filter seldom passes only after several calls
+    suspects: list[tuple[tuple[int, int], int]] = []
     try:
         for (x, y), z in mul.items():
             if (x < 0 or y < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
                     or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
-                return False
+                suspects.append(((x, y), z))
     except IndexError:
-        return False
-    return True
+        suspects = list(mul.items())
+    v: list[Violation] = []
+    off_pairs = 0
+    for (x, y), z in suspects:
+        if not (0 <= x < n and 0 <= y < n and rng[x] is dom[y]):
+            off_pairs += 1
+            v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
+        elif not (z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
+            v.append(Violation("payload", (x, y), "product disagrees with map composition"))
+    into = Counter(rng)
+    if len(mul) - off_pairs != sum(k * into[b] for b, k in Counter(dom).items()):
+        by_domain: dict[tuple[int, ...], list[int]] = {}
+        for y, a in enumerate(dom):
+            by_domain.setdefault(a, []).append(y)
+        v.extend(Violation("payload", (x, y), "maps compose but product is undefined")
+                 for x, b in enumerate(rng) for y in by_domain.get(b, ()) if (x, y) not in mul)
+    v.sort(key=attrgetter("witness"))
+    return v
 
 
 def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
@@ -510,11 +530,11 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     Every check reads the coordinates (domain, range, permutation number)
     of ``quasiperm._coordinates``; no map is built.  The map (A, B, p) is
     an identity when A is B and p is an identity permutation, and its
-    inverse is (B, A, undo[p]).  Products pass in one pass over ``g.mul``
-    (``_products_are_composites``); only when they do not is the sorted
-    union of ``g.mul``'s pairs and the composable ones, from
-    ``quasiperm._composites``, walked to list every failing pair.
-    Payloads of different degrees raise ValueError before any of this."""
+    inverse is (B, A, undo[p]).  The products are checked in one pass over
+    ``g.mul`` that lists the failing ones (``_product_violations``), so a
+    failing table costs no more than a passing one; the composable pairs
+    are walked only when some of them lack a product.  Payloads of
+    different degrees raise ValueError before any of this."""
     v: list[Violation] = []
     if g.payloads is None:
         return ValidationReport((Violation("payload", (), "no payloads present"),))
@@ -545,17 +565,7 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
                 "payload", (x,), "target is not the identity on the range"))
         if coords[g.inv[x]] != (b, a, undo[p]):
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    if _products_are_composites(g.mul, coords, perms):
-        return ValidationReport(tuple(v))
-    composites = {(x, y): h for x, y, h in _composites(coords, perms)}
-    for pair in sorted(composites.keys() | g.mul.keys()):
-        composed, z = composites.get(pair), g.mul.get(pair)
-        if composed is None:
-            v.append(Violation("payload", pair, "product defined but maps do not compose"))
-        elif z is None:
-            v.append(Violation("payload", pair, "maps compose but product is undefined"))
-        elif coords[z] != composed:
-            v.append(Violation("payload", pair, "product disagrees with map composition"))
+    v.extend(_product_violations(g.mul, coords, perms))
     return ValidationReport(tuple(v))
 
 

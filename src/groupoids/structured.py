@@ -256,13 +256,18 @@ def validate_group_groupoid_as_morphisms(gg: GroupGroupoid) -> ValidationReport:
 def validate_group_groupoid_morphism(
     m: GroupoidMorphism, dom: GroupGroupoid, cod: GroupGroupoid
 ) -> ValidationReport:
-    """A groupoid morphism between group-groupoid carriers that is also
-    additive on elements and on units.  The group tables are not
-    validated here, so additivity is checked at every pair.  A morphism
-    with structure violations (a unit sent to a non-unit, or an anchor
-    that is not a unit) is reported by those alone."""
+    """A groupoid morphism between group-groupoids that is also additive on
+    elements and on units.  Violations of either endpoint, prefixed
+    ``domain-`` or ``codomain-``, are reported alone; on valid endpoints
+    additivity is checked at generators of the domain groups.  A morphism
+    with structure violations (a unit sent to a non-unit, or an anchor that
+    is not a unit) is reported by those alone."""
     if m.domain != dom.carrier or m.codomain != cod.carrier:
         raise ValueError("morphism endpoints must be the carriers of the two structures")
+    endpoints = (_prefixed(validate_group_groupoid(dom), "domain")
+                 + _prefixed(validate_group_groupoid(cod), "codomain"))
+    if endpoints:
+        return ValidationReport(tuple(endpoints))
     report = validate_morphism(m)
     if any(x.axiom == "structure" for x in report.violations):
         return report
@@ -270,14 +275,14 @@ def validate_group_groupoid_morphism(
     add = dom.elem_group.table
     v.extend(Violation("additive", xy, "element map is not a group homomorphism here")
              for xy in _non_additive_pairs(m.elem_map, add, cod.elem_group.table,
-                                           range(len(add))))
+                                           _generators_with_identity(dom.elem_group)))
     units = dom.carrier.units
     cpos = {u: i for i, u in enumerate(cod.carrier.units)}
-    add0 = dom.unit_group.table
     v.extend(Violation("additive-units", (units[i], units[j]),
                        "unit map is not a group homomorphism here")
-             for i, j in _non_additive_pairs([cpos[m.unit_map[u]] for u in units], add0,
-                                             cod.unit_group.table, range(len(add0))))
+             for i, j in _non_additive_pairs([cpos[m.unit_map[u]] for u in units],
+                                             dom.unit_group.table, cod.unit_group.table,
+                                             _generators_with_identity(dom.unit_group)))
     return ValidationReport(tuple(v))
 
 

@@ -40,6 +40,25 @@ def test_group_table_validate_clean_tables():
     assert symmetric_group_3().validate().passed
 
 
+def test_group_table_associativity_witnesses_match_a_triple_loop():
+    # one to three cells of a group table changed within range: the
+    # associativity witnesses are every (i, j, l) with (ij)l != i(jl)
+    rng = random.Random(1854)
+    failing = 0
+    for _ in range(120):
+        t = rng.choice([cyclic_group(6), klein_four_group(), symmetric_group_3()])
+        k = t.order
+        rows = [list(r) for r in t.table]
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(k)][rng.randrange(k)] = rng.randrange(k)
+        report = GroupTable.build(t.labels, rows, t.identity, t.inv).validate()
+        expected = [(i, j, l) for i in range(k) for j in range(k) for l in range(k)
+                    if rows[rows[i][j]][l] != rows[i][rows[j][l]]]
+        assert [v.witness for v in report.violations if v.axiom == "associativity"] == expected
+        failing += bool(expected)
+    assert failing > 60
+
+
 def test_group_table_validate_witnesses():
     z4 = cyclic_group(4)
     rows = [list(r) for r in z4.table]

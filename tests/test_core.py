@@ -503,6 +503,99 @@ def test_validate_counts_checks_per_axiom(s5):
     assert set(broken.checks) == {"structure"}
 
 
+def scanned_triples(g, units=None):
+    """The triples (x, y, z) with x*y in the table and alpha(z) = beta(y)
+    that the G1 scan counts: every one, or those with alpha(x) in ``units``."""
+    sources = {}
+    for z in range(len(g)):
+        sources[g.alpha[z]] = sources.get(g.alpha[z], 0) + 1
+    return sum(sources.get(g.beta[y], 0) for x, y in g.mul if units is None or g.alpha[x] in units)
+
+
+def retargeted(g, rng, block):
+    """g with one product x*y of two non-units of ``block``, y not inv(x),
+    retargeted to another element of the block with the anchor of x*y."""
+    pairs = [(x, y) for x in block for y in block
+             if (x, y) in g.mul and g.inv[x] != y and g.mul[x, y] in block]
+    key = rng.choice(pairs)
+    mul = dict(g.mul)
+    mul[key] = rng.choice([w for w in block if w != mul[key]
+                           and g.anchor(w) == g.anchor(mul[key])])
+    return FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+
+
+def component_of(g, x):
+    return {g.beta[w] for w in range(len(g)) if g.alpha[w] == g.alpha[x]}
+
+
+def top_block(g):
+    """The non-units of the vertex group at the largest unit: a one-unit
+    component of a quasipermutation groupoid, as in the benchmark's A(5)."""
+    top = max(g.units, key=lambda u: len(g.payloads[u].domain))
+    return [x for x in g.isotropy_members(top) if x != top]
+
+
+@pytest.mark.parametrize("g, block", [
+    (alternating_groupoid(4), "top"),
+    (from_group(cyclic_group(7)), "all"),
+    (from_group(cyclic_group(12)), "all"),
+])
+def test_g1_scan_in_a_one_unit_component_matches_the_triple_scan(g, block):
+    block = top_block(g) if block == "top" else [x for x in range(len(g)) if not g.is_unit(x)]
+    rng = random.Random(len(g))
+    for _ in range(30):
+        mutant = retargeted(g, rng, block)
+        report = validate(mutant)
+        assert report.violations == validate_by_triple_scan(mutant) != ()
+        assert {v.axiom for v in report.violations} == {"G1"}
+        scanned = component_of(mutant, block[0])
+        assert scanned == {g.alpha[block[0]]}
+        assert report.checks["G1"] == _coordinate_checks(mutant) + scanned_triples(mutant, scanned)
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_groupoid(3),
+    direct_product(pair_groupoid(3), from_group(cyclic_group(3))),
+    three_component_union(),
+])
+def test_g1_scan_in_a_multi_unit_component_matches_the_triple_scan(g):
+    rng = random.Random(len(g.mul))
+    multi_unit = 0
+    for _ in range(30):
+        mutant = groupoid_mutant(g, rng, kinds=1)
+        report = validate(mutant)
+        assert report.violations == validate_by_triple_scan(mutant)
+        failed = {mutant.alpha[v.witness[0]] for v in report.violations}
+        scanned = set().union(*(component_of(mutant, u) for u in failed))
+        assert report.checks["G1"] == _coordinate_checks(mutant) + scanned_triples(mutant, scanned)
+        multi_unit += len(scanned) > 1
+    assert multi_unit > 0
+
+
+def test_g1_scan_meets_misaligned_rows_after_other_violations():
+    # a G1 retarget plus a drifting product, a missing product or a product
+    # off the composable pairs: every component is scanned, and the rows of
+    # the broken products do not line up
+    rng = random.Random(1927)
+    for g in (symmetric_groupoid(3), alternating_groupoid(4), three_component_union()):
+        n = len(g)
+        for i in range(30):
+            mul = dict(groupoid_mutant(g, rng, kinds=1).mul)
+            key = rng.choice(sorted(mul))
+            if i % 3 == 0:
+                mul[key] = rng.choice([w for w in range(n) if g.anchor(w) != g.anchor(mul[key])])
+            elif i % 3 == 1:
+                del mul[key]
+            else:
+                pair = rng.choice([(x, y) for x in range(n) for y in range(n) if (x, y) not in mul])
+                mul[pair] = rng.randrange(n)
+            mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
+            report = validate(mutant)
+            assert report.violations == validate_by_triple_scan(mutant)
+            assert not all(v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
+            assert report.checks["G1"] == len(mul) + scanned_triples(mutant)
+
+
 # ---------------------------------------------------------------------------
 # structure queries
 

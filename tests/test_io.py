@@ -36,7 +36,7 @@ from groupoids import (
     validate_vector_space_groupoid,
     vsg_document,
 )
-from groupoids.io import _products_are_composites
+from groupoids.io import _product_violations
 from groupoids.quasiperm import _coordinates
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
@@ -418,6 +418,29 @@ def test_payload_cross_check_matches_pair_scan_on_count_preserving_mutants():
             assert check_quasiperm_payloads(mutant).violations == expected
 
 
+def test_payload_cross_check_matches_pair_scan_on_swaps_within_an_anchor():
+    # two maps with the same domain and range trade payloads, as in the
+    # benchmark's A(5) mutant: the tables stay a groupoid, and every product
+    # with either map as a factor or as the product may disagree
+    rng = random.Random(1985)
+    for g, swaps in ((symmetric_groupoid(3), 40), (alternating_groupoid(4), 15)):
+        fibre = {}
+        for x in range(len(g)):
+            if not g.is_unit(x):
+                fibre.setdefault(g.anchor(x), []).append(x)
+        pairs = [pair for members in fibre.values() if len(members) > 1
+                 for pair in zip(members, members[1:])]
+        for _ in range(swaps):
+            x, x2 = rng.choice(pairs)
+            payloads = list(g.payloads)
+            payloads[x], payloads[x2] = payloads[x2], payloads[x]
+            mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, g.mul,
+                                    payloads=payloads)
+            expected = payloads_by_pair_scan(mutant)
+            assert any(v.detail == "product disagrees with map composition" for v in expected)
+            assert check_quasiperm_payloads(mutant).violations == expected
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_payload_cross_check_sees_a_product_moved_out_of_range(shift):
     # the product of (x, y) moved to (x - n, y) or (x + n, y): as many
@@ -437,11 +460,37 @@ def test_payload_cross_check_sees_a_product_moved_out_of_range(shift):
     ])
 
 
+@pytest.mark.parametrize("value", [6, 99])
+def test_payload_cross_check_reports_a_product_value_out_of_range(value):
+    # a product that names no element is no composite, and raises nothing
+    g = symmetric_groupoid(2)
+    mul = dict(g.mul)
+    key = max(mul)
+    mul[key] = value
+    broken = FiniteGroupoid(
+        g.elements, g.units, g.alpha, g.beta, g.inv, mul, payloads=g.payloads)
+    assert check_quasiperm_payloads(broken).violations == (
+        Violation("payload", key, "product disagrees with map composition"),)
+
+
+class ProbedDict(dict):
+    """A dict that counts its membership tests."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
 def test_products_of_valid_groupoids_pass_the_one_pass_check():
-    # a valid table never needs the walk, including the maps of one point
+    # a valid table passes without looking for missing products, including
+    # the maps of one point
     for g in (symmetric_groupoid(1), symmetric_groupoid(3), alternating_groupoid(4),
               left_translation_groupoid(from_group(cyclic_group(10)))):
-        assert _products_are_composites(g.mul, *_coordinates(g.payloads))
+        mul = ProbedDict(g.mul)
+        assert _product_violations(mul, *_coordinates(g.payloads)) == [] and mul.probes == 0
+        assert check_quasiperm_payloads(g).passed
 
 
 def test_payload_cross_check_rejects_mixed_degrees_up_front(s2):

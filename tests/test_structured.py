@@ -602,10 +602,19 @@ def morphism_additivity_by_pair_scan(m, dom, cod):
     return v
 
 
+def endpoint_violations(dom, cod):
+    """The report of validate_group_groupoid_morphism on endpoints that
+    fail: each end's violations with its prefix."""
+    return [Violation(f"{end}-{x.axiom}", x.witness, x.detail)
+            for end, gg in (("domain", dom), ("codomain", cod))
+            for x in validate_group_groupoid(gg).violations]
+
+
 def test_group_groupoid_morphism_additivity_matches_the_pair_scan_on_mutants():
     # scalar maps of vector-space groupoids and identities, with seeded
     # edits of the element map, the unit map (within the units) and the
-    # group tables of either end, which then need not be groups
+    # group tables of either end; an end that is no longer a group-groupoid
+    # is reported alone
     bases = []
     for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
         g = v.carrier
@@ -632,6 +641,10 @@ def test_group_groupoid_morphism_additivity_matches_the_pair_scan_on_mutants():
                 cod = group_groupoid_mutant(cod, rng)
         m = GroupoidMorphism(dom.carrier, cod.carrier, f, f0)
         report = validate_group_groupoid_morphism(m, dom, cod).violations
+        endpoints = endpoint_violations(dom, cod)
+        if endpoints:
+            assert list(report) == endpoints
+            continue
         additive = [x for x in report if x.axiom in ("additive", "additive-units")]
         assert additive == morphism_additivity_by_pair_scan(m, dom, cod)
         assert report[:len(report) - len(additive)] == validate_morphism(m).violations
@@ -647,3 +660,19 @@ def test_group_groupoid_morphism_sending_a_unit_off_the_units_reports_the_struct
     report = validate_group_groupoid_morphism(m, gg, gg)
     assert report.violations == validate_morphism(m).violations
     assert report.violations and {x.axiom for x in report.violations} == {"structure"}
+
+
+def test_group_groupoid_morphism_validates_both_endpoints():
+    # the identity of a mutant passes exactly when the mutant is a
+    # group-groupoid, and otherwise reports the mutant's violations twice
+    gg = pair_group_groupoid(cyclic_group(3))
+    rng = random.Random(2718)
+    rejected = 0
+    for _ in range(300):
+        mutant = group_groupoid_mutant(gg, rng)
+        g = mutant.carrier
+        identity = GroupoidMorphism(g, g, range(len(g)), {u: u for u in g.units})
+        report = validate_group_groupoid_morphism(identity, mutant, mutant)
+        assert list(report.violations) == endpoint_violations(mutant, mutant)
+        rejected += not report.passed
+    assert rejected > 250
