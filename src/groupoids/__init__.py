@@ -40,6 +40,7 @@ from .quasiperm import (
     GroupoidCounts,
     Quasipermutation,
     alternating_groupoid,
+    check_quasiperm_payloads,
     count_formulas,
     qp_compose,
     signature,
@@ -89,7 +90,6 @@ from .io import (
     ParsedDocument,
     canonical_dumps,
     canonicalize_document,
-    check_quasiperm_payloads,
     document_for,
     group_groupoid_document,
     load_groupoid,

@@ -52,11 +52,11 @@ from .quasiperm import (
     symmetric_groupoid,
 )
 from .structured import (
+    _group_groupoid_laws,
     _prefixed,
+    _vector_space_laws,
     pair_group_groupoid,
     pair_vector_space_groupoid,
-    validate_group_groupoid,
-    validate_vector_space_groupoid,
 )
 from .subgroupoids import enumerate_subgroupoids
 
@@ -93,9 +93,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if parsed.kind == "quasiperm":
             reports.append(check_quasiperm_payloads(g))
         elif parsed.kind == "group-groupoid":
-            reports.append(validate_group_groupoid(parsed.group_groupoid))
+            reports.append(_group_groupoid_laws(parsed.group_groupoid))
         elif parsed.kind == "vsg":
-            reports.append(validate_vector_space_groupoid(parsed.vector_space))
+            reports.append(_vector_space_laws(parsed.vector_space))
     n, m = g.groupoid_type()
     return _print_report(reports, f"{args.file} is a {parsed.kind} groupoid of type ({n};{m})")
 

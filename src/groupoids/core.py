@@ -314,9 +314,6 @@ class FiniteGroupoid:
             return self.base_labels[u]
         return self.elements[u]
 
-    def composable_pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self.mul.keys())
-
     def _check_index(self, x: int) -> None:
         if not 0 <= x < len(self.elements):
             raise IndexError(f"element index {x} out of range")
@@ -480,14 +477,18 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                 v.append(Violation("structure", (x,), f"{name}({x}) = {value} out of range"))
     # one pass over the products finds those out of range, defined off a
     # composable pair or drifting from their factors' anchors; an index of n
-    # or more raises IndexError, and then every product is examined
+    # or more raises IndexError, and then every product is examined (a loop:
+    # see quasiperm._product_violations)
     mul, alpha, beta = g.mul, g.alpha, g.beta
     suspects: Iterable[tuple[tuple[int, int], int]] = mul.items()
     if not v:
         try:
-            suspects = [((x, y), z) for (x, y), z in mul.items()
-                        if x < 0 or y < 0 or z < 0 or beta[x] != alpha[y]
-                        or alpha[z] != alpha[x] or beta[z] != beta[y]]
+            found: list[tuple[tuple[int, int], int]] = []
+            for (x, y), z in mul.items():
+                if (x < 0 or y < 0 or z < 0 or beta[x] != alpha[y]
+                        or alpha[z] != alpha[x] or beta[z] != beta[y]):
+                    found.append(((x, y), z))
+            suspects = found
         except IndexError:
             pass
     off_pairs: list[Violation] = []

@@ -11,22 +11,15 @@ bytes.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
-from .core import FiniteGroupoid, ValidationReport, Violation
+from .core import FiniteGroupoid
 from .constructions import GroupTable
 from .morphisms import GroupoidMorphism
-from .quasiperm import (
-    Quasipermutation,
-    _Coordinate,
-    _coordinates,
-    _inverse_ranks,
-)
+from .quasiperm import Quasipermutation, check_quasiperm_payloads
 from .structured import GroupGroupoid, VectorSpaceGroupoid
 
 __all__ = [
@@ -432,11 +425,14 @@ def _write(o: Any, indent: str, enc: _Encoded, out: list[str]) -> None:
             if items == {str}:
                 out.append("[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]")
                 return
-            if (items == {list} and set(map(len, o)) == {3}
-                    and set(map(type, chain.from_iterable(o))) == {str}):
+            try:  # an unhashable cell leaves the list to json
+                cells = set(chain.from_iterable(o)) if items == {list} else set()
+            except TypeError:
+                cells = set()
+            if set(map(type, cells)) == {str} and set(map(len, o)) == {3}:
                 # a row is the head, mid and tail of its three labels; each
                 # head begins with the separator, cut from the first row's
-                cell, cells = inner + "  ", set(chain.from_iterable(o))
+                cell = inner + "  "
                 heads = {s: sep + "[\n" + cell + enc[s] + ",\n" for s in cells}
                 mids = {s: cell + enc[s] + ",\n" for s in cells}
                 tails = {s: cell + enc[s] + "\n" + inner + "]" for s in cells}
@@ -458,115 +454,6 @@ def canonical_dumps(doc: dict) -> str:
     _write(canonicalize_document(doc), "", _Encoded(), out)
     out.append("\n")
     return "".join(out)
-
-
-# ----- payload cross-check -------------------------------------------------
-
-
-def _product_violations(
-    mul: dict[tuple[int, int], int],
-    coords: Sequence[_Coordinate],
-    perms: Sequence[tuple[int, ...]],
-) -> list[Violation]:
-    """The violations of the products, sorted by pair: products on a pair
-    out of range or of maps that do not compose, products that are not the
-    composite (A, B, p) * (B, C, q) = (A, C, p;q), found in one pass over
-    ``mul``, and composable pairs without a product, searched for only when
-    fewer than sum_B #(range = B) * #(domain = B) products sit on composable
-    pairs.  p;q is worked out once for each p of a map into B and q of a map
-    out of B, and is None when not in ``perms``.  Takes
-    ``_coordinates(maps)``."""
-    n = len(coords)
-    dom, rng, num = zip(*coords)
-    ends: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
-    for a, b, p in coords:
-        ends.setdefault(b, (set(), set()))[0].add(p)
-        ends.setdefault(a, (set(), set()))[1].add(p)
-    index = {p: r for r, p in enumerate(perms)}
-    composite: list[dict[int, Optional[int]]] = [{} for _ in perms]
-    for ps, qs in ends.values():
-        for p in ps:
-            # p;q is (q[p[0]], ..., q[p[-1]]); itemgetter gives q[p[0]] bare for one point
-            pick, row = itemgetter(*perms[p]), composite[p]
-            for q in qs:
-                pq = pick(perms[q])
-                row[q] = index.get(pq if type(pq) is tuple else (pq,))
-    # an index of n or more raises IndexError, and then every product is
-    # examined; a loop, since Python 3.11 specialises a comprehension whose
-    # filter seldom passes only after several calls
-    suspects: list[tuple[tuple[int, int], int]] = []
-    try:
-        for (x, y), z in mul.items():
-            if (x < 0 or y < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
-                    or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
-                suspects.append(((x, y), z))
-    except IndexError:
-        suspects = list(mul.items())
-    v: list[Violation] = []
-    off_pairs = 0
-    for (x, y), z in suspects:
-        if not (0 <= x < n and 0 <= y < n and rng[x] is dom[y]):
-            off_pairs += 1
-            v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
-        elif not (z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
-            v.append(Violation("payload", (x, y), "product disagrees with map composition"))
-    into = Counter(rng)
-    if len(mul) - off_pairs != sum(k * into[b] for b, k in Counter(dom).items()):
-        by_domain: dict[tuple[int, ...], list[int]] = {}
-        for y, a in enumerate(dom):
-            by_domain.setdefault(a, []).append(y)
-        v.extend(Violation("payload", (x, y), "maps compose but product is undefined")
-                 for x, b in enumerate(rng) for y in by_domain.get(b, ()) if (x, y) not in mul)
-    v.sort(key=attrgetter("witness"))
-    return v
-
-
-def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
-    """Verify that the groupoid's tables agree with its quasipermutation
-    payloads: units are identity maps, anchors pick the identities on
-    domain and range, inverses and products match map inversion and
-    composition.
-
-    Every check reads the coordinates (domain, range, permutation number)
-    of ``quasiperm._coordinates``; no map is built.  The map (A, B, p) is
-    an identity when A is B and p is an identity permutation, and its
-    inverse is (B, A, undo[p]).  The products are checked in one pass over
-    ``g.mul`` that lists the failing ones (``_product_violations``), so a
-    failing table costs no more than a passing one; the composable pairs
-    are walked only when some of them lack a product.  Payloads of
-    different degrees raise ValueError before any of this."""
-    v: list[Violation] = []
-    if g.payloads is None:
-        return ValidationReport((Violation("payload", (), "no payloads present"),))
-    for f in g.payloads:
-        if f.degree != g.payloads[0].degree:
-            raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")
-    # for maps of one degree a coordinate names one map
-    coords, perms = _coordinates(g.payloads)
-    by_value: dict[_Coordinate, int] = {}
-    for i, c in enumerate(coords):
-        if c in by_value:
-            v.append(Violation("payload", (by_value[c], i), "duplicate quasipermutation"))
-        by_value[c] = i
-    identities = {r for r, p in enumerate(perms) if p == tuple(range(len(p)))}
-    is_identity = [a is b and p in identities for a, b, p in coords]
-    undo = _inverse_ranks(perms)
-    for x, (a, b, p) in enumerate(coords):
-        if g.is_unit(x) != is_identity[x]:
-            v.append(Violation(
-                "payload", (x,), "unit flag disagrees with being an identity map"))
-        s = g.alpha[x]
-        if not (is_identity[s] and coords[s][0] is a):
-            v.append(Violation(
-                "payload", (x,), "source is not the identity on the domain"))
-        t = g.beta[x]
-        if not (is_identity[t] and coords[t][0] is b):
-            v.append(Violation(
-                "payload", (x,), "target is not the identity on the range"))
-        if coords[g.inv[x]] != (b, a, undo[p]):
-            v.append(Violation("payload", (x,), "inverse map mismatch"))
-    v.extend(_product_violations(g.mul, coords, perms))
-    return ValidationReport(tuple(v))
 
 
 # ----- morphism documents --------------------------------------------------

@@ -72,9 +72,6 @@ class GroupoidMorphism:
     def apply(self, x: int) -> int:
         return self.elem_map[x]
 
-    def apply_unit(self, u: int) -> int:
-        return self.unit_map[u]
-
     def __repr__(self) -> str:
         return (f"GroupoidMorphism({len(self.domain)} -> {len(self.codomain)} "
                 f"elements)")

@@ -10,16 +10,19 @@ the ones of positive signature gives a wide normal subgroupoid.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, SizeLimitError
+from .core import FiniteGroupoid, SizeLimitError, ValidationReport, Violation
 
 __all__ = [
     "GroupoidCounts",
     "Quasipermutation",
     "alternating_groupoid",
+    "check_quasiperm_payloads",
     "count_formulas",
     "qp_compose",
     "signature",
@@ -197,32 +200,6 @@ def _coordinates(
     return coords, list(rank)
 
 
-def _composites(
-    coords: Sequence[_Coordinate], perms: Sequence[tuple[int, ...]]
-) -> Iterator[tuple[int, int, _Coordinate]]:
-    """Each pair (i, j) of maps that compose, i ascending, then j ascending
-    among the maps whose domain is the range of map i, with the coordinate
-    of the composite: (A, B, p) * (B, C, q) = (A, C, p;q), no map built.
-    The (j, C, p;q) that follow a given (B, p) are worked out the first time
-    that (B, p) is met and then reused, so the work follows the products in
-    the input, not k!; a permutation not in ``perms`` gets the next free
-    number.  Takes ``_coordinates(maps)``."""
-    by_domain: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
-    for j, (b, c, q) in enumerate(coords):
-        by_domain.setdefault(b, []).append((j, c, q))
-    rank = {p: r for r, p in enumerate(perms)}
-    after: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...], int]]] = {}
-    for i, (a, b, p) in enumerate(coords):
-        tail = after.get((b, p))
-        if tail is None:
-            tail = after[(b, p)] = []
-            for j, c, q in by_domain.get(b, ()):
-                pq = tuple(map(perms[q].__getitem__, perms[p]))
-                tail.append((j, c, rank.setdefault(pq, len(rank))))
-        for j, c, r in tail:
-            yield i, j, (a, c, r)
-
-
 def _inverse_ranks(perms: Sequence[tuple[int, ...]]) -> list[Optional[int]]:
     """The number in ``perms`` of each permutation's inverse, None where
     the inverse is not in ``perms``; the map (A, B, p) has the inverse
@@ -231,21 +208,57 @@ def _inverse_ranks(perms: Sequence[tuple[int, ...]]) -> list[Optional[int]]:
     return [rank.get(tuple(sorted(range(len(p)), key=p.__getitem__))) for p in perms]
 
 
+def _composite_table(
+    coords: Sequence[_Coordinate], perms: Sequence[tuple[int, ...]]
+) -> list[dict[int, Optional[int]]]:
+    """``composite[p][q]``, the number in ``perms`` of p;q, where (A, B, p) *
+    (B, C, q) = (A, C, p;q), or None when p;q is not in ``perms``.  It is
+    worked out for each p of a map into B and q of a map out of B, so the
+    work follows the maps given, not k!.  Takes ``_coordinates(maps)``."""
+    ends: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
+    for a, b, p in coords:
+        ends.setdefault(b, (set(), set()))[0].add(p)
+        ends.setdefault(a, (set(), set()))[1].add(p)
+    index = {p: r for r, p in enumerate(perms)}
+    composite: list[dict[int, Optional[int]]] = [{} for _ in perms]
+    for ps, qs in ends.values():
+        for p in ps:
+            # p;q is (q[p[0]], ..., q[p[-1]]); itemgetter gives q[p[0]] bare for one point
+            pick, row = itemgetter(*perms[p]), composite[p]
+            for q in qs:
+                pq = pick(perms[q])
+                row[q] = index.get(pq if type(pq) is tuple else (pq,))
+    return composite
+
+
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
-    and inversion, with elements in list order and the maps as payloads."""
+    and inversion, with elements in list order and the maps as payloads.
+    The products of map i : A -> B are read from ``_composite_table`` with
+    the maps out of B in list order, so ``mul`` holds them by i, then j."""
     coords, perms = _coordinates(maps)
-    pos = {c: i for i, c in enumerate(coords)}
+    composite = _composite_table(coords, perms)
     undo = _inverse_ranks(perms)
-    units = [i for i, f in enumerate(maps) if f.is_identity()]
-    unit_of_subset = {coords[u][0]: u for u in units}
+    number: dict[tuple[int, ...], int] = {}
+    numbered = [(number.setdefault(a, len(number)), number.setdefault(b, len(number)), p)
+                for a, b, p in coords]
+    hom: list[dict[int, dict[int, int]]] = [{} for _ in number]  # hom[A][C][p] = map
+    bucket: list[list[tuple[int, int, int]]] = [[] for _ in number]  # maps out of B
+    for j, (b, c, q) in enumerate(numbered):
+        hom[b].setdefault(c, {})[q] = j
+        bucket[b].append((j, c, q))
+    mul: dict[tuple[int, int], int] = {}
+    for i, (a, b, p) in enumerate(numbered):
+        row, out_of_a = composite[p], hom[a]
+        mul.update({(i, j): out_of_a[c][row[q]] for j, c, q in bucket[b]})
+    unit_of_subset = {numbered[u][0]: u for u, f in enumerate(maps) if f.is_identity()}
     return FiniteGroupoid._typed(
         elements=[f.text_form() for f in maps],
-        units=units,
-        alpha=[unit_of_subset[a] for a, _, _ in coords],
-        beta=[unit_of_subset[b] for _, b, _ in coords],
-        inv=[pos[(b, a, undo[p])] for a, b, p in coords],
-        mul={(i, j): pos[h] for i, j, h in _composites(coords, perms)},
+        units=list(unit_of_subset.values()),
+        alpha=[unit_of_subset[a] for a, _, _ in numbered],
+        beta=[unit_of_subset[b] for _, b, _ in numbered],
+        inv=[hom[b][a][undo[p]] for a, b, p in numbered],
+        mul=mul,
         payloads=maps,
     )
 
@@ -301,3 +314,99 @@ def count_formulas(n: int) -> GroupoidCounts:
     a_units = 2**n - 1
     a_isotropy = (n + s_isotropy) // 2
     return GroupoidCounts(n, s_total, s_units, s_isotropy, a_total, a_units, a_isotropy)
+
+
+# ----- payload cross-check -------------------------------------------------
+
+
+def _product_violations(
+    mul: dict[tuple[int, int], int],
+    coords: Sequence[_Coordinate],
+    perms: Sequence[tuple[int, ...]],
+) -> list[Violation]:
+    """The violations of the products, sorted by pair: products on a pair
+    out of range or of maps that do not compose, products that are not the
+    composite (A, B, p) * (B, C, q) = (A, C, p;q), found in one pass over
+    ``mul``, and composable pairs without a product, searched for only when
+    fewer than sum_B #(range = B) * #(domain = B) products sit on composable
+    pairs.  p;q is read from ``_composite_table``.  Takes
+    ``_coordinates(maps)``."""
+    n = len(coords)
+    dom, rng, num = zip(*coords)
+    composite = _composite_table(coords, perms)
+    # an index of n or more raises IndexError, and then every product is
+    # examined; a loop, since Python 3.11 specialises a comprehension whose
+    # filter seldom passes only after several calls
+    suspects: list[tuple[tuple[int, int], int]] = []
+    try:
+        for (x, y), z in mul.items():
+            if (x < 0 or y < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
+                    or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
+                suspects.append(((x, y), z))
+    except IndexError:
+        suspects = list(mul.items())
+    v: list[Violation] = []
+    off_pairs = 0
+    for (x, y), z in suspects:
+        if not (0 <= x < n and 0 <= y < n and rng[x] is dom[y]):
+            off_pairs += 1
+            v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
+        elif not (z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
+            v.append(Violation("payload", (x, y), "product disagrees with map composition"))
+    into = Counter(rng)
+    if len(mul) - off_pairs != sum(k * into[b] for b, k in Counter(dom).items()):
+        by_domain: dict[tuple[int, ...], list[int]] = {}
+        for y, a in enumerate(dom):
+            by_domain.setdefault(a, []).append(y)
+        v.extend(Violation("payload", (x, y), "maps compose but product is undefined")
+                 for x, b in enumerate(rng) for y in by_domain.get(b, ()) if (x, y) not in mul)
+    v.sort(key=attrgetter("witness"))
+    return v
+
+
+def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
+    """Verify that the groupoid's tables agree with its quasipermutation
+    payloads: units are identity maps, anchors pick the identities on
+    domain and range, inverses and products match map inversion and
+    composition.
+
+    Every check reads the coordinates (domain, range, permutation number)
+    of ``_coordinates``; no map is built.  The map (A, B, p) is
+    an identity when A is B and p is an identity permutation, and its
+    inverse is (B, A, undo[p]).  The products are checked in one pass over
+    ``g.mul`` that lists the failing ones (``_product_violations``), so a
+    failing table costs no more than a passing one; the composable pairs
+    are walked only when some of them lack a product.  Payloads of
+    different degrees raise ValueError before any of this."""
+    v: list[Violation] = []
+    if g.payloads is None:
+        return ValidationReport((Violation("payload", (), "no payloads present"),))
+    for f in g.payloads:
+        if f.degree != g.payloads[0].degree:
+            raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")
+    # for maps of one degree a coordinate names one map
+    coords, perms = _coordinates(g.payloads)
+    by_value: dict[_Coordinate, int] = {}
+    for i, c in enumerate(coords):
+        if c in by_value:
+            v.append(Violation("payload", (by_value[c], i), "duplicate quasipermutation"))
+        by_value[c] = i
+    identities = {r for r, p in enumerate(perms) if p == tuple(range(len(p)))}
+    is_identity = [a is b and p in identities for a, b, p in coords]
+    undo = _inverse_ranks(perms)
+    for x, (a, b, p) in enumerate(coords):
+        if g.is_unit(x) != is_identity[x]:
+            v.append(Violation(
+                "payload", (x,), "unit flag disagrees with being an identity map"))
+        s = g.alpha[x]
+        if not (is_identity[s] and coords[s][0] is a):
+            v.append(Violation(
+                "payload", (x,), "source is not the identity on the domain"))
+        t = g.beta[x]
+        if not (is_identity[t] and coords[t][0] is b):
+            v.append(Violation(
+                "payload", (x,), "target is not the identity on the range"))
+        if coords[g.inv[x]] != (b, a, undo[p]):
+            v.append(Violation("payload", (x,), "inverse map mismatch"))
+    v.extend(_product_violations(g.mul, coords, perms))
+    return ValidationReport(tuple(v))

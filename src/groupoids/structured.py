@@ -93,27 +93,21 @@ class GroupGroupoid:
     def add(self, x: int, y: int) -> int:
         return self.elem_group.table[x][y]
 
-    def add_units(self, i: int, j: int) -> int:
-        """Unit-group operation on unit positions (indices into
-        carrier.units)."""
-        return self.unit_group.table[i][j]
-
-    def unit_position(self, u: int) -> int:
-        return self.carrier.units.index(u)
-
 
 def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
     return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
 
 
+def _table_violations(gg: GroupGroupoid) -> list[Violation]:
+    """The violations of the two group tables."""
+    return (_prefixed(gg.elem_group.validate(), "elem-group")
+            + _prefixed(gg.unit_group.validate(), "unit-group"))
+
+
 def _precheck_violations(gg: GroupGroupoid) -> list[Violation]:
     """The carrier's violations if it is not a groupoid, else those of the
     two group tables; the structured laws are checked only when it is empty."""
-    carrier_report = validate(gg.carrier)
-    if not carrier_report.passed:
-        return _prefixed(carrier_report, "carrier")
-    return (_prefixed(gg.elem_group.validate(), "elem-group")
-            + _prefixed(gg.unit_group.validate(), "unit-group"))
+    return _prefixed(validate(gg.carrier), "carrier") or _table_violations(gg)
 
 
 def _precheck_failed(violations: Sequence[Violation]) -> bool:
@@ -183,7 +177,13 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     domain group, and the interchange law at generators of the carrier
     (``_interchange_on_generators``).  The scans over all pairs run only
     when these checks fail, to list every witness."""
-    v = _precheck_violations(gg)
+    v = _prefixed(validate(gg.carrier), "carrier")
+    return ValidationReport(tuple(v)) if v else _group_groupoid_laws(gg)
+
+
+def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
+    """``validate_group_groupoid`` on a carrier that validates."""
+    v = _table_violations(gg)
     if v:
         return ValidationReport(tuple(v))
     g = gg.carrier
@@ -400,8 +400,13 @@ def _linearity_violations(v: VectorSpaceGroupoid) -> list[Violation]:
 def validate_vector_space_groupoid(v: VectorSpaceGroupoid) -> ValidationReport:
     """Direct checklist: a commutative group-groupoid, vector-space axioms
     for both actions, linear structure maps, and the interchange law."""
-    base = validate_group_groupoid(v.structure)
-    out = list(base.violations)
+    carrier = _prefixed(validate(v.carrier), "carrier")
+    return ValidationReport(tuple(carrier)) if carrier else _vector_space_laws(v)
+
+
+def _vector_space_laws(v: VectorSpaceGroupoid) -> ValidationReport:
+    """``validate_vector_space_groupoid`` on a carrier that validates."""
+    out = list(_group_groupoid_laws(v.structure).violations)
     if _precheck_failed(out):
         return ValidationReport(tuple(out))
     out.extend(_vector_space_law_violations(v))

@@ -231,6 +231,27 @@ def test_subgroupoids_validates_once(tmp_path, gp2_file, capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_validates_a_structured_carrier_once(tmp_path, z4_file, capsys, monkeypatch):
+    from groupoids import structured
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    for argv in (["pair-vsg", "2", "2"], ["pair-gg", z4_file]):
+        assert main(["build", *argv]) == 0
+        path = tmp_path / "structured.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(structured, "validate", counted)
+        calls.clear()
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: ")
+        assert len(calls) == 1, argv
+        monkeypatch.undo()
+
+
 def test_subgroupoids_rejects_a_non_groupoid(tmp_path, capsys):
     doc = plain_document(from_group(cyclic_group(4)))
     doc["mul"] = [row if row[:2] != ["2", "3"] else ["2", "3", "0"] for row in doc["mul"]]

@@ -36,8 +36,7 @@ from groupoids import (
     validate_vector_space_groupoid,
     vsg_document,
 )
-from groupoids.io import _product_violations
-from groupoids.quasiperm import _coordinates
+from groupoids.quasiperm import _coordinates, _product_violations
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
 
