@@ -9,7 +9,7 @@ structured variants, and a JSON document format with a CLI.
 
 from .core import (
     FiniteGroupoid,
-    IsotropyGroup,
+    GroupTable,
     SizeLimitError,
     ValidationReport,
     Violation,
@@ -20,7 +20,6 @@ from .core import (
     with_base_labels,
 )
 from .constructions import (
-    GroupTable,
     cyclic_group,
     direct_product,
     disjoint_union,

@@ -3,17 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import (
-    FiniteGroupoid,
-    IsotropyGroup,
-    SizeLimitError,
-    ValidationReport,
-    Violation,
-    _group_law_violations,
-)
+from .core import FiniteGroupoid, GroupTable, SizeLimitError
 from .quasiperm import Quasipermutation
 
 __all__ = [
@@ -53,89 +45,15 @@ def _bound_pair_base(points: int) -> None:
         raise SizeLimitError(f"pair groupoid limited to {PAIR_BASE_LIMIT} points, got {points}")
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A finite group as labels, a total multiplication table, identity and
-    inverses.  ``table[i][j]`` is the index of the product of i and j."""
-
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
-
-    @classmethod
-    def build(
-        cls,
-        labels: Sequence[str],
-        table: Sequence[Sequence[int]],
-        identity: int,
-        inv: Sequence[int],
-    ) -> "GroupTable":
-        return cls(
-            tuple(labels),
-            tuple(tuple(row) for row in table),
-            identity,
-            tuple(inv),
-        )
-
-    @classmethod
-    def from_isotropy(cls, parent: FiniteGroupoid, iso: IsotropyGroup) -> "GroupTable":
-        return cls(
-            labels=tuple(parent.elements[x] for x in iso.members),
-            table=iso.table,
-            identity=iso.identity_position,
-            inv=iso.inv,
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.labels)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def validate(self) -> ValidationReport:
-        """Check the group axioms; violations carry witnesses."""
-        v: list[Violation] = []
-        k = self.order
-        if len(set(self.labels)) != k:
-            v.append(Violation("structure", (), "labels must be unique"))
-        if len(self.table) != k or any(len(row) != k for row in self.table):
-            v.append(Violation("structure", (), "table must be k x k"))
-            return ValidationReport(tuple(v))
-        if not 0 <= self.identity < k or len(self.inv) != k:
-            v.append(Violation("structure", (), "identity or inverse map out of shape"))
-            return ValidationReport(tuple(v))
-        for i in range(k):
-            for j in range(k):
-                if not 0 <= self.table[i][j] < k:
-                    v.append(Violation("structure", (i, j), "table entry out of range"))
-        laws = v or _group_law_violations(self.table, self.identity, self.inv)
-        return ValidationReport(tuple(laws))
-
-    def is_commutative(self) -> bool:
-        k = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(k) for j in range(k))
-
-
 def group_table_of(g: FiniteGroupoid) -> GroupTable:
-    """Read a one-unit groupoid back as a group table; the multiplication
-    must be total."""
+    """Read a one-unit groupoid back as a group table: the isotropy group at
+    its unit, which every element must be a loop at."""
     if len(g.units) != 1:
         raise ValueError(f"expected one unit, got {len(g.units)}")
-    n = len(g)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            z = g.mul.get((i, j))
-            if z is None:
-                raise ValueError(
-                    f"product of {g.elements[i]} and {g.elements[j]} is undefined; "
-                    "not a group")
-            row.append(z)
-        table.append(row)
-    return GroupTable.build(g.elements, table, g.units[0], g.inv)
+    u = g.units[0]
+    if len(g.isotropy_members(u)) != len(g):
+        raise ValueError(f"not every element is a loop at the unit {g.elements[u]}; not a group")
+    return g.isotropy_group(u)
 
 
 def cyclic_group(n: int) -> GroupTable:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "FiniteGroupoid",
-    "IsotropyGroup",
+    "GroupTable",
     "SizeLimitError",
     "ValidationReport",
     "Violation",
@@ -273,8 +273,9 @@ class FiniteGroupoid:
             x for x in range(len(self.elements)) if self.alpha[x] == u and self.beta[x] == u
         )
 
-    def isotropy_group(self, u: int) -> "IsotropyGroup":
-        """The group of elements with source and target both equal to the unit u."""
+    def isotropy_group(self, u: int) -> "GroupTable":
+        """The group of elements with source and target both equal to the
+        unit u, with its members' labels in index order."""
         if not self.is_unit(u):
             raise ValueError(f"element {u} is not a unit")
         members = self.isotropy_members(u)
@@ -287,17 +288,16 @@ class FiniteGroupoid:
                 if z is None or z not in pos:
                     raise ValueError(f"isotropy set at unit {u} is not closed at ({x}, {y})")
                 row.append(pos[z])
-            table.append(tuple(row))
+            table.append(row)
         inv_positions = []
         for x in members:
             xi = self.inv[x]
             if xi not in pos:
                 raise ValueError(f"isotropy set at unit {u} lacks the inverse of {x}")
             inv_positions.append(pos[xi])
-        group = IsotropyGroup(
-            unit=u, members=members, table=tuple(table), inv=tuple(inv_positions)
-        )
-        group.check(self)
+        group = GroupTable.build(
+            [self.elements[x] for x in members], table, pos[u], inv_positions)
+        group.validate().require(f"isotropy group at unit {u} is not a group")
         return group
 
     def isotropy_bundle(self) -> tuple[int, ...]:
@@ -320,32 +320,59 @@ class FiniteGroupoid:
 
 
 @dataclass(frozen=True)
-class IsotropyGroup:
-    """The isotropy group at a unit, with its induced total multiplication.
+class GroupTable:
+    """A finite group as labels, a total multiplication table, identity and
+    inverses.  ``table[i][j]`` is the index of the product of i and j."""
 
-    ``members`` are parent element indices; ``table`` and ``inv`` work on
-    member positions (0..k-1) so the record is a self-contained group table.
-    """
-
-    unit: int
-    members: tuple[int, ...]
+    labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
+    identity: int
     inv: tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls,
+        labels: Sequence[str],
+        table: Sequence[Sequence[int]],
+        identity: int,
+        inv: Sequence[int],
+    ) -> "GroupTable":
+        return cls(
+            tuple(labels),
+            tuple(tuple(row) for row in table),
+            identity,
+            tuple(inv),
+        )
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return len(self.labels)
 
-    @property
-    def identity_position(self) -> int:
-        return self.members.index(self.unit)
+    def mul(self, i: int, j: int) -> int:
+        return self.table[i][j]
 
-    def check(self, parent: FiniteGroupoid) -> None:
-        """Verify the group axioms on the induced table (defensive); the
-        ValueError names the first violated law, witnessed by positions."""
-        bad = next(_group_law_violations(self.table, self.identity_position, self.inv), None)
-        if bad is not None:
-            raise ValueError(f"isotropy group at unit {self.unit} is not a group: {bad}")
+    def validate(self) -> ValidationReport:
+        """Check the group axioms; violations carry witnesses."""
+        v: list[Violation] = []
+        k = self.order
+        if len(set(self.labels)) != k:
+            v.append(Violation("structure", (), "labels must be unique"))
+        if len(self.table) != k or any(len(row) != k for row in self.table):
+            v.append(Violation("structure", (), "table must be k x k"))
+            return ValidationReport(tuple(v))
+        if not 0 <= self.identity < k or len(self.inv) != k:
+            v.append(Violation("structure", (), "identity or inverse map out of shape"))
+            return ValidationReport(tuple(v))
+        for i in range(k):
+            for j in range(k):
+                if not 0 <= self.table[i][j] < k:
+                    v.append(Violation("structure", (i, j), "table entry out of range"))
+        laws = v or _group_law_violations(self.table, self.identity, self.inv)
+        return ValidationReport(tuple(laws))
+
+    def is_commutative(self) -> bool:
+        k = self.order
+        return all(self.table[i][j] == self.table[j][i] for i in range(k) for j in range(k))
 
 
 def _group_law_violations(
@@ -686,12 +713,11 @@ def with_base_labels(g: FiniteGroupoid, base_labels: Mapping[int, str]) -> Finit
 
 
 def _element_order(g: FiniteGroupoid, x: int) -> int:
-    power = x
-    for order in range(1, len(g) + 1):
-        if g.is_unit(power):
-            return order
-        power = g.mul.get((power, x))
-    raise ValueError(f"element {x} ({g.elements[x]!r}) reaches no unit in {len(g)} powers")
+    """The order of a loop x of a groupoid g: its least power that is a unit."""
+    order, power = 1, x
+    while not g.is_unit(power):
+        order, power = order + 1, g.mul[(power, x)]
+    return order
 
 
 def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
@@ -770,8 +796,6 @@ def _vertex_group_iso(
                     queue.append(b)
                 elif phi[b] != c:
                     return None
-        if len(phi) < 2 ** len(pairs):  # each generator at least doubles a group's span
-            raise ValueError(f"vertex group at unit {r} ({g.elements[r]!r}) is not a group")
         if len(set(phi.values())) != len(phi):
             return None
         x = next((x for x in by_order if x not in phi), None)
@@ -783,9 +807,7 @@ def _vertex_group_iso(
     return extend([])
 
 
-def is_isomorphic(
-    g: FiniteGroupoid, h: FiniteGroupoid, *, max_size: int = ISO_SIZE_LIMIT
-) -> Optional[tuple[int, ...]]:
+def is_isomorphic(g: FiniteGroupoid, h: FiniteGroupoid) -> Optional[tuple[int, ...]]:
     """Search for a structure-preserving bijection g -> h.
 
     Returns the element map as a tuple (position x holds the image of x),
@@ -793,14 +815,15 @@ def is_isomorphic(
     greedily by unit count and vertex-group isomorphism φ (Brandt's theorem);
     with arrows t, t' out of matched roots and units paired by σ, x : u -> v
     goes to t'(σu)^-1 * φ(t(u) * x * t(v)^-1) * t'(σv), checked against both
-    tables.  Raises SizeLimitError above ``max_size`` elements, and ValueError
-    on tables seen not to be groupoids, e.g. a loop whose powers miss every
-    unit; both tables are validated before a map is returned.
+    tables.  Raises SizeLimitError above ``ISO_SIZE_LIMIT`` elements, then
+    ValueError when either table fails :func:`validate`, before any answer.
     """
-    if len(g) > max_size or len(h) > max_size:
+    if len(g) > ISO_SIZE_LIMIT or len(h) > ISO_SIZE_LIMIT:
         raise SizeLimitError(
-            f"isomorphism search limited to {max_size} elements, got {len(g)} and {len(h)}"
+            f"isomorphism search limited to {ISO_SIZE_LIMIT} elements, got {len(g)} and {len(h)}"
         )
+    validate(g).require("is_isomorphic: first argument is not a groupoid")
+    validate(h).require("is_isomorphic: second argument is not a groupoid")
     if len(g) != len(h) or len(g.units) != len(h.units) or len(g.mul) != len(h.mul):
         return None
     free = _components(h)
@@ -824,7 +847,5 @@ def is_isomorphic(
             or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
                    for x, y in enumerate(f))
             or any(h.mul.get((f[x], f[y])) != f[z] for (x, y), z in g.mul.items())):
-        raise ValueError("the tables are not groupoids: the component map is not an isomorphism")
-    validate(g).require("is_isomorphic: first argument is not a groupoid")
-    validate(h).require("is_isomorphic: second argument is not a groupoid")
+        raise ValueError("is_isomorphic: the component map is not an isomorphism")
     return f  # type: ignore[return-value]

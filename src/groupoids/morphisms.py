@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import FiniteGroupoid, ValidationReport, Violation
+from .core import FiniteGroupoid, ValidationReport, Violation, validate
 from .constructions import (
     induced_groupoid,
     induced_triples,
@@ -142,7 +142,10 @@ def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def is_isomorphism(m: GroupoidMorphism) -> bool:
-    """True when the morphism validates and both maps are bijections."""
+    """True when both endpoints are groupoids, the morphism validates and
+    both maps are bijections."""
+    if not (validate(m.domain).passed and validate(m.codomain).passed):
+        return False
     if not validate_morphism(m).passed:
         return False
     if len(m.domain) != len(m.codomain):

@@ -218,16 +218,15 @@ def enumerate_subgroupoids(
     g: FiniteGroupoid,
     *,
     normal_only: bool = False,
-    max_size: int = ENUM_SIZE_LIMIT,
 ) -> list[SubgroupoidHandle]:
     """All subgroupoids in (order, members) order, built from Brandt's
     decomposition, so the work follows the number found.  Raises
-    SizeLimitError beyond max_size elements, then ValueError when g is not
-    a groupoid."""
+    SizeLimitError beyond ``ENUM_SIZE_LIMIT`` elements, then ValueError when
+    g is not a groupoid."""
     n = len(g)
-    if n > max_size:
+    if n > ENUM_SIZE_LIMIT:
         raise SizeLimitError(
-            f"subgroupoid enumeration supports at most {max_size} elements, got {n}")
+            f"subgroupoid enumeration supports at most {ENUM_SIZE_LIMIT} elements, got {n}")
     validate(g).require("enumerate_subgroupoids: not a groupoid")
     handles = []
     for mem in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),

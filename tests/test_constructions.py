@@ -8,7 +8,6 @@ from conftest import symmetric_group_3
 from groupoids import (
     FiniteGroupoid,
     GroupTable,
-    IsotropyGroup,
     SizeLimitError,
     cyclic_group,
     direct_product,
@@ -93,10 +92,18 @@ def test_group_table_and_isotropy_check_agree_on_planted_fault(z4, law, rows_pat
     broken = GroupTable.build(z4.elements, rows, 0, inv)
     violations = broken.validate().violations
     assert violations and violations[0].axiom == law
-    iso = IsotropyGroup(unit=0, members=(0, 1, 2, 3), table=broken.table, inv=broken.inv)
     with pytest.raises(ValueError) as err:
-        iso.check(z4)
+        one_unit_groupoid(broken).isotropy_group(0)
     assert str(violations[0]) in str(err.value)
+
+
+def one_unit_groupoid(t):
+    """The one-unit groupoid on the table of t, whatever laws it breaks:
+    every element a loop at the identity, every product defined."""
+    k = t.order
+    return FiniteGroupoid(elements=t.labels, units=[t.identity], alpha=[t.identity] * k,
+                          beta=[t.identity] * k, inv=t.inv,
+                          mul={(i, j): t.table[i][j] for i in range(k) for j in range(k)})
 
 
 def group_laws_by_full_scan(table, e, inv):
@@ -147,18 +154,16 @@ def test_group_laws_match_full_scan_on_mutants():
     fast_path_failed = 0
     for t, mutants in corpus:
         assert t.validate().violations == tuple(group_laws_by_full_scan(t.table, t.identity, t.inv)) == ()
-        parent = from_group(t)
         for n in range(mutants):
             m = group_mutant(t, rng, kinds=1 if n % 3 == 0 else 4)
             expected = tuple(group_laws_by_full_scan(m.table, m.identity, m.inv))
             assert m.validate().violations == expected
-            iso = IsotropyGroup(unit=m.identity, members=tuple(range(m.order)),
-                                table=m.table, inv=m.inv)
+            g = one_unit_groupoid(m)
             if expected:
                 with pytest.raises(ValueError, match=re.escape(str(expected[0]))):
-                    iso.check(parent)
+                    g.isotropy_group(m.identity)
             else:
-                iso.check(parent)
+                assert g.isotropy_group(m.identity) == m
             fast_path_failed += bool(expected) and expected[0].axiom == "associativity"
     assert fast_path_failed > 0
 
@@ -169,19 +174,29 @@ def test_group_table_commutativity():
     assert not symmetric_group_3().is_commutative()
 
 
-def test_group_table_from_isotropy(golden):
-    iso = golden.isotropy_group(golden.index("3/0"))
-    t = GroupTable.from_isotropy(golden, iso)
-    assert t.labels == ("3/0", "3/1", "3/2", "3/3")
+def test_isotropy_group_is_a_group_table(golden):
+    t = golden.isotropy_group(golden.index("3/0"))
+    z4 = cyclic_group(4)
+    assert t == GroupTable.build(("3/0", "3/1", "3/2", "3/3"), z4.table, 0, z4.inv)
     assert t.validate().passed
-    assert t.table == cyclic_group(4).table
+
+
+def test_group_table_has_one_import_path():
+    import groupoids
+    from groupoids import constructions, core
+    assert groupoids.GroupTable is constructions.GroupTable is core.GroupTable
 
 
 def test_group_table_of_round_trip(z4):
     t = group_table_of(z4)
     assert t == cyclic_group(4)
+    assert group_table_of(from_group(klein_four_group())) == klein_four_group()
     with pytest.raises(ValueError):
         group_table_of(pair_groupoid(2))
+    # one unit, but an arrow that is not a loop at it
+    with pytest.raises(ValueError, match="not every element is a loop"):
+        group_table_of(FiniteGroupoid(elements=["e", "x"], units=[0], alpha=[0, 1],
+                                      beta=[0, 0], inv=[0, 1], mul={(0, 0): 0}))
     partial = FiniteGroupoid(
         elements=["e", "x"],
         units=[0],

@@ -194,5 +194,22 @@ def test_is_isomorphic_on_mutants_raises_only_value_error(seed):
                 assert validate(a).passed and validate(b).passed
                 assert_table_isomorphism(a, b, f)
         if not validate(m).passed:
-            with pytest.raises(ValueError):
-                is_isomorphic(m, m)
+            for a, b in ((m, g), (g, m), (m, m)):
+                with pytest.raises(ValueError):
+                    is_isomorphic(a, b)
+
+
+def test_is_isomorphic_validates_before_answering():
+    """Z4 with the inverse of 1 retargeted to 1 fails G3 yet has the size,
+    unit count and product count of the Klein group; the answer is an error,
+    not None."""
+    z4 = from_group(cyclic_group(4))
+    inv = list(z4.inv)
+    inv[1] = 1
+    broken = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, inv, z4.mul)
+    assert any(v.axiom == "G3" for v in validate(broken).violations)
+    klein = from_group(klein_four_group())
+    with pytest.raises(ValueError, match="first argument is not a groupoid"):
+        is_isomorphic(broken, klein)
+    with pytest.raises(ValueError, match="second argument is not a groupoid"):
+        is_isomorphic(klein, broken)

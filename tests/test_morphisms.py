@@ -3,6 +3,7 @@ import random
 import pytest
 
 from groupoids import (
+    FiniteGroupoid,
     GroupoidMorphism,
     anchor_morphism,
     cayley_embed,
@@ -150,6 +151,18 @@ def test_cayley_embedding_is_isomorphism_onto_translations(corpus):
         m = cayley_embed(g)
         assert validate_morphism(m).passed, name
         assert is_isomorphism(m), name
+
+
+def test_is_isomorphism_refuses_a_non_groupoid(z4):
+    """The identity of Z4 with the inverse of 1 retargeted to 1 passes
+    validate_morphism, but its endpoints fail validate (G3)."""
+    inv = list(z4.inv)
+    inv[1] = 1
+    broken = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, inv, z4.mul)
+    m = identity_morphism(broken)
+    assert validate_morphism(m).passed and not validate(broken).passed
+    assert not is_isomorphism(m)
+    assert is_isomorphism(identity_morphism(z4))
 
 
 def test_anchor_morphism_properties(gp2, z4, golden):

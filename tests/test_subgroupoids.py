@@ -169,7 +169,7 @@ def test_enumerate_reference_groupoid(golden):
 def test_enumerate_size_bound():
     with pytest.raises(SizeLimitError):
         enumerate_subgroupoids(symmetric_groupoid(3))
-    handles = enumerate_subgroupoids(symmetric_groupoid(2), max_size=6)
+    handles = enumerate_subgroupoids(symmetric_groupoid(2))
     assert len(handles) == 14
 
 
