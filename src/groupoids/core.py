@@ -84,6 +84,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
+    """The violations of ``report`` with their axiom tags prefixed."""
+    return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
+
+
 def _int_pairs(mul: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """A copy of ``mul`` with ``(int, int)`` tuple keys and int values;
     a key that is not a pair raises ValueError."""
@@ -649,8 +654,8 @@ def isotropy_conjugation(g: FiniteGroupoid, x: int) -> dict[int, int]:
         raise ValueError(f"conjugation by {x} is not a bijection of isotropy groups")
     for z1 in source:
         for z2 in source:
-            prod = g.mul[(z1, z2)]
-            if mapping[prod] != g.mul[(mapping[z1], mapping[z2])]:
+            image = mapping.get(g.mul.get((z1, z2)))
+            if image is None or image != g.mul.get((mapping[z1], mapping[z2])):
                 raise ValueError(f"conjugation by {x} is not a homomorphism at ({z1}, {z2})")
     return mapping
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import FiniteGroupoid, ValidationReport, Violation, validate
+from .core import FiniteGroupoid, ValidationReport, Violation, _generators, _prefixed, validate
 from .constructions import (
     induced_groupoid,
     induced_triples,
@@ -79,15 +79,17 @@ class GroupoidMorphism:
 
 def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     """Check compatibility with products and anchors, plus the derived
-    identities on units and inverses."""
+    identities on units and inverses, between groupoids only: violations of
+    either endpoint, prefixed ``domain-`` or ``codomain-``, are reported
+    alone.  The scan over every product runs only when a product fails at
+    the generators of the domain or the anchor or unit law fails."""
+    endpoints = (_prefixed(validate(m.domain), "domain")
+                 + _prefixed(validate(m.codomain), "codomain"))
+    if endpoints:
+        return ValidationReport(tuple(endpoints))
     g, h, f, f0 = m.domain, m.codomain, m.elem_map, m.unit_map
-    v: list[Violation] = []
-    for u, w in f0.items():
-        if not h.is_unit(w):
-            v.append(Violation("structure", (u, w), "unit map value is not a unit"))
-    for x in range(len(g)):
-        if not (g.is_unit(g.alpha[x]) and g.is_unit(g.beta[x])):
-            v.append(Violation("structure", (x,), "source or target is not a unit"))
+    v = [Violation("structure", (u, w), "unit map value is not a unit")
+         for u, w in f0.items() if not h.is_unit(w)]
     if v:
         return ValidationReport(tuple(v))
     for x in range(len(g)):
@@ -99,27 +101,38 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
             v.append(Violation(
                 "anchor-compat", (x,),
                 f"target of image of {g.elements[x]} disagrees with mapped target"))
-    for (x, y), z in g.mul.items():
-        fz = h.mul.get((f[x], f[y]))
-        if fz is None:
-            v.append(Violation(
-                "mul-compat", (x, y),
-                f"images of composable pair {g.elements[x]}, {g.elements[y]} do not compose"))
-        elif fz != f[z]:
-            v.append(Violation(
-                "mul-compat", (x, y),
-                f"image of {g.elements[x]} * {g.elements[y]} is not the product of images"))
-    for u in g.units:
-        if f[u] != f0[u]:
-            v.append(Violation(
-                "unit-compat", (u,),
-                f"element map and unit map disagree on unit {g.elements[u]}"))
-    for x in range(len(g)):
-        if f[g.inv[x]] != h.inv[f[x]]:
-            v.append(Violation(
-                "inv-compat", (x,),
-                f"image of inverse of {g.elements[x]} is not the inverse of its image"))
+    unit_breaks = [
+        Violation("unit-compat", (u,), f"element map and unit map disagree on unit {g.elements[u]}")
+        for u in g.units if f[u] != f0[u]]
+    if v or unit_breaks or not _compatible_at_generators(m):
+        for (x, y), z in g.mul.items():
+            fz = h.mul.get((f[x], f[y]))
+            if fz is None:
+                v.append(Violation(
+                    "mul-compat", (x, y),
+                    f"images of composable pair {g.elements[x]}, {g.elements[y]} do not compose"))
+            elif fz != f[z]:
+                v.append(Violation(
+                    "mul-compat", (x, y),
+                    f"image of {g.elements[x]} * {g.elements[y]} is not the product of images"))
+    v.extend(unit_breaks)
+    v.extend(Violation("inv-compat", (x,),
+                       f"image of inverse of {g.elements[x]} is not the inverse of its image")
+             for x in range(len(g)) if f[g.inv[x]] != h.inv[f[x]])
     return ValidationReport(tuple(v))
+
+
+def _compatible_at_generators(m: GroupoidMorphism) -> bool:
+    """True when f(s*y) == f(s)*f(y) for every generator s of the domain and
+    every y after s.  With the anchor and unit laws, this decides the product
+    law: the x with f(x*y) == f(x)*f(y) for every y include the units and are
+    closed under products, and the generators reach every element."""
+    g, h, f = m.domain, m.codomain, m.elem_map
+    after: dict[int, list[int]] = {}
+    for y in range(len(g)):
+        after.setdefault(g.alpha[y], []).append(y)
+    return all(h.mul.get((f[s], f[y])) == f[g.mul[(s, y)]]
+               for s in _generators(g) for y in after[g.beta[s]])
 
 
 def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -142,17 +155,11 @@ def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def is_isomorphism(m: GroupoidMorphism) -> bool:
-    """True when both endpoints are groupoids, the morphism validates and
-    both maps are bijections."""
-    if not (validate(m.domain).passed and validate(m.codomain).passed):
-        return False
-    if not validate_morphism(m).passed:
-        return False
-    if len(m.domain) != len(m.codomain):
-        return False
-    if len(set(m.elem_map)) != len(m.codomain):
-        return False
-    return sorted(m.unit_map.values()) == list(m.codomain.units)
+    """True when the morphism validates (so both endpoints are groupoids)
+    and both maps are bijections."""
+    return (validate_morphism(m).passed
+            and len(m.domain) == len(set(m.elem_map)) == len(m.codomain)
+            and sorted(m.unit_map.values()) == list(m.codomain.units))
 
 
 def identity_morphism(g: FiniteGroupoid) -> GroupoidMorphism:
@@ -172,18 +179,17 @@ def compose_morphisms(first: GroupoidMorphism, second: GroupoidMorphism) -> Grou
 
 
 def kernel(m: GroupoidMorphism) -> SubgroupoidHandle:
-    """Elements sent to a unit of the codomain; always a normal wide
-    subgroupoid of the domain."""
-    members = [x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x])]
-    handle = subgroupoid_handle(m.domain, members)
-    if not handle.is_normal:
-        raise ValueError("kernel failed to classify as normal; morphism does not validate")
-    return handle
+    """Elements sent to a unit of the codomain: a wide normal subgroupoid of
+    the domain once the morphism validates (Brown, ch. 8), so not classified."""
+    validate_morphism(m).require("kernel")
+    members = tuple(x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x]))
+    return SubgroupoidHandle(m.domain, members, True, True)
 
 
 def image(m: GroupoidMorphism, h: Optional[SubgroupoidHandle] = None) -> SubgroupoidHandle:
     """Image of a subgroupoid (defaults to the whole domain).  Requires a
-    strong morphism; otherwise the image need not be closed."""
+    valid, strong morphism; otherwise the image need not be closed."""
+    validate_morphism(m).require("image")
     strong, witness = is_strong(m)
     if not strong:
         x, y = witness
@@ -312,8 +318,8 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
         raise ValueError("correspondence needs a morphism surjective on elements")
     if set(m.unit_map.values()) != set(m.codomain.units):
         raise ValueError("correspondence needs a morphism surjective on units")
-    ker = kernel(m)
-    inside_ker = set(ker.members)
+    ker = tuple(x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x]))
+    inside_ker = set(ker)
     domain_subs = enumerate_subgroupoids(m.domain)
     codomain_subs = enumerate_subgroupoids(m.codomain)
     over_kernel = [h.members for h in domain_subs if inside_ker <= set(h.members)]
@@ -322,7 +328,7 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
                    if h.is_normal and inside_ker <= set(h.members)]
     normal_wide = [h.members for h in codomain_subs if h.is_normal]
     return CorrespondenceReport(
-        kernel_members=ker.members,
+        kernel_members=ker,
         domain_over_kernel=tuple(over_kernel),
         codomain_wide=tuple(wide),
         normal_domain_over_kernel=tuple(normal_over),

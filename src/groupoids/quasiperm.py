@@ -153,13 +153,13 @@ def signature(f: Quasipermutation) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _enumerate(n: int, limit: int, *, even: bool = False) -> list[Quasipermutation]:
+def _enumerate(n: int, *, even: bool = False) -> list[Quasipermutation]:
     """All quasipermutations of degree n, or only those of signature +1 when
     ``even``: identity maps first (by length, then domain), then the rest by
     (length, domain, image).  Raises SizeLimitError above the degree bound,
     before enumerating."""
-    if n > limit:
-        raise SizeLimitError(f"degree {n} exceeds the bound {limit}")
+    if n > DEGREE_LIMIT:
+        raise SizeLimitError(f"degree {n} exceeds the bound {DEGREE_LIMIT}")
     units: list[Quasipermutation] = []
     rest: list[Quasipermutation] = []
     points = range(1, n + 1)
@@ -263,7 +263,7 @@ def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     )
 
 
-def symmetric_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
+def symmetric_groupoid(n: int) -> FiniteGroupoid:
     """The groupoid of all quasipermutations of degree n.
 
     Units are the identity maps of nonempty subsets; the product of f and g
@@ -272,15 +272,15 @@ def symmetric_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return _groupoid(_enumerate(n, limit))
+    return _groupoid(_enumerate(n))
 
 
-def alternating_groupoid(n: int, *, limit: int = DEGREE_LIMIT) -> FiniteGroupoid:
+def alternating_groupoid(n: int) -> FiniteGroupoid:
     """The wide subgroupoid of even quasipermutations of degree n (n >= 2),
     with the elements in the order they have in the full groupoid."""
     if n < 2:
         raise ValueError("the even quasipermutations need degree at least 2")
-    return _groupoid(_enumerate(n, limit, even=True))
+    return _groupoid(_enumerate(n, even=True))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     Violation,
     _generators,
     _greedy_generators,
+    _prefixed,
     validate,
 )
 from .constructions import (
@@ -92,10 +93,6 @@ class GroupGroupoid:
 
     def add(self, x: int, y: int) -> int:
         return self.elem_group.table[x][y]
-
-
-def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
-    return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
 
 
 def _table_violations(gg: GroupGroupoid) -> list[Violation]:
@@ -260,8 +257,7 @@ def validate_group_groupoid_morphism(
     elements and on units.  Violations of either endpoint, prefixed
     ``domain-`` or ``codomain-``, are reported alone; on valid endpoints
     additivity is checked at generators of the domain groups.  A morphism
-    with structure violations (a unit sent to a non-unit, or an anchor that
-    is not a unit) is reported by those alone."""
+    that sends a unit to a non-unit is reported by that alone."""
     if m.domain != dom.carrier or m.codomain != cod.carrier:
         raise ValueError("morphism endpoints must be the carriers of the two structures")
     endpoints = (_prefixed(validate_group_groupoid(dom), "domain")

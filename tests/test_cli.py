@@ -478,8 +478,54 @@ def test_morphism_domain_source_off_the_units(tmp_path, z4, z2, capsys):
     for action in ("strong", "kernel", "image", "correspondence"):
         assert main(["morphism", action, str(path)]) == 1
         captured = capsys.readouterr()
-        assert "[structure] witness=(1,)" in captured.out
-        assert "Traceback" not in captured.out + captured.err
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "[domain-structure] witness=(1,)" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def broken_z4_identity_document(z4):
+    """The identity morphism of Z4 with the inverse of 1 retargeted to 1 in
+    both endpoints, so that G3 fails on each."""
+    broken = plain_document(z4)
+    broken["inv"]["1"] = "1"
+    identity = {label: label for label in z4.elements}
+    return {"format_version": 1, "domain": broken, "codomain": broken,
+            "f": identity, "f0": {z4.elements[u]: z4.elements[u] for u in z4.units}}
+
+
+def test_every_morphism_action_refuses_a_non_groupoid_endpoint(tmp_path, z4, capsys):
+    path = tmp_path / "broken_id.json"
+    path.write_text(json.dumps(broken_z4_identity_document(z4)), encoding="utf-8")
+    path = str(path)
+    assert main(["morphism", "verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAILED") and "[domain-G3]" in captured.out
+    for action in ("strong", "kernel", "image", "correspondence"):
+        assert main(["morphism", action, path]) == 1, action
+        captured = capsys.readouterr()
+        assert captured.out == "", action
+        assert captured.err.startswith("error: ") and "[domain-G3]" in captured.err, action
+        assert "Traceback" not in captured.err
+
+
+def test_morphism_actions_validate_each_endpoint_once(tmp_path, z4_file, z2_file, capsys,
+                                                      monkeypatch):
+    doc = {"format_version": 1, "domain": {"path": "z4.json"},
+           "codomain": {"path": "z2.json"}, "f": {"0": "0", "1": "1", "2": "0", "3": "1"}}
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+
+    def counted(g):
+        calls.append(len(g))
+        return validate(g)
+
+    monkeypatch.setattr("groupoids.morphisms.validate", counted)
+    for action in ("verify", "strong", "kernel", "image", "correspondence"):
+        calls.clear()
+        assert main(["morphism", action, str(path)]) == 0, action
+        assert calls == [4, 2], (action, calls)
+    capsys.readouterr()
 
 
 def test_morphism_missing_file(tmp_path, capsys):
@@ -714,4 +760,36 @@ def test_morphism_commands_survive_seeded_single_edits(tmp_path, capsys):
                     assert code in (0, 1, 2, 3) and "Traceback" not in err, (
                         action, edited, case[edited], err)
                     codes.add(code)
+    assert {0, 1, 2} <= codes
+
+
+def test_build_survives_seeded_single_edits(tmp_path, capsys):
+    """The builders that read files, each with one of its input files (the
+    map file of ``induced`` included) given one seeded edit."""
+    rng = random.Random(31337)
+    gp2 = plain_document(pair_groupoid(2))
+    z2 = plain_document(from_group(cyclic_group(2)))
+    z4 = plain_document(from_group(cyclic_group(4)))
+    s2 = quasiperm_document(symmetric_groupoid(2), 2)
+    cases = [
+        (["union", "a.json", "b.json"], {"a.json": gp2, "b.json": s2}),
+        (["product", "a.json", "b.json"], {"a.json": gp2, "b.json": z2}),
+        (["whitney", "a.json", "b.json"], {"a.json": z4, "b.json": z2}),
+        (["induced", "a.json", "map.json"], {"a.json": z2, "map.json": {"x": "0", "y": "0"}}),
+        (["cayley", "a.json"], {"a.json": s2}),
+        (["pair-gg", "a.json"], {"a.json": z4}),
+    ]
+    codes = set()
+    for argv, files in cases:
+        labels = sorted({label for doc in files.values() for label in doc.get("elements", [])})
+        for _ in range(60):
+            edited = rng.choice(sorted(files))
+            case = {**files, edited: fuzzed_document(files[edited], rng, labels)}
+            for name, doc in case.items():
+                (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+            args = [str(tmp_path / a) if a in files else a for a in argv]
+            code = main(["build"] + args)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, case[edited], err)
+            codes.add(code)
     assert {0, 1, 2} <= codes

@@ -649,6 +649,16 @@ def test_isotropy_conjugation(gp2, golden):
     assert omega == {golden.index(f"3/{i}"): golden.index(f"3/{i}") for i in range(4)}
 
 
+def test_isotropy_conjugation_raises_value_error_off_a_groupoid(z4):
+    """Z4 with the product (2, 3) deleted is not a groupoid; conjugation by 1
+    raises ValueError, as its other checks do, not KeyError."""
+    mul = dict(z4.mul)
+    del mul[(2, 3)]
+    g = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, z4.inv, mul)
+    with pytest.raises(ValueError, match="not a homomorphism at \\(2, 3\\)"):
+        isotropy_conjugation(g, 1)
+
+
 def test_restricted_requires_closed_subset(golden):
     block = [golden.index(f"3/{i}") for i in range(4)]
     sub = restricted(golden, block)

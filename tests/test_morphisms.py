@@ -7,6 +7,7 @@ from groupoids import (
     GroupoidMorphism,
     anchor_morphism,
     cayley_embed,
+    classify_subset,
     compose_morphisms,
     correspondence_check,
     cyclic_group,
@@ -27,6 +28,7 @@ from groupoids import (
     validate,
     validate_morphism,
 )
+from groupoids.core import Violation
 
 
 def projection_from_product(gp2, z2):
@@ -154,13 +156,17 @@ def test_cayley_embedding_is_isomorphism_onto_translations(corpus):
 
 
 def test_is_isomorphism_refuses_a_non_groupoid(z4):
-    """The identity of Z4 with the inverse of 1 retargeted to 1 passes
-    validate_morphism, but its endpoints fail validate (G3)."""
+    """The identity of Z4 with the inverse of 1 retargeted to 1: its
+    endpoints fail validate (G3), and validate_morphism reports exactly
+    their violations, prefixed."""
     inv = list(z4.inv)
     inv[1] = 1
     broken = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, inv, z4.mul)
     m = identity_morphism(broken)
-    assert validate_morphism(m).passed and not validate(broken).passed
+    endpoint = validate(broken).violations
+    assert endpoint and validate_morphism(m).violations == tuple(
+        Violation(f"{side}-{v.axiom}", v.witness, v.detail)
+        for side in ("domain", "codomain") for v in endpoint)
     assert not is_isomorphism(m)
     assert is_isomorphism(identity_morphism(z4))
 
@@ -301,3 +307,97 @@ def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
         assert is_strong(m) == expected
         flags.add(expected[0])
     assert flags == {True, False}
+
+
+def laws_by_full_scan(m):
+    """Reference for validate_morphism on groupoid endpoints: every law
+    read over every element, unit and product."""
+    g, h, f, f0 = m.domain, m.codomain, m.elem_map, m.unit_map
+    v = [Violation("structure", (u, w), "unit map value is not a unit")
+         for u, w in f0.items() if not h.is_unit(w)]
+    if v:
+        return tuple(v)
+    for x in range(len(g)):
+        if h.alpha[f[x]] != f0[g.alpha[x]]:
+            v.append(Violation("anchor-compat", (x,),
+                               f"source of image of {g.elements[x]} disagrees with mapped source"))
+        if h.beta[f[x]] != f0[g.beta[x]]:
+            v.append(Violation("anchor-compat", (x,),
+                               f"target of image of {g.elements[x]} disagrees with mapped target"))
+    for (x, y), z in g.mul.items():
+        fz = h.mul.get((f[x], f[y]))
+        if fz is None:
+            v.append(Violation(
+                "mul-compat", (x, y),
+                f"images of composable pair {g.elements[x]}, {g.elements[y]} do not compose"))
+        elif fz != f[z]:
+            v.append(Violation(
+                "mul-compat", (x, y),
+                f"image of {g.elements[x]} * {g.elements[y]} is not the product of images"))
+    v.extend(Violation("unit-compat", (u,),
+                       f"element map and unit map disagree on unit {g.elements[u]}")
+             for u in g.units if f[u] != f0[u])
+    v.extend(Violation("inv-compat", (x,),
+                       f"image of inverse of {g.elements[x]} is not the inverse of its image")
+             for x in range(len(g)) if f[g.inv[x]] != h.inv[f[x]])
+    return tuple(v)
+
+
+def morphism_corpus(golden, z4, z2):
+    """Morphisms whose mutants the full-scan reference judges; the last one
+    starts from a domain with no generators at all."""
+    return [anchor_morphism(symmetric_groupoid(3)), anchor_morphism(golden),
+            identity_morphism(golden), identity_morphism(z4), cayley_embed(golden),
+            GroupoidMorphism(z4, z2, [0, 1, 0, 1]), GroupoidMorphism(pair_groupoid(1), z4, [0])]
+
+
+def test_validate_morphism_matches_full_scan_on_mutants(golden, z4, z2):
+    """Seeded element-map and unit-map mutants, some retargeted inside an
+    anchor fibre so that only the product and inverse laws can fail: the
+    generator decision gives the report of the full scan."""
+    rng = random.Random(1807)
+    kinds = set()
+    products_only = 0
+    for m in morphism_corpus(golden, z4, z2):
+        g, h = m.domain, m.codomain
+        fibre = {}
+        for y in range(len(h)):
+            fibre.setdefault((h.alpha[y], h.beta[y]), []).append(y)
+        assert validate_morphism(m).violations == laws_by_full_scan(m) == ()
+        for _ in range(150):
+            f, f0 = list(m.elem_map), dict(m.unit_map)
+            for _ in range(rng.randint(1, 3)):
+                edit = rng.randrange(4)
+                if edit == 0:
+                    f[rng.randrange(len(g))] = rng.randrange(len(h))
+                elif edit in (1, 2):
+                    x = rng.randrange(len(g))
+                    f[x] = rng.choice(fibre[(h.alpha[f[x]], h.beta[f[x]])])
+                else:
+                    f0[rng.choice(g.units)] = rng.choice(
+                        h.units if rng.randrange(2) else range(len(h)))
+            mutant = GroupoidMorphism(g, h, f, f0)
+            expected = laws_by_full_scan(mutant)
+            assert validate_morphism(mutant).violations == expected, (f, f0)
+            axioms = {v.axiom for v in expected}
+            kinds |= axioms
+            products_only += bool(axioms) and axioms <= {"mul-compat", "inv-compat"}
+    assert kinds == {"structure", "anchor-compat", "mul-compat", "unit-compat", "inv-compat"}
+    assert products_only >= 100
+
+
+def test_kernel_is_normal_by_the_theorem(golden, z4, z2, monkeypatch):
+    """kernel does not classify its members; the classifier, run here,
+    agrees that they form a wide normal subgroupoid."""
+    corpus = morphism_corpus(golden, z4, z2)
+    expected = {id(m): classify_subset(m.domain, kernel(m).members) for m in corpus}
+
+    def refuse(*args):
+        raise AssertionError("kernel classified its members")
+
+    monkeypatch.setattr("groupoids.subgroupoids.classify_subset", refuse)
+    for m in corpus:
+        handle = kernel(m)
+        assert handle.is_wide and handle.is_normal
+        assert expected[id(m)].kind == "normal"
+        assert expected[id(m)].members == handle.members
