@@ -12,7 +12,7 @@ import functools
 import gc
 import sys
 
-from .core import FiniteGroupoid, SizeLimitError, validate
+from .core import FiniteGroupoid, SizeLimitError, ValidationReport, validate
 from .constructions import (
     cyclic_group,
     direct_product,
@@ -27,6 +27,7 @@ from .constructions import (
 )
 from .io import (
     ParseError,
+    ParsedDocument,
     _read_json,
     canonical_dumps,
     check_quasiperm_payloads,
@@ -72,30 +73,46 @@ def _load_valid(path: str) -> FiniteGroupoid:
     return parsed.groupoid
 
 
-def _print_report(reports: list, header: str) -> int:
-    failed = [v for report in reports for v in report.violations]
-    if not failed:
+def _print_report(report: ValidationReport, header: str) -> int:
+    if report.passed:
         print(f"ok: {header}")
         return 0
     print(f"FAILED: {header}")
-    for violation in failed:
+    for violation in report.violations:
         print(f"  {violation}")
     return 1
 
 
+def _verify_report(parsed: ParsedDocument) -> ValidationReport:
+    """The report that decides ``verify``: the carrier's violations if it is
+    not a groupoid, else those of the document kind's own laws.
+
+    A quasiperm document is decided by its payloads: a passing payload
+    check embeds the table in the groupoid of the symmetric inverse
+    monoid, so ``validate`` runs only when that check fails, and then its
+    violations are reported if it fails too, else the payload check's.
+    The parser leaves every index in range and gives every payload the
+    document's degree, so the payload check raises nothing."""
+    g = parsed.groupoid
+    if parsed.kind == "quasiperm":
+        payloads = check_quasiperm_payloads(g)
+        if payloads.passed:
+            return payloads
+        carrier = validate(g)
+        return payloads if carrier.passed else carrier
+    carrier = validate(g)
+    if not carrier.passed or parsed.kind == "plain":
+        return carrier
+    if parsed.kind == "group-groupoid":
+        return _group_groupoid_laws(parsed.group_groupoid)
+    return _vector_space_laws(parsed.vector_space)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     parsed = load_groupoid(args.file)
-    g = parsed.groupoid
-    reports = [validate(g)]
-    if reports[0].passed:
-        if parsed.kind == "quasiperm":
-            reports.append(check_quasiperm_payloads(g))
-        elif parsed.kind == "group-groupoid":
-            reports.append(_group_groupoid_laws(parsed.group_groupoid))
-        elif parsed.kind == "vsg":
-            reports.append(_vector_space_laws(parsed.vector_space))
-    n, m = g.groupoid_type()
-    return _print_report(reports, f"{args.file} is a {parsed.kind} groupoid of type ({n};{m})")
+    n, m = parsed.groupoid.groupoid_type()
+    return _print_report(_verify_report(parsed),
+                         f"{args.file} is a {parsed.kind} groupoid of type ({n};{m})")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -150,7 +167,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
 def cmd_morphism(args: argparse.Namespace) -> int:
     m = load_morphism(args.file)
     if args.action == "verify":
-        return _print_report([validate_morphism(m)], f"{args.file} is a groupoid morphism")
+        return _print_report(validate_morphism(m), f"{args.file} is a groupoid morphism")
     if args.action == "strong":
         validate_morphism(m).require(args.file)
         strong, witness = is_strong(m)

@@ -357,7 +357,9 @@ class GroupTable:
         return self.table[i][j]
 
     def validate(self) -> ValidationReport:
-        """Check the group axioms; violations carry witnesses."""
+        """Check the group axioms; violations carry witnesses.  Each row is
+        range-checked by its least and greatest entry, and only a row that
+        fails is walked to list its cells."""
         v: list[Violation] = []
         k = self.order
         if len(set(self.labels)) != k:
@@ -368,16 +370,16 @@ class GroupTable:
         if not 0 <= self.identity < k or len(self.inv) != k:
             v.append(Violation("structure", (), "identity or inverse map out of shape"))
             return ValidationReport(tuple(v))
-        for i in range(k):
-            for j in range(k):
-                if not 0 <= self.table[i][j] < k:
-                    v.append(Violation("structure", (i, j), "table entry out of range"))
+        for i, row in enumerate(self.table):
+            if min(row) < 0 or max(row) >= k:
+                v.extend(Violation("structure", (i, j), "table entry out of range")
+                         for j, x in enumerate(row) if not 0 <= x < k)
         laws = v or _group_law_violations(self.table, self.identity, self.inv)
         return ValidationReport(tuple(laws))
 
     def is_commutative(self) -> bool:
-        k = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(k) for j in range(k))
+        """Whether every row equals the column of the same index."""
+        return list(map(tuple, self.table)) == list(zip(*self.table))
 
 
 def _group_law_violations(

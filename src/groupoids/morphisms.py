@@ -305,9 +305,7 @@ def _mutually_inverse(
 def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
     """Exhaustively verify the subgroupoid correspondence for a surjective
     strong morphism.  Hypothesis failures raise before any enumeration."""
-    report = validate_morphism(m)
-    if not report.passed:
-        raise ValueError(f"correspondence needs a valid morphism: {report.violations[0]}")
+    validate_morphism(m).require("correspondence")
     strong, witness = is_strong(m)
     if not strong:
         x, y = witness

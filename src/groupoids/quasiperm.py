@@ -326,11 +326,11 @@ def _product_violations(
 ) -> list[Violation]:
     """The violations of the products, sorted by pair: products on a pair
     out of range or of maps that do not compose, products that are not the
-    composite (A, B, p) * (B, C, q) = (A, C, p;q), found in one pass over
-    ``mul``, and composable pairs without a product, searched for only when
-    fewer than sum_B #(range = B) * #(domain = B) products sit on composable
-    pairs.  p;q is read from ``_composite_table``.  Takes
-    ``_coordinates(maps)``."""
+    composite (A, B, p) * (B, C, q) = (A, C, p;q) (a value out of range
+    among them), found in one pass over ``mul``, and composable pairs
+    without a product, searched for only when fewer than
+    sum_B #(range = B) * #(domain = B) products sit on composable pairs.
+    p;q is read from ``_composite_table``.  Takes ``_coordinates(maps)``."""
     n = len(coords)
     dom, rng, num = zip(*coords)
     composite = _composite_table(coords, perms)
@@ -340,7 +340,7 @@ def _product_violations(
     suspects: list[tuple[tuple[int, int], int]] = []
     try:
         for (x, y), z in mul.items():
-            if (x < 0 or y < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
+            if (x < 0 or y < 0 or z < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
                     or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
                 suspects.append(((x, y), z))
     except IndexError:
@@ -351,7 +351,7 @@ def _product_violations(
         if not (0 <= x < n and 0 <= y < n and rng[x] is dom[y]):
             off_pairs += 1
             v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
-        elif not (z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
+        elif not (0 <= z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
             v.append(Violation("payload", (x, y), "product disagrees with map composition"))
     into = Counter(rng)
     if len(mul) - off_pairs != sum(k * into[b] for b, k in Counter(dom).items()):
@@ -361,6 +361,20 @@ def _product_violations(
         v.extend(Violation("payload", (x, y), "maps compose but product is undefined")
                  for x, b in enumerate(rng) for y in by_domain.get(b, ()) if (x, y) not in mul)
     v.sort(key=attrgetter("witness"))
+    return v
+
+
+def _index_violations(g: FiniteGroupoid) -> list[Violation]:
+    """The units and the alpha, beta and inv entries out of range(len(g)),
+    found by each table's least and greatest entry and walked only to list
+    the witnesses.  Product indices are range-checked in the product pass."""
+    n = len(g)
+    v = [Violation("payload", (u,), "unit index out of range")
+         for u in g.units if not 0 <= u < n]
+    for name, table in (("alpha", g.alpha), ("beta", g.beta), ("inv", g.inv)):
+        if min(table) < 0 or max(table) >= n:
+            v.extend(Violation("payload", (x,), f"{name}({x}) = {value} out of range")
+                     for x, value in enumerate(table) if not 0 <= value < n)
     return v
 
 
@@ -376,11 +390,20 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     inverse is (B, A, undo[p]).  The products are checked in one pass over
     ``g.mul`` that lists the failing ones (``_product_violations``), so a
     failing table costs no more than a passing one; the composable pairs
-    are walked only when some of them lack a product.  Payloads of
-    different degrees raise ValueError before any of this."""
-    v: list[Violation] = []
+    are walked only when some of them lack a product.  A unit, source,
+    target or inverse index out of range is reported alone, before any
+    coordinate is read (``_index_violations``); payloads of different
+    degrees raise ValueError after that.
+
+    A passing report makes x -> payload an embedding of the table in the
+    groupoid of the symmetric inverse monoid (Ehresmann-Schein-Nambooripad),
+    which is associative, so the table is a groupoid and ``validate``
+    passes on it too."""
     if g.payloads is None:
         return ValidationReport((Violation("payload", (), "no payloads present"),))
+    v = _index_violations(g)
+    if v:
+        return ValidationReport(tuple(v))
     for f in g.payloads:
         if f.degree != g.payloads[0].degree:
             raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")

@@ -10,7 +10,6 @@ reduction to ordinary groupoid morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -19,7 +18,6 @@ from .core import (
     SizeLimitError,
     ValidationReport,
     Violation,
-    _generators,
     _greedy_generators,
     _prefixed,
     validate,
@@ -137,31 +135,36 @@ def _non_additive_pairs(
     return failures(range(len(add))) if failures(gens) else []
 
 
-def _interchange_on_generators(g: FiniteGroupoid, add: Sequence[Sequence[int]]) -> bool:
-    """Whether addition f(x, z) = x + z on a valid carrier G satisfies the
-    interchange law f(a*b) == f(a)*f(b) for a in {(s, u), (u, s) : s a
-    generator of G, u a unit} and every b composable after a.  The a at
-    which it holds for every b are closed under products in G x G and, once
-    the structure maps and the unit inclusion are additive, contain its
-    units; these a generate G x G, so the law then holds everywhere."""
-    gens = _generators(g)
-    by_alpha: dict[int, list[int]] = {}
-    for y in range(len(g)):
-        by_alpha.setdefault(g.alpha[y], []).append(y)
-    times: list[dict[int, int]] = [{} for _ in range(len(g))]  # times[x][y] = x*y
-    for (x, y), xy in g.mul.items():
-        times[x][y] = xy
-    for s in gens:
-        for u in g.units:
-            for x, z in ((s, u), (u, s)):
-                ts = by_alpha[g.beta[z]]
-                zts = [times[z][t] for t in ts]
-                xz_times = times[add[x][z]]
-                for y in by_alpha[g.beta[x]]:
-                    row, add_y = add[times[x][y]], add[y]
-                    if [row[zt] for zt in zts] != [xz_times.get(add_y[t]) for t in ts]:
-                        return False
-    return True
+def _interchange_by_kernels(gg: GroupGroupoid) -> bool:
+    """Whether the interchange law (x*y) + (z*t) == (x+z)*(y+t) holds, on a
+    valid carrier whose two tables are groups and whose source, target and
+    unit inclusion are additive (``_group_groupoid_laws`` calls it once
+    inversion is additive too).  Units are read as elements, - is the
+    element group's inverse and 0 its identity, which is then the zero
+    unit.  Interchange holds exactly when (Brown-Spencer)
+
+      (a) x*y == x - beta(x) + y on every product, and
+      (b) a + b == b + a for every a with alpha(a) == 0 and b with beta(b) == 0.
+
+    <= : additivity makes (x+z, y+t) composable, (x*y) + (z*t) =
+    x + (-beta(x) + y) + (z - beta(z)) + t by (a), and (x+z)*(y+t) =
+    x + (z - beta(z)) + (-beta(x) + y) + t by (a) and additivity;
+    -beta(x) + y lies in ker alpha and z - beta(z) in ker beta, so (b)
+    makes the two equal.
+    => : x*y = (x+0)*(beta(x) + (-beta(x) + y)) =
+    (x*beta(x)) + (0*(-beta(x) + y)) = x - beta(x) + y, and for a, b as
+    in (b), a + b = (0*a) + (b*0) = (0+b)*(a+0) = b*a = b - beta(b) + a
+    = b + a.
+
+    This reads each product once and each pair of the two kernels once."""
+    g, t = gg.carrier, gg.elem_group
+    add, neg, zero = t.table, t.inv, t.identity
+    left = [add[x][neg[b]] for x, b in enumerate(g.beta)]  # x - beta(x)
+    if any(add[left[x]][y] != xy for (x, y), xy in g.mul.items()):
+        return False
+    ker_beta = [b for b, u in enumerate(g.beta) if u == zero]
+    return all(add[a][b] == add[b][a]
+               for a, u in enumerate(g.alpha) if u == zero for b in ker_beta)
 
 
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
@@ -171,9 +174,9 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
 
     Source, target, inversion and the unit inclusion are checked for
     additivity by ``_non_additive_pairs`` at the generators of their
-    domain group, and the interchange law at generators of the carrier
-    (``_interchange_on_generators``).  The scans over all pairs run only
-    when these checks fail, to list every witness."""
+    domain group, and, once they are additive, the interchange law by
+    ``_interchange_by_kernels`` in one pass over the products.  The scans
+    over all pairs run only when these checks fail, to list every witness."""
     v = _prefixed(validate(gg.carrier), "carrier")
     return ValidationReport(tuple(v)) if v else _group_groupoid_laws(gg)
 
@@ -199,7 +202,7 @@ def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
     v.extend(Violation("unit-additive", ij, "unit inclusion is not a homomorphism on this pair")
              for ij in _non_additive_pairs(
                  g.units, add0, add, _generators_with_identity(gg.unit_group)))
-    if v or not _interchange_on_generators(g, add):
+    if v or not _interchange_by_kernels(gg):
         for (x, y), xy in g.mul.items():
             for (z, t), zt in g.mul.items():
                 lhs = add[xy][zt]

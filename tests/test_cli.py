@@ -15,13 +15,16 @@ from groupoids import (
     cyclic_group,
     disjoint_union,
     from_group,
+    group_as_group_groupoid,
     group_groupoid_document,
+    load_morphism,
     pair_group_groupoid,
     pair_groupoid,
     plain_document,
     quasiperm_document,
     symmetric_groupoid,
     validate,
+    validate_morphism,
 )
 from groupoids import cli, constructions, pair_vector_space_groupoid, vsg_document
 from groupoids.cli import main
@@ -250,6 +253,55 @@ def test_verify_validates_a_structured_carrier_once(tmp_path, z4_file, capsys, m
         assert capsys.readouterr().out.startswith("ok: ")
         assert len(calls) == 1, argv
         monkeypatch.undo()
+
+
+def test_verify_decides_a_quasiperm_document_by_its_payloads(tmp_path, capsys, monkeypatch):
+    # validate runs only after the payload check fails, and its violations
+    # are printed when it fails too
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    s3 = quasiperm_document(symmetric_groupoid(3), 3)
+    g1 = json.loads(json.dumps(s3))
+    row = next(r for r in g1["mul"] if r[:2] == ["3: 1 2 3 -> 1 3 2", "3: 1 2 3 -> 2 1 3"])
+    row[2] = "3: 1 2 3 -> 3 2 1"
+    swapped = json.loads(json.dumps(s3))
+    payloads, elements = swapped["payloads"], swapped["elements"]
+    i, j = elements.index("3: 1 2 3 -> 2 3 1"), elements.index("3: 1 2 3 -> 1 3 2")
+    payloads[i], payloads[j] = payloads[j], payloads[i]
+    path = write_doc(tmp_path, "s3.json", s3)
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out.startswith("ok: ") and calls == []
+    for doc, tag in ((g1, "[G1]"), (swapped, "[payload]")):
+        calls.clear()
+        assert main(["verify", write_doc(tmp_path, "s3.json", doc)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1 and len(lines) > 1
+        assert all(line.startswith(f"  {tag} ") for line in lines[1:]), (tag, lines)
+
+
+def test_verify_interchange_of_the_isotropy_group_of_s3(tmp_path, capsys):
+    # S3 at the full identity of the degree-3 quasipermutations is not
+    # abelian, so as a one-unit group-groupoid it fails interchange; the
+    # pair group-groupoid over it passes
+    s3 = symmetric_groupoid(3)
+    group = s3.isotropy_group(s3.units[-1])
+    assert group.order == 6
+    path = write_doc(tmp_path, "s3_gg.json", group_groupoid_document(group_as_group_groupoid(group)))
+    assert main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("FAILED: ") and "Traceback" not in captured.err
+    assert any(line.startswith("  [interchange] ") for line in lines)
+    assert main(["build", "pair-gg", path]) == 0
+    pair = tmp_path / "s3_pair_gg.json"
+    pair.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify", str(pair)]) == 0
+    assert "group-groupoid groupoid of type (36;6)" in capsys.readouterr().out
 
 
 def test_subgroupoids_rejects_a_non_groupoid(tmp_path, capsys):
@@ -500,12 +552,15 @@ def test_every_morphism_action_refuses_a_non_groupoid_endpoint(tmp_path, z4, cap
     assert main(["morphism", "verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("FAILED") and "[domain-G3]" in captured.out
-    for action in ("strong", "kernel", "image", "correspondence"):
+    violations = validate_morphism(load_morphism(path)).violations
+    for action, context in (("strong", path), ("kernel", "kernel"), ("image", "image"),
+                            ("correspondence", "correspondence")):
         assert main(["morphism", action, path]) == 1, action
         captured = capsys.readouterr()
         assert captured.out == "", action
-        assert captured.err.startswith("error: ") and "[domain-G3]" in captured.err, action
-        assert "Traceback" not in captured.err
+        assert captured.err == (f"error: {context}: {len(violations)} violation(s), "
+                                f"first: {violations[0]}\n"), action
+        assert violations[0].axiom == "domain-G3"
 
 
 def test_morphism_actions_validate_each_endpoint_once(tmp_path, z4_file, z2_file, capsys,

@@ -172,6 +172,25 @@ def test_group_table_commutativity():
     assert cyclic_group(5).is_commutative()
     assert klein_four_group().is_commutative()
     assert not symmetric_group_3().is_commutative()
+    # rows given as lists compare with the columns as well
+    rng = random.Random(41)
+    for t in (cyclic_group(6), symmetric_group_3(), gf_vector_group(2, 3)):
+        for _ in range(20):
+            rows = [list(r) for r in t.table]
+            rows[rng.randrange(t.order)][rng.randrange(t.order)] = rng.randrange(t.order)
+            table = GroupTable(t.labels, rows, t.identity, t.inv)
+            k = t.order
+            assert table.is_commutative() == all(
+                rows[i][j] == rows[j][i] for i in range(k) for j in range(k))
+
+
+def test_group_table_entries_out_of_range_are_listed_cell_by_cell():
+    t = cyclic_group(4)
+    rows = [list(r) for r in t.table]
+    rows[1][2], rows[1][3], rows[3][0] = -1, 4, 9
+    report = GroupTable.build(t.labels, rows, t.identity, t.inv).validate()
+    assert report.violations == tuple(
+        Violation("structure", ij, "table entry out of range") for ij in [(1, 2), (1, 3), (3, 0)])
 
 
 def test_isotropy_group_is_a_group_table(golden):

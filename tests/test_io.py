@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from groupoids import (
     validate_vector_space_groupoid,
     vsg_document,
 )
+from groupoids.cli import main
 from groupoids.quasiperm import _coordinates, _product_violations
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
@@ -500,6 +502,141 @@ def test_payload_cross_check_rejects_mixed_degrees_up_front(s2):
         s2.elements, s2.units, s2.alpha, s2.beta, s2.inv, s2.mul, payloads=payloads)
     with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
         check_quasiperm_payloads(mixed)
+
+
+@pytest.mark.parametrize("edit", ["product", "inv"])
+def test_payload_cross_check_refuses_a_negative_index(s2, edit):
+    # -1 read as a list index is the last map, which is the right answer
+    # here, so only a range check tells the index from that map's
+    last = len(s2) - 1
+    mul, inv = dict(s2.mul), list(s2.inv)
+    if edit == "product":
+        key = min(k for k, z in mul.items() if z == last)
+        mul[key] = -1
+        expected = Violation("payload", key, "product disagrees with map composition")
+    else:
+        x = inv.index(last)
+        inv[x] = -1
+        expected = Violation("payload", (x,), f"inv({x}) = -1 out of range")
+    broken = FiniteGroupoid(
+        s2.elements, s2.units, s2.alpha, s2.beta, inv, mul, payloads=s2.payloads)
+    assert check_quasiperm_payloads(broken).violations == (expected,)
+    assert {v.axiom for v in validate(broken).violations} == {"structure"}
+
+
+@pytest.mark.parametrize("table, value", [
+    ("units", -1), ("units", 6), ("alpha", -2), ("alpha", 6), ("beta", 9), ("inv", -6)])
+def test_payload_cross_check_reports_anchor_unit_and_inverse_indices_out_of_range(
+        s2, table, value):
+    # reported alone, before any coordinate is read
+    tables = {"units": list(s2.units), "alpha": list(s2.alpha), "beta": list(s2.beta),
+              "inv": list(s2.inv)}
+    x = 3
+    if table == "units":
+        tables["units"].append(value)
+        expected = Violation("payload", (value,), "unit index out of range")
+    else:
+        tables[table][x] = value
+        expected = Violation("payload", (x,), f"{table}({x}) = {value} out of range")
+    broken = FiniteGroupoid(s2.elements, tables["units"], tables["alpha"], tables["beta"],
+                            tables["inv"], s2.mul, payloads=s2.payloads)
+    assert check_quasiperm_payloads(broken).violations == (expected,)
+    assert not validate(broken).passed
+
+
+def index_in_range(g):
+    """Whether every unit, anchor, inverse and product index of g names an
+    element."""
+    n = len(g)
+    indices = [*g.units, *g.alpha, *g.beta, *g.inv, *g.mul.values()]
+    indices += [i for pair in g.mul for i in pair]
+    return all(0 <= i < n for i in indices)
+
+
+def esn_mutant(g, rng):
+    """g with one to three seeded edits: a source, target, unit or inverse
+    retargeted, a product retargeted, deleted or added, two payloads
+    swapped, or one index of any table moved out of range."""
+    n = len(g)
+    units, alpha, beta, inv = list(g.units), list(g.alpha), list(g.beta), list(g.inv)
+    mul, payloads = dict(g.mul), list(g.payloads)
+    for _ in range(rng.randint(1, 3)):
+        edit, x, y = rng.randrange(9), rng.randrange(n), rng.randrange(n)
+        if edit == 0:
+            alpha[x] = y
+        elif edit == 1:
+            beta[x] = y
+        elif edit == 2:
+            inv[x] = y
+        elif edit == 3 and y not in units:
+            units[rng.randrange(len(units))] = y
+        elif edit == 4:
+            mul[rng.choice(sorted(mul))] = x
+        elif edit == 5 and mul:
+            del mul[rng.choice(sorted(mul))]
+        elif edit == 6:
+            mul[(x, y)] = rng.randrange(n)
+        elif edit == 7:
+            payloads[x], payloads[y] = payloads[y], payloads[x]
+        elif edit == 8:
+            bad = rng.choice([-n, -1, n, n + 3])
+            where = rng.randrange(5)
+            if where == 0 and bad not in units:
+                units.append(bad)
+            elif where in (1, 2, 3):
+                (alpha, beta, inv)[where - 1][x] = bad
+            elif mul:
+                key = rng.choice(sorted(mul))
+                if where == 4 and rng.random() < 0.5:
+                    mul[key] = bad
+                else:
+                    mul[(key[0], bad)] = mul.pop(key)
+    return FiniteGroupoid(g.elements, units, alpha, beta, inv, mul, payloads=payloads)
+
+
+def verify_validate_first(path):
+    """The exit code and stdout of ``groupoids verify`` on a quasiperm
+    document when ``validate`` runs first and the payload check only after
+    it passes."""
+    parsed = load_groupoid(path)
+    g = parsed.groupoid
+    report = validate(g)
+    if report.passed:
+        report = check_quasiperm_payloads(g)
+    n, m = g.groupoid_type()
+    header = f"{path} is a quasiperm groupoid of type ({n};{m})"
+    if report.passed:
+        return 0, f"ok: {header}\n"
+    return 1, "".join([f"FAILED: {header}\n", *(f"  {v}\n" for v in report.violations)])
+
+
+def test_a_passing_payload_check_implies_a_passing_validate(tmp_path, capsys):
+    # the payloads embed a table that passes the payload check in the
+    # groupoid of the symmetric inverse monoid, so validate has nothing to
+    # add; verify, which then skips validate, prints what a validate-first
+    # verify prints on every mutant that can be written as a document
+    rng = random.Random(19)
+    outcomes = Counter()
+    for degree, g, mutants in ((2, symmetric_groupoid(2), 500),
+                               (3, symmetric_groupoid(3), 300),
+                               (3, alternating_groupoid(3), 300),
+                               (4, alternating_groupoid(4), 60)):
+        for i in range(mutants):
+            mutant = esn_mutant(g, rng)
+            payloads_pass = check_quasiperm_payloads(mutant).passed
+            validate_passes = validate(mutant).passed
+            assert validate_passes or not payloads_pass
+            in_range = index_in_range(mutant)
+            outcomes[(payloads_pass, validate_passes, in_range)] += 1
+            if in_range and i % 3 == 0:
+                path = tmp_path / "mutant.json"
+                path.write_text(canonical_dumps(quasiperm_document(mutant, degree)),
+                                encoding="utf-8")
+                code = main(["verify", str(path)])
+                assert (code, capsys.readouterr().out) == verify_validate_first(path)
+    assert outcomes[(True, True, True)] > 0
+    assert outcomes[(False, True, True)] > 0
+    assert sum(k for (_, _, in_range), k in outcomes.items() if not in_range) > 100
 
 
 def test_payload_cross_check_on_long_maps():

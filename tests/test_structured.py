@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -432,20 +433,63 @@ def group_groupoid_mutant(gg, rng):
     return GroupGroupoid(carrier, GroupTable.build(t.labels, rows, zero, neg), gg.unit_group)
 
 
-def test_interchange_matches_pair_scan_on_mutants():
-    rng = random.Random(1729)
-    corpus = [
+def interchange_corpus():
+    """Group-groupoids and the number of seeded mutants to draw from each."""
+    return [
         (pair_vector_space_groupoid(2, 2).structure, 120),
         (pair_vector_space_groupoid(2, 3).structure, 12),
         (pair_group_groupoid(cyclic_group(3)), 60),
         (group_as_group_groupoid(klein_four_group()), 60),
         (twisted_group_groupoid(2, 2, 0), 30),
     ]
-    for gg, mutants in corpus:
+
+
+def test_interchange_matches_pair_scan_on_mutants():
+    rng = random.Random(1729)
+    for gg, mutants in interchange_corpus():
         assert validate_group_groupoid(gg).violations == group_groupoid_by_pair_scan(gg)
         for _ in range(mutants):
             mutant = group_groupoid_mutant(gg, rng)
             assert validate_group_groupoid(mutant).violations == group_groupoid_by_pair_scan(mutant)
+
+
+def test_interchange_by_kernels_matches_the_pair_scan_on_mutants():
+    # wherever its preconditions hold (a valid carrier, two groups, additive
+    # structure maps), the kernel criterion says what the pair scan says
+    rng = random.Random(1729)
+    decided = Counter()
+    s3 = symmetric_group_3()
+    corpus = interchange_corpus() + [(group_as_group_groupoid(s3), 20),
+                                     (pair_group_groupoid(s3), 4)]
+    corpus += [(twisted_group_groupoid(m, dim, seed), 0)
+               for m, dim in [(1, 2), (1, 3), (2, 2)] for seed in range(3)]
+    for gg, mutants in corpus:
+        for candidate in [gg] + [group_groupoid_mutant(gg, rng) for _ in range(mutants)]:
+            if structured._precheck_violations(candidate) or additivity_by_pair_scan(candidate):
+                continue
+            holds = not interchange_by_pair_scan(candidate)
+            assert structured._interchange_by_kernels(candidate) == holds
+            decided[holds] += 1
+    assert decided[True] >= 20 and decided[False] >= 10
+
+
+def test_interchange_of_a_non_abelian_group_is_decided_by_its_kernels():
+    # one unit: source, target and unit inclusion are additive, which is
+    # all the criterion asks, and both kernels are the whole group, so
+    # interchange is commutativity and S3 fails it (inversion is not
+    # additive either, so validate lists interchange by the full scan);
+    # the pair groupoid over S3 passes, since there ker alpha = {(e, b)}
+    # and ker beta = {(a, e)} commute
+    s3 = symmetric_group_3()
+    one_unit = group_as_group_groupoid(s3)
+    report = validate_group_groupoid(one_unit).violations
+    assert report == group_groupoid_by_pair_scan(one_unit)
+    assert "interchange" in {v.axiom for v in report}
+    assert not structured._interchange_by_kernels(one_unit)
+    pair = pair_group_groupoid(s3)
+    assert validate_group_groupoid(pair).passed
+    assert validate_group_groupoid_as_morphisms(pair).passed
+    assert structured._interchange_by_kernels(pair)
 
 
 def test_interchange_failure_behind_passing_additivity_is_listed_by_the_full_scan():
@@ -539,7 +583,7 @@ def test_valid_structures_pass_the_checks_at_the_generators():
     for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
         gg = v.structure
         g, add, add0 = gg.carrier, gg.elem_group.table, gg.unit_group.table
-        assert structured._interchange_on_generators(g, add)
+        assert structured._interchange_by_kernels(gg)
         pos = {u: i for i, u in enumerate(g.units)}
         gens = structured._generators_with_identity(gg.elem_group)
         unit_gens = structured._generators_with_identity(gg.unit_group)
