@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    FiniteGroupoid, SizeLimitError, _components, _right_closure, restricted, validate,
+    FiniteGroupoid, SizeLimitError, _components, _generators, _right_closure, restricted,
+    validate,
 )
 
 __all__ = [
@@ -214,6 +215,37 @@ def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
     return [members for members in within(g.units) if members]
 
 
+def _require_enumerable(g: FiniteGroupoid) -> None:
+    if len(g) > ENUM_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"subgroupoid enumeration supports at most {ENUM_SIZE_LIMIT} elements, got {len(g)}")
+
+
+def _lattice(g: FiniteGroupoid) -> list[SubgroupoidHandle]:
+    """Every subgroupoid of the groupoid g in (order, members) order, with
+    its flags read off the construction; g must already validate.
+
+    A listed set N is closed, so it is wide when it holds every unit.  A
+    wide N is normal when s*h*inv(s) is in N for every generator s : u -> v
+    of g (``_generators``) and every loop h of N at v.  Proof: the arrows x
+    with x*h*inv(x) in N for every loop h of N at beta(x) include the units
+    and are closed under products, and the generators reach every element
+    by right multiplication from the units, so they are all of g.
+    Conjugation by x : u -> v is injective from the loops of N at v into
+    those at u, and by inv(x) back, so finiteness makes each inclusion an
+    equality (Brown, ch. 8; Higgins)."""
+    conjugates = [(h, g.mul[g.mul[s, h], g.inv[s]])
+                  for s in _generators(g) for h in g.isotropy_members(g.beta[s])]
+    handles = []
+    for members in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),
+                          key=lambda t: (len(t), t)):
+        inside = set(members)
+        wide = inside.issuperset(g.units)
+        normal = wide and all(z in inside for h, z in conjugates if h in inside)
+        handles.append(SubgroupoidHandle(g, members, wide, normal))
+    return handles
+
+
 def enumerate_subgroupoids(
     g: FiniteGroupoid,
     *,
@@ -223,20 +255,10 @@ def enumerate_subgroupoids(
     decomposition, so the work follows the number found.  Raises
     SizeLimitError beyond ``ENUM_SIZE_LIMIT`` elements, then ValueError when
     g is not a groupoid."""
-    n = len(g)
-    if n > ENUM_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"subgroupoid enumeration supports at most {ENUM_SIZE_LIMIT} elements, got {n}")
+    _require_enumerable(g)
     validate(g).require("enumerate_subgroupoids: not a groupoid")
-    handles = []
-    for mem in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),
-                      key=lambda t: (len(t), t)):
-        cls = classify_subset(g, mem)
-        handle = SubgroupoidHandle(g, cls.members, cls.is_wide, cls.is_normal)
-        if normal_only and not handle.is_normal:
-            continue
-        handles.append(handle)
-    return handles
+    handles = _lattice(g)
+    return [h for h in handles if h.is_normal] if normal_only else handles
 
 
 def isotropy_subgroupoid(g: FiniteGroupoid, u: int) -> SubgroupoidHandle:

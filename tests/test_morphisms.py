@@ -13,6 +13,7 @@ from groupoids import (
     cyclic_group,
     direct_product,
     disjoint_union,
+    enumerate_subgroupoids,
     from_group,
     identity_morphism,
     image,
@@ -28,7 +29,9 @@ from groupoids import (
     validate,
     validate_morphism,
 )
+from groupoids import morphisms, subgroupoids
 from groupoids.core import Violation
+from groupoids.morphisms import _mutually_inverse
 
 
 def projection_from_product(gp2, z2):
@@ -138,6 +141,17 @@ def test_preimage_of_units_is_kernel(gp2, z2, z4):
     assert preimage(m, null_subgroupoid(gp2)).members == kernel(m).members
     q = GroupoidMorphism(z4, z2, [0, 1, 0, 1])
     assert preimage(q, null_subgroupoid(z2)).members == (0, 2)
+
+
+def test_image_and_preimage_refuse_a_handle_of_another_groupoid(gp2, gp3):
+    m = identity_morphism(gp2)
+    with pytest.raises(ValueError, match="^image needs a subgroupoid of the domain$"):
+        image(m, subgroupoid_handle(gp3, range(9)))
+    with pytest.raises(ValueError, match="^preimage needs a subgroupoid of the codomain$"):
+        preimage(m, subgroupoid_handle(gp3, [0]))
+    # a handle of an equal table is a handle of the same groupoid
+    assert image(m, null_subgroupoid(pair_groupoid(2))).members == gp2.units
+    assert preimage(m, null_subgroupoid(pair_groupoid(2))).members == gp2.units
 
 
 def test_preimage_under_anchor_is_isotropy_bundle(golden):
@@ -259,6 +273,91 @@ def test_correspondence_rejects_bad_hypotheses(z2, z4):
     with pytest.raises(ValueError) as err:
         correspondence_check(inclusion)
     assert "surjective" in str(err.value)
+
+
+def test_correspondence_validates_each_endpoint_once(z4, z2, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(morphisms, "validate", counted)
+    monkeypatch.setattr(subgroupoids, "validate", counted)
+    assert correspondence_check(GroupoidMorphism(z4, z2, [0, 1, 0, 1])).passed
+    assert [id(g) for g in calls] == [id(z4), id(z2)]
+
+
+def mutually_inverse_both_ways(f, left, right):
+    """Reference for _mutually_inverse: equal counts, and each family sent
+    into the other by direct image, resp. preimage, and back again."""
+    right_set = {frozenset(r) for r in right}
+    left_set = {frozenset(l) for l in left}
+    if len(left) != len(right):
+        return False
+    for mem in left:
+        fwd = frozenset(f[x] for x in mem)
+        if fwd not in right_set:
+            return False
+        back = frozenset(x for x in range(len(f)) if f[x] in fwd)
+        if back != frozenset(mem):
+            return False
+    for mem in right:
+        back = frozenset(x for x in range(len(f)) if f[x] in set(mem))
+        if back not in left_set:
+            return False
+        fwd = frozenset(f[x] for x in back)
+        if fwd != frozenset(mem):
+            return False
+    return True
+
+
+def _distinct_sets(rng, n):
+    return list({tuple(sorted(rng.sample(range(n), rng.randint(0, n)))): None
+                 for _ in range(rng.randint(0, 6))})
+
+
+def test_one_way_bijection_check_matches_both_ways_on_seeded_families():
+    # preimage families (bijections when f is onto), the same perturbed by
+    # one set, and unrelated families; no family repeats a set
+    rng = random.Random(2011)
+    outcomes = {True: 0, False: 0}
+    for trial in range(3000):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        f = tuple(rng.randrange(k) for _ in range(n))
+        right = _distinct_sets(rng, k)
+        if trial % 3 == 2:
+            left = _distinct_sets(rng, n)
+        else:
+            left = list(dict.fromkeys(tuple(x for x in range(n) if f[x] in r) for r in right))
+            rng.shuffle(left)
+            if trial % 3 == 1 and left:
+                extra = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+                left = list(dict.fromkeys(left[1:] + [extra]))
+        expected = mutually_inverse_both_ways(f, left, right)
+        assert _mutually_inverse(f, left, right) == expected, (f, left, right)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) >= 500
+
+
+def test_one_way_bijection_check_matches_both_ways_on_the_correspondence_corpus(
+        gp2, z2, z4, golden):
+    corpus = [projection_from_product(gp2, z2), GroupoidMorphism(z4, z2, [0, 1, 0, 1]),
+              identity_morphism(gp2), identity_morphism(z4), identity_morphism(golden),
+              anchor_morphism(z4), anchor_morphism(direct_product(gp2, z2))]
+    outcomes = set()
+    for m in corpus:
+        report = correspondence_check(m)
+        every = [h.members for h in enumerate_subgroupoids(m.codomain)]
+        for left, right in [(report.domain_over_kernel, report.codomain_wide),
+                            (report.normal_domain_over_kernel, report.normal_codomain),
+                            (report.domain_over_kernel, every),
+                            (report.normal_domain_over_kernel, report.codomain_wide)]:
+            expected = mutually_inverse_both_ways(m.elem_map, left, right)
+            assert _mutually_inverse(m.elem_map, list(left), list(right)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_image_of_generated_subgroupoid(gp2, z2):

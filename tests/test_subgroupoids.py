@@ -300,3 +300,30 @@ def test_enumeration_refuses_a_table_that_is_not_a_groupoid(z4):
                          {k: v for k, v in z4.mul.items() if k != (1, 3)})
     with pytest.raises(ValueError, match="not a groupoid"):
         enumerate_subgroupoids(cut)
+
+
+def test_flags_come_from_the_construction_beyond_the_cap(monkeypatch):
+    """Past the size cap, where the mask scan cannot go: S(3) and
+    pair(2) x S3 list the flags the classifier gives, and enumeration
+    itself never calls the classifier."""
+    monkeypatch.setattr("groupoids.subgroupoids.ENUM_SIZE_LIMIT", 64)
+    cases = [symmetric_groupoid(3),
+             direct_product(pair_groupoid(2), from_group(symmetric_group_3()))]
+    assert len(cases[1]) == 24
+    expected = []
+    for g in cases:
+        handles = enumerate_subgroupoids(g)
+        flags = [(h.is_wide, h.is_normal) for h in handles]
+        classified = [classify_subset(g, h.members) for h in handles]
+        assert flags == [(c.is_wide, c.is_normal) for c in classified]
+        assert {c.kind for c in classified} == {"subgroupoid", "wide", "normal"}
+        expected.append([(h.members, h.is_wide, h.is_normal) for h in handles])
+    assert len(expected[0]) == 6194
+
+    def refuse(*args):
+        raise AssertionError("enumerate_subgroupoids classified a listed set")
+
+    monkeypatch.setattr("groupoids.subgroupoids.classify_subset", refuse)
+    for g, want in zip(cases, expected):
+        assert [(h.members, h.is_wide, h.is_normal)
+                for h in enumerate_subgroupoids(g)] == want
