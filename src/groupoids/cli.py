@@ -14,6 +14,7 @@ import sys
 
 from .core import FiniteGroupoid, SizeLimitError, ValidationReport, validate
 from .constructions import (
+    _bound_null_units,
     cyclic_group,
     direct_product,
     disjoint_union,
@@ -46,6 +47,7 @@ from .morphisms import (
     validate_morphism,
 )
 from .quasiperm import (
+    DEGREE_LIMIT,
     _enumerate,
     alternating_groupoid,
     count_formulas,
@@ -147,6 +149,9 @@ def cmd_subgroupoids(args: argparse.Namespace) -> int:
 
 def cmd_counts(args: argparse.Namespace) -> int:
     n = args.n
+    # before the closed forms, which take seconds from a few thousand on
+    if n > DEGREE_LIMIT:
+        raise SizeLimitError(f"degree {n} exceeds the bound {DEGREE_LIMIT}")
     c = count_formulas(n)
     rows = [("S", False, (c.s_total, c.s_units, c.s_isotropy))]
     if n >= 2:
@@ -201,6 +206,7 @@ def _build_document(args: argparse.Namespace) -> dict:
     if what == "null":
         if args.k < 1:
             raise ValueError("null groupoid needs at least one unit")
+        _bound_null_units(args.k)
         return plain_document(null_groupoid([str(i) for i in range(1, args.k + 1)]))
     if what == "cyclic":
         return plain_document(from_group(cyclic_group(args.n)))
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # A command's tables (tuple keys, JSON rows) hold no reference cycles,
+    # A command's tables (product rows, JSON lists) hold no reference cycles,
     # so the cyclic collector would only rescan them; reference counting
     # still frees them, and the caller's collector state comes back after.
     was_enabled = gc.isenabled()

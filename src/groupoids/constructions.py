@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 PAIR_BASE_LIMIT = 64
+NULL_UNIT_LIMIT = 4096  # as many elements as the pair groupoid on PAIR_BASE_LIMIT points
 CYCLIC_ORDER_LIMIT = 256
 PRODUCT_MUL_LIMIT = 5_874_516  # the product count of the degree-6 quasipermutation groupoid
 
@@ -43,6 +44,12 @@ def _bound_pair_base(points: int) -> None:
     """Refuse a pair groupoid on more than ``PAIR_BASE_LIMIT`` points."""
     if points > PAIR_BASE_LIMIT:
         raise SizeLimitError(f"pair groupoid limited to {PAIR_BASE_LIMIT} points, got {points}")
+
+
+def _bound_null_units(units: int) -> None:
+    """Refuse a null groupoid on more than ``NULL_UNIT_LIMIT`` units."""
+    if units > NULL_UNIT_LIMIT:
+        raise SizeLimitError(f"null groupoid limited to {NULL_UNIT_LIMIT} units, got {units}")
 
 
 def group_table_of(g: FiniteGroupoid) -> GroupTable:
@@ -113,17 +120,13 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     n = len(pts)
     pairs = pair_arrows(n)
     index = {p: k for k, p in enumerate(pairs)}
-    mul = {}
-    for i, j in pairs:
-        for l in range(n):
-            mul[(index[(i, j)], index[(j, l)])] = index[(i, l)]
     return FiniteGroupoid._typed(
         elements=[f"({pts[i]},{pts[j]})" for i, j in pairs],
         units=list(range(n)),
         alpha=[index[(i, i)] for i, j in pairs],
         beta=[index[(j, j)] for i, j in pairs],
         inv=[index[(j, i)] for i, j in pairs],
-        mul=mul,
+        rows=[{index[(j, l)]: index[(i, l)] for l in range(n)} for i, j in pairs],
         base_labels={i: pts[i] for i in range(n)},
     )
 
@@ -140,10 +143,12 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 
 def null_groupoid(labels: Sequence[str]) -> FiniteGroupoid:
     """The groupoid of units only: every element is its own source, target
-    and inverse, and the only products are u*u = u."""
+    and inverse, and the only products are u*u = u.  Raises SizeLimitError
+    above ``NULL_UNIT_LIMIT`` labels, before building."""
     pts = list(labels)
     if not pts:
         raise ValueError("null groupoid needs at least one label")
+    _bound_null_units(len(pts))
     if len(set(pts)) != len(pts):
         raise ValueError("null groupoid labels must be distinct")
     n = len(pts)
@@ -154,7 +159,7 @@ def null_groupoid(labels: Sequence[str]) -> FiniteGroupoid:
         alpha=idx,
         beta=idx,
         inv=idx,
-        mul={(i, i): i for i in idx},
+        rows=[{i: i} for i in idx],
     )
 
 
@@ -162,13 +167,13 @@ def from_group(t: GroupTable) -> FiniteGroupoid:
     """A group as a groupoid with a single unit; every pair is composable."""
     t.validate().require("not a group")
     n = t.order
-    return FiniteGroupoid(
+    return FiniteGroupoid._typed(
         elements=t.labels,
         units=[t.identity],
         alpha=[t.identity] * n,
         beta=[t.identity] * n,
         inv=t.inv,
-        mul={(i, j): t.table[i][j] for i in range(n) for j in range(n)},
+        rows=[dict(enumerate(row)) for row in t.table],
     )
 
 
@@ -187,7 +192,7 @@ def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
     alpha: list[int] = []
     beta: list[int] = []
     inv: list[int] = []
-    mul: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = []
     offset = 0
     for pos, g in enumerate(factors, start=1):
         elements.extend(f"{pos}/{lbl}" for lbl in g.elements)
@@ -195,10 +200,9 @@ def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
         alpha.extend(offset + a for a in g.alpha)
         beta.extend(offset + b for b in g.beta)
         inv.extend(offset + i for i in g.inv)
-        for (x, y), z in g.mul.items():
-            mul[(offset + x, offset + y)] = offset + z
+        rows.extend({offset + y: offset + z for y, z in row.items()} for row in g.rows)
         offset += len(g)
-    return FiniteGroupoid._typed(elements, units, alpha, beta, inv, mul)
+    return FiniteGroupoid._typed(elements, units, alpha, beta, inv, rows)
 
 
 def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
@@ -210,17 +214,14 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     nh = len(h)
     elements = [f"({a},{b})" for a in g.elements for b in h.elements]
     pair = lambda x, y: x * nh + y
-    mul = {}
-    for (x1, y1), z1 in g.mul.items():
-        for (x2, y2), z2 in h.mul.items():
-            mul[(pair(x1, x2), pair(y1, y2))] = pair(z1, z2)
     return FiniteGroupoid._typed(
         elements=elements,
         units=[pair(u, w) for u in g.units for w in h.units],
         alpha=[pair(g.alpha[x], h.alpha[y]) for x in range(len(g)) for y in range(nh)],
         beta=[pair(g.beta[x], h.beta[y]) for x in range(len(g)) for y in range(nh)],
         inv=[pair(g.inv[x], h.inv[y]) for x in range(len(g)) for y in range(nh)],
-        mul=mul,
+        rows=[{pair(y1, y2): pair(z1, z2) for y1, z1 in row1.items() for y2, z2 in row2.items()}
+              for row1 in g.rows for row2 in h.rows],
     )
 
 
@@ -254,16 +255,10 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     _bound_products("whitney sum",
                     sum(len(from_base.get(anchor_g[x][1], ())) for x, _ in elements))
     index = {p: k for k, p in enumerate(elements)}
-    mul = {}
-    for x1, y1 in elements:
-        for x2, y2 in from_base.get(anchor_g[x1][1], ()):
-            z1 = g.mul.get((x1, x2))
-            if z1 is None:
-                continue
-            z2 = h.mul.get((y1, y2))
-            if z2 is None:
-                continue
-            mul[(index[(x1, y1)], index[(x2, y2)])] = index[(z1, z2)]
+    rows = [{index[(x2, y2)]: index[(g.rows[x1][x2], h.rows[y1][y2])]
+             for x2, y2 in from_base.get(anchor_g[x1][1], ())
+             if x2 in g.rows[x1] and y2 in h.rows[y1]}
+            for x1, y1 in elements]
     units = [index[(u, w)] for (u, w) in elements if g.is_unit(u) and h.is_unit(w)]
     return FiniteGroupoid._typed(
         elements=[f"({g.elements[x]},{h.elements[y]})" for x, y in elements],
@@ -271,7 +266,7 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
         alpha=[index[(g.alpha[x], h.alpha[y])] for x, y in elements],
         beta=[index[(g.beta[x], h.beta[y])] for x, y in elements],
         inv=[index[(g.inv[x], h.inv[y])] for x, y in elements],
-        mul=mul,
+        rows=rows,
         base_labels={index[(u, w)]: base_g[u] for (u, w) in elements
                      if g.is_unit(u) and h.is_unit(w)},
     )
@@ -323,10 +318,6 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
     starting: dict[str, list[tuple[str, str, int]]] = {}
     for t in triples:
         starting.setdefault(t[0], []).append(t)
-    mul = {}
-    for x, y, a in triples:
-        for _, z, b in starting[y]:
-            mul[(index[(x, y, a)], index[(y, z, b)])] = index[(x, z, g.mul[(a, b)])]
     unit_index = {x: index[(x, x, target_unit[x])] for x in points}
     return FiniteGroupoid._typed(
         elements=[f"({x},{y},{g.elements[a]})" for x, y, a in triples],
@@ -334,7 +325,8 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
         alpha=[unit_index[x] for x, y, a in triples],
         beta=[unit_index[y] for x, y, a in triples],
         inv=[index[(y, x, g.inv[a])] for x, y, a in triples],
-        mul=mul,
+        rows=[{index[t]: index[(x, t[1], g.rows[a][t[2]])] for t in starting[y]}
+              for x, y, a in triples],
         base_labels={unit_index[x]: x for x in points},
     )
 
@@ -343,35 +335,26 @@ def left_translation_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     """The groupoid of left translations of g, realized as injective partial
     maps of g's element set (numbered 1..|g|).
 
-    L_a acts on {x : alpha(x) = beta(a)} by x -> a*x; the translations
-    multiply by L_a * L_b = L_{a*b} on the pairs where a and b compose, and
-    a -> L_a is a bijection.  Raises SizeLimitError when g has more than
+    L_a acts on {x : alpha(x) = beta(a)}, the keys of a's row, by x -> a*x;
+    the translations multiply by L_a * L_b = L_{a*b} on the pairs where a
+    and b compose, and a -> L_a is a bijection.  Raises SizeLimitError when g has more than
     ``PRODUCT_MUL_LIMIT`` products, before building.
     """
     _bound_products("cayley groupoid", len(g.mul))
     n = len(g)
-    by_alpha: dict[int, list[int]] = {}
-    for x in range(n):
-        by_alpha.setdefault(g.alpha[x], []).append(x)
     payloads = []
-    for a in range(n):
-        domain = tuple(by_alpha.get(g.beta[a], ()))
-        image = tuple(g.mul[(a, x)] for x in domain)
-        payloads.append(
-            Quasipermutation(
-                n,
-                tuple(x + 1 for x in domain),
-                tuple(z + 1 for z in image),
-            )
-        )
+    for row in g.rows:
+        domain = sorted(row)
+        payloads.append(Quasipermutation(
+            n, tuple(x + 1 for x in domain), tuple(row[x] + 1 for x in domain)))
     if len({(p.domain, p.image) for p in payloads}) != n:
         raise ValueError("left translations are not pairwise distinct; input is not a groupoid")
-    return FiniteGroupoid._typed(
+    return FiniteGroupoid(
         elements=[f"L[{lbl}]" for lbl in g.elements],
         units=g.units,
         alpha=g.alpha,
         beta=g.beta,
         inv=g.inv,
-        mul=dict(g.mul),
+        mul=g.mul,
         payloads=payloads,
     )

@@ -4,8 +4,9 @@ A finite groupoid is stored in Brandt normal form: the unit set is a subset
 of the carrier, the source map ``alpha`` and target map ``beta`` send every
 element to a unit, ``inv`` is the inversion bijection, and the partial
 product is a sparse table defined exactly on the composable pairs
-``{(x, y) : beta(x) == alpha(y)}``.  Elements are identified by index;
-labels exist for display and serialization only.
+``{(x, y) : beta(x) == alpha(y)}``, stored as one row ``{y: x*y}`` per
+element x.  Elements are identified by index; labels exist for display and
+serialization only.
 
 ``validate`` checks the axioms (associativity, identities, inverses,
 surjectivity of source/target onto the units, and exactness of the partial
@@ -21,7 +22,9 @@ components where a condition fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from collections.abc import ItemsView, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "FiniteGroupoid",
@@ -89,21 +92,36 @@ def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
     return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
 
 
-def _int_pairs(mul: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """A copy of ``mul`` with ``(int, int)`` tuple keys and int values;
-    a key that is not a pair raises ValueError."""
-    product = dict(mul)
-    if all(type(key) is tuple and len(key) == 2
-           and type(key[0]) is type(key[1]) is type(value) is int
-           for key, value in product.items()):
-        return product
-    product = {}
-    for key, value in mul.items():
-        pair = tuple(key)
-        if len(pair) != 2:
-            raise ValueError(f"mul keys must be element pairs, got {key!r}")
-        product[(int(pair[0]), int(pair[1]))] = int(value)
-    return product
+class _ProductView(Mapping):
+    """The products of a groupoid as a read-only mapping {(x, y): x*y} over
+    its rows: row by row in element order, each row in its own order, then
+    the rows of first factors that name no element."""
+
+    def __init__(self, rows: tuple[dict[int, int], ...], stray: dict[int, dict[int, int]]):
+        self._rows, self._stray = rows, stray
+        self._len = sum(map(len, rows)) + sum(map(len, stray.values()))
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        try:
+            x, y = key
+            return (self._rows[x] if 0 <= x < len(self._rows) else self._stray[x])[y]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (xy for xy, _ in self.items())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def items(self) -> ItemsView:
+        return _ProductItems(self)
+
+
+class _ProductItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
+        rows = chain(enumerate(self._mapping._rows), self._mapping._stray.items())
+        return (((x, y), z) for x, row in rows for y, z in row.items())
 
 
 class FiniteGroupoid:
@@ -114,7 +132,8 @@ class FiniteGroupoid:
       units:       ascending tuple of element indices forming the unit set.
       alpha, beta: source/target, total maps index -> unit index.
       inv:         inversion, total map index -> index.
-      mul:         sparse partial product {(x, y): x*y}.
+      rows:        the partial product, one dict {y: x*y} per element x.
+      mul:         read-only mapping view {(x, y): x*y} over ``rows``.
       base_labels: optional bijection unit index -> external base label,
                    used when two groupoids must share a base.
       payloads:    optional per-element payload objects (e.g. partial maps).
@@ -122,8 +141,10 @@ class FiniteGroupoid:
     The constructor checks container shape only (lengths, label uniqueness,
     key forms); semantic defects such as out-of-range indices or products
     defined off the composable pairs are reported by :func:`validate`, not
-    raised here.  Equality compares the tables index-wise and ignores
-    labels, base labels and payloads.
+    raised here; a product whose first factor names no element is kept
+    apart from ``rows``.  Given another groupoid's ``.mul`` over as many
+    elements, it shares that groupoid's rows.  Equality compares the tables
+    index-wise and ignores labels, base labels and payloads.
     """
 
     def __init__(
@@ -138,24 +159,36 @@ class FiniteGroupoid:
         base_labels: Mapping[int, str] | None = None,
         payloads: Sequence[object] | None = None,
     ) -> None:
-        self._set(elements, units, alpha, beta, inv, mul, base_labels, payloads, typed=False)
+        elements = tuple(elements)
+        n = len(elements)
+        if isinstance(mul, _ProductView) and len(mul._rows) == n:
+            rows, stray = mul._rows, mul._stray
+        else:
+            rows, stray = tuple({} for _ in range(n)), {}
+            for key, value in mul.items():
+                pair = tuple(key)
+                if len(pair) != 2:
+                    raise ValueError(f"mul keys must be element pairs, got {key!r}")
+                x, y = int(pair[0]), int(pair[1])
+                (rows[x] if 0 <= x < n else stray.setdefault(x, {}))[y] = int(value)
+        self._set(elements, units, alpha, beta, inv, rows, base_labels, payloads, stray)
 
     @classmethod
     def _typed(cls, elements: Sequence[str], units: Iterable[int], alpha: Sequence[int],
-               beta: Sequence[int], inv: Sequence[int], mul: dict[tuple[int, int], int], *,
+               beta: Sequence[int], inv: Sequence[int], rows: Sequence[dict[int, int]], *,
                base_labels: Mapping[int, str] | None = None,
                payloads: Sequence[object] | None = None) -> "FiniteGroupoid":
-        """The groupoid on a product table that the caller built with exact
-        ``(int, int)`` tuple keys and exact int values.  The dict is kept as
-        it is, neither copied nor re-checked, so the caller must not change
-        it afterwards; every other argument is checked as the constructor
+        """The groupoid on product rows that the caller built with exact int
+        keys and values, one row per element.  The rows are kept as they
+        are, neither copied nor re-checked, so the caller must not change
+        them afterwards; every other argument is checked as the constructor
         checks it."""
         g = cls.__new__(cls)
-        g._set(elements, units, alpha, beta, inv, mul, base_labels, payloads, typed=True)
+        g._set(elements, units, alpha, beta, inv, tuple(rows), base_labels, payloads, {})
         return g
 
-    def _set(self, elements, units, alpha, beta, inv, mul, base_labels, payloads,
-             *, typed: bool) -> None:
+    def _set(self, elements, units, alpha, beta, inv, rows, base_labels, payloads,
+             stray) -> None:
         self.elements: tuple[str, ...] = tuple(elements)
         if not self.elements:
             raise ValueError("a groupoid needs at least one element")
@@ -181,7 +214,9 @@ class FiniteGroupoid:
             if len(table) != n:
                 raise ValueError(f"{name} must assign every element, got {len(table)} of {n}")
 
-        self.mul: dict[tuple[int, int], int] = mul if typed else _int_pairs(mul)
+        self.rows: tuple[dict[int, int], ...] = rows
+        self._stray: dict[int, dict[int, int]] = stray
+        self.mul: Mapping[tuple[int, int], int] = _ProductView(rows, stray)
 
         if base_labels is not None:
             base = {int(u): str(lbl) for u, lbl in base_labels.items()}
@@ -221,7 +256,8 @@ class FiniteGroupoid:
             and self.alpha == other.alpha
             and self.beta == other.beta
             and self.inv == other.inv
-            and self.mul == other.mul
+            and self.rows == other.rows
+            and self._stray == other._stray
         )
 
     def groupoid_type(self) -> tuple[int, int]:
@@ -261,7 +297,7 @@ class FiniteGroupoid:
         """The product x*y, or None when the pair is not composable."""
         self._check_index(x)
         self._check_index(y)
-        return self.mul.get((x, y))
+        return self.rows[x].get(y)
 
     def anchor(self, x: int) -> tuple[int, int]:
         """The (source, target) unit pair of x."""
@@ -285,15 +321,11 @@ class FiniteGroupoid:
             raise ValueError(f"element {u} is not a unit")
         members = self.isotropy_members(u)
         pos = {x: i for i, x in enumerate(members)}
-        table = []
         for x in members:
-            row = []
             for y in members:
-                z = self.mul.get((x, y))
-                if z is None or z not in pos:
+                if self.rows[x].get(y) not in pos:
                     raise ValueError(f"isotropy set at unit {u} is not closed at ({x}, {y})")
-                row.append(pos[z])
-            table.append(row)
+        table = [[pos[self.rows[x][y]] for y in members] for x in members]
         inv_positions = []
         for x in members:
             xi = self.inv[x]
@@ -457,11 +489,22 @@ def _generators(g: FiniteGroupoid) -> list[int]:
     for r, tree in _components(g):
         gens.extend(z for u, t in tree.items() if u != r for z in (t, g.inv[t]))
         gens.extend(_greedy_generators(
-            r, g.isotropy_members(r), lambda a, s: g.mul.get((a, s))))
+            r, g.isotropy_members(r), lambda a, s: g.rows[a].get(s)))
     return gens
 
 
 # ----- validation ----------------------------------------------------------
+
+
+def _closure_gaps(rows: Sequence[dict[int, int]], buckets: Sequence[dict[int, None]]
+                  ) -> dict[int, tuple[list[int], list[int]]]:
+    """The rows x whose keys are not those of ``buckets[x]``, the y that x
+    should compose with in ascending order, each with its keys outside the
+    bucket in row order and the bucket members missing from it.  A row is
+    walked only when its key set differs from its bucket."""
+    return {x: ([y for y in row if y not in bucket], [y for y in bucket if y not in row])
+            for x, (row, bucket) in enumerate(zip(rows, buckets))
+            if row.keys() != bucket.keys()}
 
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
@@ -475,11 +518,10 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
       G2            identity laws alpha(x)*x = x = x*beta(x)
       G3            inverse laws inv(x)*x = beta(x), x*inv(x) = alpha(x)
 
-    One pass over the products checks their index range, that they sit on
-    composable pairs and that their anchors do not drift.  No composable
-    pair lacks a product when, in addition, there are as many products as
-    composable pairs; only otherwise are the pairs scanned for the missing
-    ones.
+    The indices in the rows are range-checked as one set, and the rows are
+    walked only to list the products out of range.  Closure compares the
+    keys of the row of x with the elements y that have alpha(y) == beta(x)
+    (``_closure_gaps``).
 
     When every other check passes, associativity is decided per connected
     component from Brandt coordinates c(x) in the vertex group H_r at its
@@ -490,111 +532,88 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     the components where a condition fails, listing every failing triple;
     no composable triple leaves its component, so the report is the full
     scan's.  After any other violation the scan covers every component.
-    It takes a product x*y at a time: the row ((x*y)*z over z) is compared
-    as one list with the row of x read at the positions of y's row, and
-    only a row that differs is walked per z.  A missing, off-pair or
-    drifting product leaves its row misaligned and is read from the dict.
-    ``checks`` counts the law instances checked per tag; for G1 these are
-    the anchor checks, one coordinate per element, one multiplicativity
-    check per product, one cell per table H_r and any scanned triples.
+    It takes a product x*y at a time: the row of x*y read at the keys of
+    y's row is compared as one list with the row of x read at its values,
+    and only a pair whose lists differ is walked per z.  ``checks`` counts
+    the law instances checked per tag; for G1 these are the anchor checks,
+    one coordinate per element, one multiplicativity check per product, one
+    cell per table H_r and any scanned triples.
     """
     v: list[Violation] = []
     n = len(g.elements)
+    rows, alpha, beta = g.rows, g.alpha, g.beta
     checks = {"structure": len(g.units) + 3 * n + len(g.mul)}
 
     for u in g.units:
         if not 0 <= u < n:
             v.append(Violation("structure", (u,), "unit index out of range"))
-    for name, table in (("alpha", g.alpha), ("beta", g.beta), ("inv", g.inv)):
+    for name, table in (("alpha", alpha), ("beta", beta), ("inv", g.inv)):
         for x, value in enumerate(table):
             if not 0 <= value < n:
                 v.append(Violation("structure", (x,), f"{name}({x}) = {value} out of range"))
-    # one pass over the products finds those out of range, defined off a
-    # composable pair or drifting from their factors' anchors; an index of n
-    # or more raises IndexError, and then every product is examined (a loop:
-    # see quasiperm._product_violations)
-    mul, alpha, beta = g.mul, g.alpha, g.beta
-    suspects: Iterable[tuple[tuple[int, int], int]] = mul.items()
-    if not v:
-        try:
-            found: list[tuple[tuple[int, int], int]] = []
-            for (x, y), z in mul.items():
-                if (x < 0 or y < 0 or z < 0 or beta[x] != alpha[y]
-                        or alpha[z] != alpha[x] or beta[z] != beta[y]):
-                    found.append(((x, y), z))
-            suspects = found
-        except IndexError:
-            pass
-    off_pairs: list[Violation] = []
-    drifts: list[Violation] = []
-    for (x, y), z in suspects:
-        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            v.append(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range"))
-            continue
-        if beta[x] != alpha[y]:
-            off_pairs.append(Violation("closure", (x, y), "product defined on a non-composable pair"))
-        if alpha[z] != alpha[x] or beta[z] != beta[y]:
-            drifts.append(Violation("G1", (x, y), "anchors of the product drift from its factors"))
+    if g._stray or not set().union(*rows, *map(dict.values, rows)) <= set(range(n)):
+        v.extend(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range")
+                 for x, row in chain(enumerate(rows), g._stray.items()) for y, z in row.items()
+                 if not (0 <= x < n and 0 <= y < n and 0 <= z < n))
     if v:
         return ValidationReport(tuple(v), checks)
 
     checks["structure"] += 2 * n
     unit_set = set(g.units)
     for x in range(n):
-        if g.alpha[x] not in unit_set:
+        if alpha[x] not in unit_set:
             v.append(Violation("structure", (x,), f"alpha({x}) is not a unit"))
-        if g.beta[x] not in unit_set:
+        if beta[x] not in unit_set:
             v.append(Violation("structure", (x,), f"beta({x}) is not a unit"))
     if v:
         return ValidationReport(tuple(v), checks)
 
     checks["surjectivity"] = 2 * len(unit_set)
-    for u in unit_set - {g.alpha[x] for x in range(n)}:
+    for u in unit_set - set(alpha):
         v.append(Violation("surjectivity", (u,), "unit is not the source of any element"))
-    for u in unit_set - {g.beta[x] for x in range(n)}:
+    for u in unit_set - set(beta):
         v.append(Violation("surjectivity", (u,), "unit is not the target of any element"))
 
-    by_alpha: dict[int, list[int]] = {}
-    for y in range(n):
-        by_alpha.setdefault(g.alpha[y], []).append(y)
-
-    # with every product on a composable pair, as many products as
-    # composable pairs means that none is missing
-    composable = sum(len(by_alpha.get(b, ())) for b in beta)
-    checks["closure"] = len(mul) + composable
-    v.extend(off_pairs)
-    if off_pairs or len(mul) != composable:
-        for x in range(n):
-            for y in by_alpha.get(beta[x], ()):
-                if (x, y) not in mul:
-                    v.append(Violation("closure", (x, y), "composable pair has no product"))
+    by_alpha: dict[int, dict[int, None]] = {u: {} for u in g.units}
+    for y, a in enumerate(alpha):
+        by_alpha[a][y] = None
+    buckets = [by_alpha[b] for b in beta]
+    gaps = _closure_gaps(rows, buckets)
+    checks["closure"] = len(g.mul) + sum(map(len, buckets))
+    v.extend(Violation("closure", (x, y), "product defined on a non-composable pair")
+             for x, (off, _) in gaps.items() for y in off)
+    v.extend(Violation("closure", (x, y), "composable pair has no product")
+             for x, (_, missing) in gaps.items() for y in missing)
 
     checks["G2"] = 2 * n
     for x in range(n):
-        a, b = g.alpha[x], g.beta[x]
-        if g.beta[a] != a:
+        a, b = alpha[x], beta[x]
+        if beta[a] != a:
             v.append(Violation("G2", (x,), f"left identity pair ({a}, {x}) not composable"))
-        elif g.mul.get((a, x)) != x:
+        elif rows[a].get(x) != x:
             v.append(Violation("G2", (x,), f"alpha({x}) * {x} != {x}"))
-        if g.alpha[b] != b:
+        if alpha[b] != b:
             v.append(Violation("G2", (x,), f"right identity pair ({x}, {b}) not composable"))
-        elif g.mul.get((x, b)) != x:
+        elif rows[x].get(b) != x:
             v.append(Violation("G2", (x,), f"{x} * beta({x}) != {x}"))
 
     checks["G3"] = 2 * n
     for x in range(n):
         xi = g.inv[x]
-        if g.beta[xi] != g.alpha[x]:
+        if beta[xi] != alpha[x]:
             v.append(Violation("G3", (x,), f"pair (inv({x}), {x}) not composable"))
-        elif g.mul.get((xi, x)) != g.beta[x]:
+        elif rows[xi].get(x) != beta[x]:
             v.append(Violation("G3", (x,), f"inv({x}) * {x} != beta({x})"))
-        if g.beta[x] != g.alpha[xi]:
+        if beta[x] != alpha[xi]:
             v.append(Violation("G3", (x,), f"pair ({x}, inv({x})) not composable"))
-        elif g.mul.get((x, xi)) != g.alpha[x]:
+        elif rows[x].get(xi) != alpha[x]:
             v.append(Violation("G3", (x,), f"{x} * inv({x}) != alpha({x})"))
 
     checks["G1"] = len(g.mul)
-    v.extend(drifts)
+    for x, row in enumerate(rows):
+        a = alpha[x]
+        v.extend(Violation("G1", (x, y), "anchors of the product drift from its factors")
+                 for y, z in row.items() if alpha[z] != a or beta[z] != beta[y])
 
     # composable triples stay inside a component, so once every other check
     # passed only the components that coordinates do not prove are scanned
@@ -605,27 +624,19 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if not scanned:
             return ValidationReport((), checks)
 
-    # the row of w: w*z over z in by_alpha[beta[w]]; slot: bucket positions
-    slot = {y: i for bucket in by_alpha.values() for i, y in enumerate(bucket)}
-    rows = {w: [mul.get((w, z)) for z in by_alpha.get(beta[w], ())]
-            for w in range(n) if scanned is None or alpha[w] in scanned}
-    at = {y: [slot[yz] for yz in row] for y, row in rows.items()
-          if None not in row and {alpha[yz] for yz in row} <= {alpha[y]}}
-    for (x, y), xy in mul.items():
+    for x, row_x in enumerate(rows):
         if scanned is not None and alpha[x] not in scanned:
             continue
-        zs = by_alpha.get(beta[y], ())
-        checks["G1"] += len(zs)
-        if y in at and beta[x] == alpha[y] and beta[xy] == beta[y]:
-            row_x = rows[x]
-            rhs = [row_x[p] for p in at[y]]
-            if rows[xy] == rhs:
+        for y, xy in row_x.items():
+            zs = by_alpha[beta[y]]
+            checks["G1"] += len(zs)
+            row_y, row_xy = rows[y], rows[xy]
+            if list(map(row_xy.get, row_y)) == list(map(row_x.get, row_y.values())):
                 continue
-            triples = zip(zs, rows[xy], rhs)
-        else:  # only after other violations, when every component is scanned
-            triples = ((z, mul.get((xy, z)), mul.get((x, mul.get((y, z))))) for z in zs)
-        v.extend(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})")
-                 for z, lhs, rhs in triples if lhs is not None and rhs is not None and lhs != rhs)
+            for z in zs:
+                lhs, rhs = row_xy.get(z), row_x.get(row_y.get(z))
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    v.append(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})"))
 
     return ValidationReport(tuple(v), checks)
 
@@ -645,10 +656,10 @@ def isotropy_conjugation(g: FiniteGroupoid, x: int) -> dict[int, int]:
     xi = g.inv[x]
     mapping: dict[int, int] = {}
     for z in source:
-        step = g.mul.get((xi, z))
+        step = g.rows[xi].get(z) if 0 <= xi < len(g) else None
         if step is None:
             raise ValueError(f"conjugation by {x} undefined at {z}")
-        out = g.mul.get((step, x))
+        out = g.rows[step].get(x) if 0 <= step < len(g) else None
         if out is None or out not in target_set:
             raise ValueError(f"conjugation by {x} leaves the target isotropy group at {z}")
         mapping[z] = out
@@ -656,8 +667,8 @@ def isotropy_conjugation(g: FiniteGroupoid, x: int) -> dict[int, int]:
         raise ValueError(f"conjugation by {x} is not a bijection of isotropy groups")
     for z1 in source:
         for z2 in source:
-            image = mapping.get(g.mul.get((z1, z2)))
-            if image is None or image != g.mul.get((mapping[z1], mapping[z2])):
+            image = mapping.get(g.rows[z1].get(z2))
+            if image is None or image != g.rows[mapping[z1]].get(mapping[z2]):
                 raise ValueError(f"conjugation by {x} is not a homomorphism at ({z1}, {z2})")
     return mapping
 
@@ -677,13 +688,11 @@ def restricted(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
         for probe, name in ((g.alpha[x], "source"), (g.beta[x], "target"), (g.inv[x], "inverse")):
             if probe not in member_set:
                 raise ValueError(f"subset is not closed: {name} of {x} escapes it")
+    escaped = next(((x, y) for x in subset for y, z in g.rows[x].items()
+                    if y in member_set and z not in member_set), None)
+    if escaped is not None:
+        raise ValueError(f"subset is not closed: product of {escaped} escapes it")
     new_index = {x: i for i, x in enumerate(subset)}
-    mul = {}
-    for (x, y), z in g.mul.items():
-        if x in member_set and y in member_set:
-            if z not in member_set:
-                raise ValueError(f"subset is not closed: product of ({x}, {y}) escapes it")
-            mul[(new_index[x], new_index[y])] = new_index[z]
     base = None
     if g.base_labels is not None:
         base = {new_index[u]: lbl for u, lbl in g.base_labels.items() if u in member_set}
@@ -696,7 +705,8 @@ def restricted(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
         alpha=[new_index[g.alpha[x]] for x in subset],
         beta=[new_index[g.beta[x]] for x in subset],
         inv=[new_index[g.inv[x]] for x in subset],
-        mul=mul,
+        rows=[{new_index[y]: new_index[z] for y, z in g.rows[x].items() if y in member_set}
+              for x in subset],
         base_labels=base,
         payloads=payloads,
     )
@@ -723,7 +733,7 @@ def _element_order(g: FiniteGroupoid, x: int) -> int:
     """The order of a loop x of a groupoid g: its least power that is a unit."""
     order, power = 1, x
     while not g.is_unit(power):
-        order, power = order + 1, g.mul[(power, x)]
+        order, power = order + 1, g.rows[power][x]
     return order
 
 
@@ -750,7 +760,7 @@ def _coordinate_failures(g: FiniteGroupoid) -> tuple[set[int], int]:
     arrows of ``_components`` and t_r = r, x : u -> v has the coordinate
     c(x) = t_u * x * inv(t_v) in the vertex group H_r; see ``validate`` for
     the three conditions.  g must pass every other check of validate."""
-    mul, alpha, beta = g.mul, g.alpha, g.beta
+    rows, alpha, beta = g.rows, g.alpha, g.beta
     root: dict[int, int] = {}
     arrow: dict[int, int] = {}
     for r, tree in _components(g):
@@ -766,16 +776,17 @@ def _coordinate_failures(g: FiniteGroupoid) -> tuple[set[int], int]:
     failed: set[int] = set()
     for r, members in loops.items():
         pos.update((x, i) for i, x in enumerate(members))
-        table[r] = [[pos[mul[x, y]] for y in members] for x in members]
+        table[r] = [[pos[rows[x][y]] for y in members] for x in members]
         if any(_group_law_violations(table[r], pos[r], [pos[g.inv[x]] for x in members])):
             failed.add(r)
-    c = [pos[mul[mul[arrow[alpha[x]], x], g.inv[arrow[beta[x]]]]] for x in range(len(g))]
+    c = [pos[rows[rows[arrow[alpha[x]]][x]][g.inv[arrow[beta[x]]]]] for x in range(len(g))]
     row = [table[root[alpha[x]]][cx] for x, cx in enumerate(c)]
-    failed.update({root[alpha[x]] for (x, y), z in mul.items() if row[x][c[y]] != c[z]})
+    failed.update(root[alpha[x]] for x, products in enumerate(rows)
+                  if [row[x][c[y]] for y in products] != [c[z] for z in products.values()])
     first: dict[tuple[int, int, int], int] = {}
     failed.update(root[alpha[x]] for x, cx in enumerate(c)
                   if first.setdefault((alpha[x], beta[x], cx), x) != x)
-    checked = len(c) + len(mul) + sum(len(members) ** 2 for members in loops.values())
+    checked = len(c) + len(g.mul) + sum(len(members) ** 2 for members in loops.values())
     return {u for u, r in root.items() if r in failed}, checked
 
 
@@ -797,7 +808,7 @@ def _vertex_group_iso(
         phi, queue = {r: s}, [r]
         for a in queue:
             for x, y in pairs:
-                b, c = g.mul.get((a, x)), h.mul.get((phi[a], y))
+                b, c = g.rows[a][x], h.rows[phi[a]][y]
                 if b not in phi:
                     phi[b] = c
                     queue.append(b)
@@ -847,12 +858,13 @@ def is_isomorphic(g: FiniteGroupoid, h: FiniteGroupoid) -> Optional[tuple[int, .
         for t, t2 in arrows:
             for z, z2 in phi.items():
                 for a, a2 in arrows:
-                    x = g.mul.get((g.mul.get((g.inv[t], z)), a))
-                    image[x] = h.mul.get((h.mul.get((h.inv[t2], z2)), a2))
+                    x = g.rows[g.rows[g.inv[t]][z]][a]
+                    image[x] = h.rows[h.rows[h.inv[t2]][z2]][a2]
     f = tuple(image.get(x) for x in range(len(g)))
     if (set(f) != set(range(len(h))) or not all(h.is_unit(f[u]) for u in g.units)
             or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
                    for x, y in enumerate(f))
-            or any(h.mul.get((f[x], f[y])) != f[z] for (x, y), z in g.mul.items())):
+            or any(h.rows[f[x]].get(f[y]) != f[z]
+                   for x, row in enumerate(g.rows) for y, z in row.items())):
         raise ValueError("is_isomorphic: the component map is not an isomorphism")
     return f  # type: ignore[return-value]

@@ -101,22 +101,25 @@ def _label_map(data: dict, field: str, index: dict[str, int],
 
 def _label_triples(
     data: dict, field: str, index: dict[str, int], third: str
-) -> dict[tuple[int, int], int]:
-    """Read a list of [x, y, third] label triples into {(x, y): third} by
-    position; a malformed, unknown or repeated entry raises ParseError.
+) -> list[dict[int, int]]:
+    """Read a list of [x, y, third] label triples into rows, {y: third} at
+    the position of x; a malformed, unknown or repeated entry raises
+    ParseError.
 
     Well-formed lists are read in one pass; anything else is reread entry
     by entry to name the first bad one."""
-    rows = _require(data, field, list)
+    triples = _require(data, field, list)
+    rows: list[dict[int, int]] = [{} for _ in index]
     try:
-        out = {(index[x], index[y]): index[z] for x, y, z in rows}
+        for x, y, z in triples:
+            rows[index[x]][index[y]] = index[z]
         # a 3-character string or a 3-key object also unpacks into three labels
-        if len(out) == len(rows) and set(map(type, rows)) <= {list}:
-            return out
+        if sum(map(len, rows)) == len(triples) and set(map(type, triples)) <= {list}:
+            return rows
     except (KeyError, TypeError, ValueError):
         pass
-    out = {}
-    for i, triple in enumerate(rows):
+    rows = [{} for _ in index]
+    for i, triple in enumerate(triples):
         if (not isinstance(triple, list) or len(triple) != 3
                 or not all(isinstance(t, str) for t in triple)):
             raise ParseError(f"{field}[{i}]", f"expected a [x, y, {third}] label triple")
@@ -124,11 +127,11 @@ def _label_triples(
         for lbl in (x, y, z):
             if lbl not in index:
                 raise ParseError(f"{field}[{i}]", f"unknown label {lbl!r}")
-        key = (index[x], index[y])
-        if key in out:
+        row = rows[index[x]]
+        if index[y] in row:
             raise ParseError(f"{field}[{i}]", f"duplicate triple for ({x!r}, {y!r})")
-        out[key] = index[z]
-    return out
+        row[index[y]] = index[z]
+    return rows
 
 
 def _group_fields(
@@ -140,14 +143,14 @@ def _group_fields(
     table over the given labels."""
     index = {lbl: i for i, lbl in enumerate(labels)}
     n = len(labels)
-    add = _label_triples(data, f"{prefix}add", index, "sum")
-    try:
-        table = [[add[x, y] for y in range(n)] for x in range(n)]
-    except KeyError as exc:
-        # rows are read in order, so this is the first missing pair
-        x, y = exc.args[0]
-        raise ParseError(
-            f"{prefix}add", f"missing entry for ({labels[x]!r}, {labels[y]!r})") from None
+    table = []
+    for x, row in enumerate(_label_triples(data, f"{prefix}add", index, "sum")):
+        try:
+            table.append([row[y] for y in range(n)])
+        except KeyError as exc:
+            # rows are read in order, so this is the first missing pair
+            raise ParseError(f"{prefix}add", f"missing entry for "
+                             f"({labels[x]!r}, {labels[exc.args[0]]!r})") from None
     zero = _require(data, f"{prefix}zero", str)
     if zero not in index:
         raise ParseError(f"{prefix}zero", f"unknown label {zero!r}")
@@ -212,7 +215,7 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
     alpha = _label_map(data, "alpha", index, elements)
     beta = _label_map(data, "beta", index, elements)
     inv = _label_map(data, "inv", index, elements)
-    mul = _label_triples(data, "mul", index, "product")
+    rows = _label_triples(data, "mul", index, "product")
     base_labels = None
     if "base_labels" in data:
         raw = _require(data, "base_labels", dict)
@@ -245,7 +248,7 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
             alpha=[index[alpha[lbl]] for lbl in elements],
             beta=[index[beta[lbl]] for lbl in elements],
             inv=[index[inv[lbl]] for lbl in elements],
-            mul=mul,
+            rows=rows,
             base_labels=base_labels,
             payloads=payloads,
         )
@@ -304,7 +307,7 @@ def plain_document(g: FiniteGroupoid) -> dict:
         "beta": {g.elements[x]: g.elements[g.beta[x]] for x in range(len(g))},
         "inv": {g.elements[x]: g.elements[g.inv[x]] for x in range(len(g))},
         "mul": [[g.elements[x], g.elements[y], g.elements[z]]
-                for (x, y), z in sorted(g.mul.items())],
+                for x, row in enumerate(g.rows) for y, z in sorted(row.items())],
     }
     if g.base_labels is not None:
         doc["base_labels"] = {g.elements[u]: lbl for u, lbl in g.base_labels.items()}

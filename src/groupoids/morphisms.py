@@ -107,16 +107,17 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
         Violation("unit-compat", (u,), f"element map and unit map disagree on unit {g.elements[u]}")
         for u in g.units if f[u] != f0[u]]
     if v or unit_breaks or not _compatible_at_generators(m):
-        for (x, y), z in g.mul.items():
-            fz = h.mul.get((f[x], f[y]))
-            if fz is None:
-                v.append(Violation(
-                    "mul-compat", (x, y),
-                    f"images of composable pair {g.elements[x]}, {g.elements[y]} do not compose"))
-            elif fz != f[z]:
-                v.append(Violation(
-                    "mul-compat", (x, y),
-                    f"image of {g.elements[x]} * {g.elements[y]} is not the product of images"))
+        for x, row in enumerate(g.rows):
+            for y, z in row.items():
+                fz = h.rows[f[x]].get(f[y])
+                if fz is None:
+                    v.append(Violation(
+                        "mul-compat", (x, y), f"images of composable pair "
+                        f"{g.elements[x]}, {g.elements[y]} do not compose"))
+                elif fz != f[z]:
+                    v.append(Violation(
+                        "mul-compat", (x, y),
+                        f"image of {g.elements[x]} * {g.elements[y]} is not the product of images"))
     v.extend(unit_breaks)
     v.extend(Violation("inv-compat", (x,),
                        f"image of inverse of {g.elements[x]} is not the inverse of its image")
@@ -130,11 +131,8 @@ def _compatible_at_generators(m: GroupoidMorphism) -> bool:
     law: the x with f(x*y) == f(x)*f(y) for every y include the units and are
     closed under products, and the generators reach every element."""
     g, h, f = m.domain, m.codomain, m.elem_map
-    after: dict[int, list[int]] = {}
-    for y in range(len(g)):
-        after.setdefault(g.alpha[y], []).append(y)
-    return all(h.mul.get((f[s], f[y])) == f[g.mul[(s, y)]]
-               for s in _generators(g) for y in after[g.beta[s]])
+    return all(h.rows[f[s]].get(f[y]) == f[sy]
+               for s in _generators(g) for y, sy in g.rows[s].items())
 
 
 def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -10,13 +10,12 @@ the ones of positive signature gives a wide normal subgroupoid.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, SizeLimitError, ValidationReport, Violation
+from .core import FiniteGroupoid, SizeLimitError, ValidationReport, Violation, _closure_gaps
 
 __all__ = [
     "GroupoidCounts",
@@ -234,8 +233,8 @@ def _composite_table(
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
     and inversion, with elements in list order and the maps as payloads.
-    The products of map i : A -> B are read from ``_composite_table`` with
-    the maps out of B in list order, so ``mul`` holds them by i, then j."""
+    The row of map i : A -> B is read from ``_composite_table`` with the
+    maps out of B in list order."""
     coords, perms = _coordinates(maps)
     composite = _composite_table(coords, perms)
     undo = _inverse_ranks(perms)
@@ -247,10 +246,10 @@ def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     for j, (b, c, q) in enumerate(numbered):
         hom[b].setdefault(c, {})[q] = j
         bucket[b].append((j, c, q))
-    mul: dict[tuple[int, int], int] = {}
-    for i, (a, b, p) in enumerate(numbered):
+    rows: list[dict[int, int]] = []
+    for a, b, p in numbered:
         row, out_of_a = composite[p], hom[a]
-        mul.update({(i, j): out_of_a[c][row[q]] for j, c, q in bucket[b]})
+        rows.append({j: out_of_a[c][row[q]] for j, c, q in bucket[b]})
     unit_of_subset = {numbered[u][0]: u for u, f in enumerate(maps) if f.is_identity()}
     return FiniteGroupoid._typed(
         elements=[f.text_form() for f in maps],
@@ -258,7 +257,7 @@ def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
         alpha=[unit_of_subset[a] for a, _, _ in numbered],
         beta=[unit_of_subset[b] for _, b, _ in numbered],
         inv=[hom[b][a][undo[p]] for a, b, p in numbered],
-        mul=mul,
+        rows=rows,
         payloads=maps,
     )
 
@@ -320,46 +319,36 @@ def count_formulas(n: int) -> GroupoidCounts:
 
 
 def _product_violations(
-    mul: dict[tuple[int, int], int],
+    g: FiniteGroupoid,
     coords: Sequence[_Coordinate],
     perms: Sequence[tuple[int, ...]],
 ) -> list[Violation]:
-    """The violations of the products, sorted by pair: products on a pair
-    out of range or of maps that do not compose, products that are not the
-    composite (A, B, p) * (B, C, q) = (A, C, p;q) (a value out of range
-    among them), found in one pass over ``mul``, and composable pairs
-    without a product, searched for only when fewer than
-    sum_B #(range = B) * #(domain = B) products sit on composable pairs.
-    p;q is read from ``_composite_table``.  Takes ``_coordinates(maps)``."""
+    """The violations of g's products, sorted by pair: products of maps that
+    do not compose (a factor out of range among them) and composable pairs
+    without a product, from the keys of each row against the maps whose
+    domain is the range of its map (``_closure_gaps``), then products that
+    are not the composite (A, B, p) * (B, C, q) = (A, C, p;q) (a value out
+    of range among them), one row at a time.  p;q is read from
+    ``_composite_table``.  Takes ``_coordinates(g.payloads)``."""
     n = len(coords)
     dom, rng, num = zip(*coords)
     composite = _composite_table(coords, perms)
-    # an index of n or more raises IndexError, and then every product is
-    # examined; a loop, since Python 3.11 specialises a comprehension whose
-    # filter seldom passes only after several calls
-    suspects: list[tuple[tuple[int, int], int]] = []
-    try:
-        for (x, y), z in mul.items():
-            if (x < 0 or y < 0 or z < 0 or rng[x] is not dom[y] or dom[z] is not dom[x]
-                    or rng[z] is not rng[y] or num[z] != composite[num[x]][num[y]]):
-                suspects.append(((x, y), z))
-    except IndexError:
-        suspects = list(mul.items())
-    v: list[Violation] = []
-    off_pairs = 0
-    for (x, y), z in suspects:
-        if not (0 <= x < n and 0 <= y < n and rng[x] is dom[y]):
-            off_pairs += 1
-            v.append(Violation("payload", (x, y), "product defined but maps do not compose"))
-        elif not (0 <= z < n and coords[z] == (dom[x], rng[y], composite[num[x]][num[y]])):
-            v.append(Violation("payload", (x, y), "product disagrees with map composition"))
-    into = Counter(rng)
-    if len(mul) - off_pairs != sum(k * into[b] for b, k in Counter(dom).items()):
-        by_domain: dict[tuple[int, ...], list[int]] = {}
-        for y, a in enumerate(dom):
-            by_domain.setdefault(a, []).append(y)
-        v.extend(Violation("payload", (x, y), "maps compose but product is undefined")
-                 for x, b in enumerate(rng) for y in by_domain.get(b, ()) if (x, y) not in mul)
+    by_domain: dict[tuple[int, ...], dict[int, None]] = {}
+    for y, a in enumerate(dom):
+        by_domain.setdefault(a, {})[y] = None
+    buckets = [by_domain.get(b, {}) for b in rng]
+    gaps = _closure_gaps(g.rows, buckets)
+    off_pairs = [(x, y) for x, row in g._stray.items() for y in row]
+    off_pairs += [(x, y) for x, (off, _) in gaps.items() for y in off]
+    v = [Violation("payload", xy, "product defined but maps do not compose") for xy in off_pairs]
+    v += [Violation("payload", (x, y), "maps compose but product is undefined")
+          for x, (_, missing) in gaps.items() for y in missing]
+    for x, row in enumerate(g.rows):
+        a, times_x = dom[x], composite[num[x]]
+        products = [(y, z) for y, z in row.items() if y in buckets[x]] if x in gaps else row.items()
+        for y, z in products:
+            if not (0 <= z < n and dom[z] is a and rng[z] is rng[y] and num[z] == times_x[num[y]]):
+                v.append(Violation("payload", (x, y), "product disagrees with map composition"))
     v.sort(key=attrgetter("witness"))
     return v
 
@@ -387,13 +376,13 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     Every check reads the coordinates (domain, range, permutation number)
     of ``_coordinates``; no map is built.  The map (A, B, p) is
     an identity when A is B and p is an identity permutation, and its
-    inverse is (B, A, undo[p]).  The products are checked in one pass over
-    ``g.mul`` that lists the failing ones (``_product_violations``), so a
-    failing table costs no more than a passing one; the composable pairs
-    are walked only when some of them lack a product.  A unit, source,
-    target or inverse index out of range is reported alone, before any
-    coordinate is read (``_index_violations``); payloads of different
-    degrees raise ValueError after that.
+    inverse is (B, A, undo[p]).  The products are checked one row at a
+    time (``_product_violations``), so a failing table costs no more than a
+    passing one; a row's keys are walked only when they are not the maps
+    its map composes with.  A unit, source, target or inverse index out of
+    range is reported alone, before any coordinate is read
+    (``_index_violations``); payloads of different degrees raise ValueError
+    after that.
 
     A passing report makes x -> payload an embedding of the table in the
     groupoid of the symmetric inverse monoid (Ehresmann-Schein-Nambooripad),
@@ -431,5 +420,5 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
                 "payload", (x,), "target is not the identity on the range"))
         if coords[g.inv[x]] != (b, a, undo[p]):
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    v.extend(_product_violations(g.mul, coords, perms))
+    v.extend(_product_violations(g, coords, perms))
     return ValidationReport(tuple(v))

@@ -160,7 +160,7 @@ def _interchange_by_kernels(gg: GroupGroupoid) -> bool:
     g, t = gg.carrier, gg.elem_group
     add, neg, zero = t.table, t.inv, t.identity
     left = [add[x][neg[b]] for x, b in enumerate(g.beta)]  # x - beta(x)
-    if any(add[left[x]][y] != xy for (x, y), xy in g.mul.items()):
+    if any(add[left[x]][y] != xy for x, row in enumerate(g.rows) for y, xy in row.items()):
         return False
     ker_beta = [b for b, u in enumerate(g.beta) if u == zero]
     return all(add[a][b] == add[b][a]
@@ -203,10 +203,11 @@ def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
              for ij in _non_additive_pairs(
                  g.units, add0, add, _generators_with_identity(gg.unit_group)))
     if v or not _interchange_by_kernels(gg):
-        for (x, y), xy in g.mul.items():
-            for (z, t), zt in g.mul.items():
+        products = [(x, y, xy) for x, row in enumerate(g.rows) for y, xy in row.items()]
+        for x, y, xy in products:
+            for z, t, zt in products:
                 lhs = add[xy][zt]
-                rhs = g.mul.get((add[x][z], add[y][t]))
+                rhs = g.rows[add[x][z]].get(add[y][t])
                 if rhs is None:
                     v.append(Violation(
                         "interchange", (x, y, z, t),
@@ -216,12 +217,9 @@ def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
                         "interchange", (x, y, z, t),
                         "sum of products differs from product of sums"))
     neg = gg.elem_group.inv
-    for (x, y), xy in g.mul.items():
-        rhs = g.mul.get((neg[x], neg[y]))
-        if rhs is None or neg[xy] != rhs:
-            v.append(Violation(
-                "neg-compat", (x, y),
-                "group negation fails to distribute over this product"))
+    v.extend(Violation("neg-compat", (x, y), "group negation fails to distribute over this product")
+             for x, row in enumerate(g.rows) for y, xy in row.items()
+             if g.rows[neg[x]].get(neg[y]) != neg[xy])
     return ValidationReport(tuple(v))
 
 

@@ -101,7 +101,7 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
                 f"inverse of {g.elements[x]} escapes the subset")
     for x in mem:
         for y in mem:
-            z = g.mul.get((x, y))
+            z = g.rows[x].get(y)
             if z is not None and z not in inside:
                 return SubsetClassification(
                     "not_subgroupoid", mem, (x, y, z),
@@ -116,7 +116,8 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
             loops.setdefault(g.alpha[h], []).append(h)
     for x in range(len(g)):
         for h in loops.get(g.beta[x], ()):
-            z = g.mul.get((g.mul.get((x, h)), g.inv[x]))
+            xh = g.rows[x].get(h)
+            z = g.rows[xh].get(g.inv[x]) if xh is not None and 0 <= xh < len(g) else None
             if z is None:
                 raise ValueError(
                     f"conjugate of {g.elements[h]} by {g.elements[x]} is undefined; "
@@ -146,8 +147,8 @@ def generated_subgroupoid(g: FiniteGroupoid, seeds: Iterable[int]) -> Subgroupoi
     def inverse_and_products(a):
         # each pair of members meets when the later of the two is taken
         members = list(span)
-        return [g.inv[a], *(g.mul.get((a, b)) for b in members),
-                *(g.mul.get((b, a)) for b in members)]
+        return [g.inv[a], *map(g.rows[a].get, members),
+                *(g.rows[b].get(a) for b in members)]
 
     return subgroupoid_handle(g, _right_closure(span, inverse_and_products))
 
@@ -162,7 +163,7 @@ def _subgroups(g: FiniteGroupoid, c: int, loops: Sequence[int]) -> list[frozense
         for x in loops:
             if x not in k:
                 more = gens + (x,)
-                h = frozenset(_right_closure({c}, lambda a: (g.mul[a, s] for s in more)))
+                h = frozenset(_right_closure({c}, lambda a: map(g.rows[a].__getitem__, more)))
                 if h not in found:
                     found[h] = more
                     queue.append((h, more))
@@ -191,11 +192,11 @@ def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
     def class_options(units: tuple[int, ...]) -> list[list[int]]:
         c, out = units[0], []
         for k in subgroups(c):
-            cosets = [list({frozenset(g.mul[y, h] for y in k): None for h in hom[c, u]})
+            cosets = [list({frozenset(g.rows[y][h] for y in k): None for h in hom[c, u]})
                       for u in units[1:]]
             for chosen in itertools.product([k], *cosets):
                 back = [g.inv[min(a)] for a in chosen]
-                out.append([g.mul[t, b] for t in back for s in chosen for b in s])
+                out.append([g.rows[t][b] for t in back for s in chosen for b in s])
         return out
 
     def within(units: tuple[int, ...]) -> list[list[int]]:
@@ -234,7 +235,7 @@ def _lattice(g: FiniteGroupoid) -> list[SubgroupoidHandle]:
     Conjugation by x : u -> v is injective from the loops of N at v into
     those at u, and by inv(x) back, so finiteness makes each inclusion an
     equality (Brown, ch. 8; Higgins)."""
-    conjugates = [(h, g.mul[g.mul[s, h], g.inv[s]])
+    conjugates = [(h, g.rows[g.rows[s][h]][g.inv[s]])
                   for s in _generators(g) for h in g.isotropy_members(g.beta[s])]
     handles = []
     for members in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),

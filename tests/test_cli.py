@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -168,6 +169,26 @@ def test_size_limit_exit_codes(tmp_path, s5, capsys):
         assert main(["build"] + argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, argv
+
+
+def test_counts_and_build_null_are_bounded_from_the_argument(capsys):
+    # the closed forms of degree 10^6 would not finish; the bound comes first
+    start = time.perf_counter()
+    assert main(["counts", "1000000"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degree 1000000 exceeds the bound 6" in captured.err
+    for k, code in [(constructions.NULL_UNIT_LIMIT + 1, 3), (10**7, 3), (10**12, 3),
+                    (-1, 1), (0, 1)]:
+        start = time.perf_counter()
+        assert main(["build", "null", str(k)]) == code, k
+        assert time.perf_counter() - start < 1, k
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, k
+        if code == 3:
+            assert f"null groupoid limited to 4096 units, got {k}" in captured.err
+    assert main(["build", "null", str(constructions.NULL_UNIT_LIMIT)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["elements"]) == 4096
 
 
 def test_value_error_exit_codes(capsys):

@@ -290,6 +290,13 @@ def test_null_groupoid_products():
         null_groupoid(["a", "a"])
 
 
+def test_null_groupoid_is_bounded_before_building():
+    # refused by the label count, before the labels are compared
+    with pytest.raises(SizeLimitError, match="null groupoid limited to 4096 units, got 4097"):
+        null_groupoid(["u"] * (constructions.NULL_UNIT_LIMIT + 1))
+    assert len(null_groupoid([str(i) for i in range(constructions.NULL_UNIT_LIMIT)])) == 4096
+
+
 def test_from_group_structure(z4):
     assert z4.groupoid_type() == (4, 1)
     assert validate(z4).passed

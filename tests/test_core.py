@@ -87,11 +87,11 @@ def test_constructor_converts_products_that_are_not_int_pairs():
         FiniteGroupoid(**{**good, "mul": {**good["mul"], (0, 1, 2): 3}})
 
 
-def exact_int_pairs(mul):
-    """Whether every key of a product table is a tuple of two ints and
-    every value an int, all of type exactly int (so not bool)."""
-    return all(type(key) is tuple and len(key) == 2
-               and type(key[0]) is type(key[1]) is type(z) is int for key, z in mul.items())
+def exact_int_rows(g):
+    """Whether g has one product row per element and every key and value of
+    every row is of type exactly int (so not bool)."""
+    return len(g.rows) == len(g) and all(
+        type(y) is type(z) is int for row in g.rows for y, z in row.items())
 
 
 def test_typed_producers_hand_over_exact_int_tables(golden, gp2, z2, z4):
@@ -117,12 +117,65 @@ def test_typed_producers_hand_over_exact_int_tables(golden, gp2, z2, z4):
         "restricted": restricted(golden, [golden.index(f"3/{i}") for i in range(4)]),
     })
     for name, g in produced.items():
-        assert exact_int_pairs(g.mul), name
+        assert exact_int_rows(g), name
         assert validate(g).passed, name
-    # the typed path keeps the caller's dict; the constructor copies it
+    # the typed path keeps the caller's rows; the constructor builds its own
     tables = z4_tables()
-    assert FiniteGroupoid._typed(**tables).mul is tables["mul"]
-    assert FiniteGroupoid(**tables).mul is not tables["mul"]
+    mul = tables.pop("mul")
+    rows = [{y: z for (x, y), z in mul.items() if x == w} for w in range(4)]
+    typed = FiniteGroupoid._typed(**tables, rows=rows)
+    assert all(kept is given for kept, given in zip(typed.rows, rows))
+    built = FiniteGroupoid(**z4_tables())
+    assert built == typed and not any(a is b for a, b in zip(built.rows, rows))
+
+
+# ---------------------------------------------------------------------------
+# the read-only .mul view over the rows
+
+
+def test_mul_is_a_read_only_view_of_the_rows():
+    g = symmetric_groupoid(2)
+    with pytest.raises(TypeError):
+        g.mul[(0, 0)] = 1
+    copy = dict(g.mul)
+    assert g.mul == copy and copy == g.mul and len(g.mul) == len(copy)
+    for x in range(-1, len(g) + 1):
+        for y in range(-1, len(g) + 1):
+            assert g.mul.get((x, y)) == copy.get((x, y))
+            assert ((x, y) in g.mul) == ((x, y) in copy)
+            if (x, y) in copy:
+                assert g.mul[(x, y)] == copy[(x, y)] == g.rows[x][y]
+            else:
+                with pytest.raises(KeyError):
+                    g.mul[(x, y)]
+    assert (0, 1, 2) not in g.mul and "01" not in g.mul
+    # row-major: by first factor, each row in its own order
+    assert list(g.mul.items()) == [((x, y), z) for x, row in enumerate(g.rows)
+                                   for y, z in row.items()]
+    assert list(g.mul) == [xy for xy, _ in g.mul.items()]
+    assert [x for x, _ in g.mul] == sorted(x for x, _ in g.mul)
+    copy[(0, 0)] = 3
+    assert g.mul != copy and g.mul[(0, 0)] == 0
+
+
+def test_constructor_round_trips_the_view_and_shares_its_rows():
+    h = symmetric_groupoid(3)
+    tables = dict(elements=h.elements, units=h.units, alpha=h.alpha, beta=h.beta, inv=h.inv)
+    assert FiniteGroupoid(**tables, mul=dict(h.mul)) == h
+    shared = FiniteGroupoid(**tables, mul=h.mul)
+    assert shared == h and shared.rows is h.rows
+    assert with_base_labels(h, {u: str(u) for u in h.units}).rows is h.rows
+    assert left_translation_groupoid(h).rows is h.rows
+
+
+def test_products_whose_first_factor_names_no_element_stay_in_the_view():
+    tables = z4_tables()
+    mul = {**tables.pop("mul"), (4, 0): 0, (-1, 2): 1}
+    g = FiniteGroupoid(**tables, mul=mul)
+    assert len(g.rows) == 4 and len(g.mul) == 18 and dict(g.mul) == mul
+    assert g.mul[(-1, 2)] == 1 and g.mul[(3, 2)] == 1 and g.compose(3, 2) == 1
+    assert g != FiniteGroupoid(**z4_tables())
+    assert [v.witness for v in validate(g).violations] == [(4, 0), (-1, 2)]
 
 
 def test_validate_flags_out_of_range_tables():
@@ -656,6 +709,13 @@ def test_isotropy_conjugation_raises_value_error_off_a_groupoid(z4):
     del mul[(2, 3)]
     g = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, z4.inv, mul)
     with pytest.raises(ValueError, match="not a homomorphism at \\(2, 3\\)"):
+        isotropy_conjugation(g, 1)
+    # an inverse or a product that names no element is no product either
+    g = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, [0, 9, 2, 1], z4.mul)
+    with pytest.raises(ValueError, match="conjugation by 1 undefined at 0"):
+        isotropy_conjugation(g, 1)
+    g = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, z4.inv, {**z4.mul, (3, 0): 9})
+    with pytest.raises(ValueError, match="leaves the target isotropy group at 0"):
         isotropy_conjugation(g, 1)
 
 

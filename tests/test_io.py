@@ -474,23 +474,12 @@ def test_payload_cross_check_reports_a_product_value_out_of_range(value):
         Violation("payload", key, "product disagrees with map composition"),)
 
 
-class ProbedDict(dict):
-    """A dict that counts its membership tests."""
-
-    probes = 0
-
-    def __contains__(self, key):
-        self.probes += 1
-        return super().__contains__(key)
-
-
 def test_products_of_valid_groupoids_pass_the_one_pass_check():
-    # a valid table passes without looking for missing products, including
-    # the maps of one point
+    # a valid table yields no payload violation, including the maps of one
+    # point
     for g in (symmetric_groupoid(1), symmetric_groupoid(3), alternating_groupoid(4),
               left_translation_groupoid(from_group(cyclic_group(10)))):
-        mul = ProbedDict(g.mul)
-        assert _product_violations(mul, *_coordinates(g.payloads)) == [] and mul.probes == 0
+        assert _product_violations(g, *_coordinates(g.payloads)) == []
         assert check_quasiperm_payloads(g).passed
 
 

@@ -50,6 +50,11 @@ def test_classify_witnesses(gp2):
     assert empty.kind == "not_subgroupoid"
     with pytest.raises(ValueError):
         classify_subset(gp2, [99])
+    # conjugating a unit by an arrow whose product with it names no element
+    mul = {**gp2.mul, (arrow, 1): 99}
+    broken = FiniteGroupoid(gp2.elements, gp2.units, gp2.alpha, gp2.beta, gp2.inv, mul)
+    with pytest.raises(ValueError, match="is undefined; not a groupoid"):
+        classify_subset(broken, broken.units)
 
 
 def test_classify_wide_but_not_normal():
