@@ -507,6 +507,19 @@ def _closure_gaps(rows: Sequence[dict[int, int]], buckets: Sequence[dict[int, No
             if row.keys() != bucket.keys()}
 
 
+def _index_violations(g: FiniteGroupoid, tag: str) -> list[Violation]:
+    """The units and the alpha, beta and inv entries out of range(len(g)),
+    tagged ``tag``: found by each table's least and greatest entry and
+    walked only to list the witnesses."""
+    n = len(g)
+    v = [Violation(tag, (u,), "unit index out of range") for u in g.units if not 0 <= u < n]
+    for name, table in (("alpha", g.alpha), ("beta", g.beta), ("inv", g.inv)):
+        if min(table) < 0 or max(table) >= n:
+            v.extend(Violation(tag, (x,), f"{name}({x}) = {value} out of range")
+                     for x, value in enumerate(table) if not 0 <= value < n)
+    return v
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid axioms on g's tables.
 
@@ -539,18 +552,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     one coordinate per element, one multiplicativity check per product, one
     cell per table H_r and any scanned triples.
     """
-    v: list[Violation] = []
     n = len(g.elements)
     rows, alpha, beta = g.rows, g.alpha, g.beta
     checks = {"structure": len(g.units) + 3 * n + len(g.mul)}
 
-    for u in g.units:
-        if not 0 <= u < n:
-            v.append(Violation("structure", (u,), "unit index out of range"))
-    for name, table in (("alpha", alpha), ("beta", beta), ("inv", g.inv)):
-        for x, value in enumerate(table):
-            if not 0 <= value < n:
-                v.append(Violation("structure", (x,), f"{name}({x}) = {value} out of range"))
+    v = _index_violations(g, "structure")
     if g._stray or not set().union(*rows, *map(dict.values, rows)) <= set(range(n)):
         v.extend(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range")
                  for x, row in chain(enumerate(rows), g._stray.items()) for y, z in row.items()

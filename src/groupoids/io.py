@@ -16,8 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Optional
 
-from .core import FiniteGroupoid
-from .constructions import GroupTable
+from .core import FiniteGroupoid, GroupTable
 from .morphisms import GroupoidMorphism
 from .quasiperm import Quasipermutation, check_quasiperm_payloads
 from .structured import GroupGroupoid, VectorSpaceGroupoid
@@ -85,18 +84,22 @@ def _string_list(data: dict, field: str) -> list[str]:
     return value
 
 
-def _label_map(data: dict, field: str, index: dict[str, int],
-               keys: list[str]) -> dict[str, str]:
+def _label_map(data: dict, field: str, keys: dict[str, int],
+               values: dict[str, int]) -> list[int]:
+    """Read an object from the labels of ``keys`` to labels of ``values``
+    into the value indices, in key order.  An unknown key, a value that is
+    not a label of ``values`` or a missing key raises ParseError."""
     value = _require(data, field, dict)
     for k, v in value.items():
-        if k not in index:
+        if k not in keys:
             raise ParseError(field, f"unknown label {k!r}")
-        if not isinstance(v, str) or v not in index:
+        if not isinstance(v, str) or v not in values:
             raise ParseError(field, f"unknown label {v!r} under key {k!r}")
-    for k in keys:
-        if k not in value:
-            raise ParseError(field, f"missing entry for {k!r}")
-    return value
+    # every key is known, so a key is missing exactly when the sizes differ
+    if len(value) != len(keys):
+        missing = next(k for k in keys if k not in value)
+        raise ParseError(field, f"missing entry for {missing!r}")
+    return [values[value[k]] for k in keys]
 
 
 def _label_triples(
@@ -134,19 +137,14 @@ def _label_triples(
     return rows
 
 
-def _group_fields(
-    data: dict,
-    prefix: str,
-    labels: list[str],
-) -> GroupTable:
+def _group_fields(data: dict, prefix: str, index: dict[str, int]) -> GroupTable:
     """Read add/zero/neg style fields (optionally prefixed) into a group
-    table over the given labels."""
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    n = len(labels)
+    table over the labels of ``index``."""
+    labels = list(index)
     table = []
     for x, row in enumerate(_label_triples(data, f"{prefix}add", index, "sum")):
         try:
-            table.append([row[y] for y in range(n)])
+            table.append([row[y] for y in range(len(labels))])
         except KeyError as exc:
             # rows are read in order, so this is the first missing pair
             raise ParseError(f"{prefix}add", f"missing entry for "
@@ -154,47 +152,57 @@ def _group_fields(
     zero = _require(data, f"{prefix}zero", str)
     if zero not in index:
         raise ParseError(f"{prefix}zero", f"unknown label {zero!r}")
-    neg = _label_map(data, f"{prefix}neg", index, labels)
     return GroupTable.build(
         labels=labels,
         table=table,
         identity=index[zero],
-        inv=[index[neg[lbl]] for lbl in labels],
+        inv=_label_map(data, f"{prefix}neg", index, index),
     )
 
 
-def _scalar_fields(
-    data: dict,
-    field: str,
-    p: int,
-    labels: list[str],
-) -> list[list[int]]:
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    value = _require(data, field, dict)
-    rows = []
-    for k in range(p):
-        row_map = value.get(str(k))
-        if not isinstance(row_map, dict):
-            raise ParseError(field, f"missing row for scalar {k}")
-        row = []
-        for lbl in labels:
-            img = row_map.get(lbl)
-            if not isinstance(img, str) or img not in index:
-                raise ParseError(field, f"row {k} has no valid image for {lbl!r}")
-            row.append(index[img])
-        rows.append(row)
-    return rows
+def _scalar_fields(data: dict, field: str, p: int,
+                   index: dict[str, int]) -> list[list[int]]:
+    """Read the rows "0" .. "p-1" of a scalar field, each a label map over
+    ``index``; an error names the field and the row."""
+    rows = _require(data, field, dict)
+    try:
+        return [_label_map(rows, str(k), index, index) for k in range(p)]
+    except ParseError as exc:
+        raise ParseError(field, f"row {exc.field}: {exc.message}") from None
+
+
+def _check_header(data: Any) -> None:
+    """Insist on a JSON object with the supported format_version."""
+    if not isinstance(data, dict):
+        raise ParseError("document", "expected a JSON object")
+    version = _require(data, "format_version", int)
+    if version != FORMAT_VERSION:
+        raise ParseError("format_version", f"unsupported version {version}")
+
+
+def _payloads(data: dict, count: int) -> list[Quasipermutation]:
+    """Read the degree and the payload texts of a quasiperm document, one
+    per element."""
+    degree = _require(data, "degree", int)
+    if degree < 1:
+        raise ParseError("degree", "must be at least 1")
+    texts = _string_list(data, "payloads")
+    if len(texts) != count:
+        raise ParseError("payloads", "must be parallel to elements")
+    payloads = []
+    for i, text in enumerate(texts):
+        try:
+            payloads.append(Quasipermutation.from_text(degree, text))
+        except ValueError as exc:
+            raise ParseError(f"payloads[{i}]", str(exc)) from exc
+    return payloads
 
 
 def parse_groupoid_document(data: Any) -> ParsedDocument:
     """Build a groupoid (and structured extras) from a decoded document.
     Shape problems raise ParseError; mathematical defects are left for the
     validators."""
-    if not isinstance(data, dict):
-        raise ParseError("document", "expected a JSON object")
-    version = _require(data, "format_version", int)
-    if version != FORMAT_VERSION:
-        raise ParseError("format_version", f"unsupported version {version}")
+    _check_header(data)
     kind = data.get("kind", "plain")
     if kind not in KINDS:
         raise ParseError("kind", f"unknown kind {kind!r}")
@@ -212,9 +220,9 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
         raise ParseError("units", "unit labels must be unique")
     if not units:
         raise ParseError("units", "must not be empty")
-    alpha = _label_map(data, "alpha", index, elements)
-    beta = _label_map(data, "beta", index, elements)
-    inv = _label_map(data, "inv", index, elements)
+    alpha = _label_map(data, "alpha", index, index)
+    beta = _label_map(data, "beta", index, index)
+    inv = _label_map(data, "inv", index, index)
     rows = _label_triples(data, "mul", index, "product")
     base_labels = None
     if "base_labels" in data:
@@ -227,54 +235,33 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
             if not isinstance(v, str):
                 raise ParseError("base_labels", f"value for {k!r} must be a string")
             base_labels[index[k]] = v
-    payloads = None
-    if kind == "quasiperm":
-        degree = _require(data, "degree", int)
-        if degree < 1:
-            raise ParseError("degree", "must be at least 1")
-        texts = _string_list(data, "payloads")
-        if len(texts) != len(elements):
-            raise ParseError("payloads", "must be parallel to elements")
-        payloads = []
-        for i, text in enumerate(texts):
-            try:
-                payloads.append(Quasipermutation.from_text(degree, text))
-            except ValueError as exc:
-                raise ParseError(f"payloads[{i}]", str(exc)) from exc
+    payloads = _payloads(data, len(elements)) if kind == "quasiperm" else None
     try:
         groupoid = FiniteGroupoid._typed(
             elements=elements,
             units=[index[u] for u in units],
-            alpha=[index[alpha[lbl]] for lbl in elements],
-            beta=[index[beta[lbl]] for lbl in elements],
-            inv=[index[inv[lbl]] for lbl in elements],
+            alpha=alpha,
+            beta=beta,
+            inv=inv,
             rows=rows,
             base_labels=base_labels,
             payloads=payloads,
         )
-    except ValueError as exc:
-        raise ParseError("document", str(exc)) from exc
-    parsed = ParsedDocument(groupoid, kind)
-    if kind in ("group-groupoid", "vsg"):
-        elem_group = _group_fields(data, "", elements)
-        unit_labels = [elements[u] for u in groupoid.units]
-        unit_group = _group_fields(data, "unit_", unit_labels)
-        try:
-            parsed.group_groupoid = GroupGroupoid(groupoid, elem_group, unit_group)
-        except ValueError as exc:
-            raise ParseError("document", str(exc)) from exc
-    if kind == "vsg":
-        p = _require(data, "p", int)
-        unit_labels = [elements[u] for u in parsed.groupoid.units]
-        try:
+        parsed = ParsedDocument(groupoid, kind)
+        if kind in ("group-groupoid", "vsg"):
+            unit_index = {elements[u]: i for i, u in enumerate(groupoid.units)}
+            parsed.group_groupoid = GroupGroupoid(
+                groupoid, _group_fields(data, "", index), _group_fields(data, "unit_", unit_index))
+        if kind == "vsg":
+            p = _require(data, "p", int)
             parsed.vector_space = VectorSpaceGroupoid(
                 parsed.group_groupoid,
                 p,
-                _scalar_fields(data, "scalar", p, elements),
-                _scalar_fields(data, "unit_scalar", p, unit_labels),
+                _scalar_fields(data, "scalar", p, index),
+                _scalar_fields(data, "unit_scalar", p, unit_index),
             )
-        except ValueError as exc:
-            raise ParseError("document", str(exc)) from exc
+    except ValueError as exc:
+        raise ParseError("document", str(exc)) from exc
     return parsed
 
 
@@ -467,11 +454,7 @@ def parse_morphism_document(
 ) -> GroupoidMorphism:
     """Build a morphism from a decoded document; domain and codomain may be
     inline documents or {"path": ...} references."""
-    if not isinstance(data, dict):
-        raise ParseError("document", "expected a JSON object")
-    version = _require(data, "format_version", int)
-    if version != FORMAT_VERSION:
-        raise ParseError("format_version", f"unsupported version {version}")
+    _check_header(data)
 
     def resolve(field: str) -> FiniteGroupoid:
         value = _require(data, field, dict)
@@ -491,35 +474,12 @@ def parse_morphism_document(
 
     domain = resolve("domain")
     codomain = resolve("codomain")
-    dom_index = {lbl: i for i, lbl in enumerate(domain.elements)}
-    cod_index = {lbl: i for i, lbl in enumerate(codomain.elements)}
-    f_map = _require(data, "f", dict)
-    elem_map = []
-    for lbl in domain.elements:
-        img = f_map.get(lbl)
-        if img is None:
-            raise ParseError("f", f"missing entry for {lbl!r}")
-        if not isinstance(img, str) or img not in cod_index:
-            raise ParseError("f", f"unknown label {img!r} under key {lbl!r}")
-        elem_map.append(cod_index[img])
-    for k in f_map:
-        if k not in dom_index:
-            raise ParseError("f", f"unknown label {k!r}")
+    elem_map = _label_map(data, "f", domain._label_index, codomain._label_index)
     unit_map = None
     if "f0" in data:
-        f0_map = _require(data, "f0", dict)
-        unit_map = {}
-        for u in domain.units:
-            lbl = domain.elements[u]
-            img = f0_map.get(lbl)
-            if img is None:
-                raise ParseError("f0", f"missing entry for unit {lbl!r}")
-            if not isinstance(img, str) or img not in cod_index:
-                raise ParseError("f0", f"unknown label {img!r} under key {lbl!r}")
-            unit_map[u] = cod_index[img]
-        for k in f0_map:
-            if k not in dom_index or not domain.is_unit(dom_index[k]):
-                raise ParseError("f0", f"key {k!r} is not a domain unit")
+        unit_labels = {domain.elements[u]: u for u in domain.units}
+        unit_map = dict(zip(domain.units,
+                            _label_map(data, "f0", unit_labels, codomain._label_index)))
     try:
         return GroupoidMorphism(domain, codomain, elem_map, unit_map)
     except ValueError as exc:

@@ -15,7 +15,14 @@ from math import comb, factorial
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from .core import FiniteGroupoid, SizeLimitError, ValidationReport, Violation, _closure_gaps
+from .core import (
+    FiniteGroupoid,
+    SizeLimitError,
+    ValidationReport,
+    Violation,
+    _closure_gaps,
+    _index_violations,
+)
 
 __all__ = [
     "GroupoidCounts",
@@ -353,20 +360,6 @@ def _product_violations(
     return v
 
 
-def _index_violations(g: FiniteGroupoid) -> list[Violation]:
-    """The units and the alpha, beta and inv entries out of range(len(g)),
-    found by each table's least and greatest entry and walked only to list
-    the witnesses.  Product indices are range-checked in the product pass."""
-    n = len(g)
-    v = [Violation("payload", (u,), "unit index out of range")
-         for u in g.units if not 0 <= u < n]
-    for name, table in (("alpha", g.alpha), ("beta", g.beta), ("inv", g.inv)):
-        if min(table) < 0 or max(table) >= n:
-            v.extend(Violation("payload", (x,), f"{name}({x}) = {value} out of range")
-                     for x, value in enumerate(table) if not 0 <= value < n)
-    return v
-
-
 def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     """Verify that the groupoid's tables agree with its quasipermutation
     payloads: units are identity maps, anchors pick the identities on
@@ -390,7 +383,7 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     passes on it too."""
     if g.payloads is None:
         return ValidationReport((Violation("payload", (), "no payloads present"),))
-    v = _index_violations(g)
+    v = _index_violations(g, "payload")
     if v:
         return ValidationReport(tuple(v))
     for f in g.payloads:

@@ -191,6 +191,18 @@ def test_counts_and_build_null_are_bounded_from_the_argument(capsys):
     assert len(json.loads(capsys.readouterr().out)["elements"]) == 4096
 
 
+@pytest.mark.parametrize("n, code, err", [
+    ("1000000", 3, "size limit exceeded: degree 1000000 exceeds the bound 6\n"),
+    ("0", 1, "error: degree must be at least 1\n"),
+    ("-1", 1, "error: degree must be at least 1\n"),
+])
+def test_counts_refuses_a_degree_at_once(n, code, err, capsys):
+    start = time.perf_counter()
+    assert main(["counts", n]) == code
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_value_error_exit_codes(capsys):
     assert main(["build", "pair-vsg", "4", "1"]) == 1
     assert main(["build", "cyclic", "0"]) == 1

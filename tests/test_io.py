@@ -159,6 +159,101 @@ def test_parse_error_fields(gp2):
     assert err.value.field == "document"
 
 
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A copy of doc with the entry at ``path`` (a key sequence) set to
+    ``value``, or deleted when value is DELETE."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+# the vsg document of pair_vector_space_groupoid(2, 1): elements (0,0),
+# (1,1), (0,1), (1,0), units (0,0) and (1,1), scalar rows "0" and "1"
+@pytest.mark.parametrize("path, value, field, message", [
+    (("alpha", "zzz"), "(0,0)", "alpha", "unknown label 'zzz'"),
+    (("alpha", "(0,1)"), "zzz", "alpha", "unknown label 'zzz' under key '(0,1)'"),
+    (("alpha", "(0,1)"), 3, "alpha", "unknown label 3 under key '(0,1)'"),
+    (("alpha", "(0,1)"), None, "alpha", "unknown label None under key '(0,1)'"),
+    (("alpha", "(0,1)"), DELETE, "alpha", "missing entry for '(0,1)'"),
+    (("neg", "zzz"), "(0,0)", "neg", "unknown label 'zzz'"),
+    (("neg", "(1,0)"), ["(1,0)"], "neg", "unknown label ['(1,0)'] under key '(1,0)'"),
+    (("neg", "(1,0)"), DELETE, "neg", "missing entry for '(1,0)'"),
+    (("unit_neg", "(0,1)"), "(0,0)", "unit_neg", "unknown label '(0,1)'"),
+    (("unit_neg", "(1,1)"), "(0,1)", "unit_neg", "unknown label '(0,1)' under key '(1,1)'"),
+    (("unit_neg", "(1,1)"), None, "unit_neg", "unknown label None under key '(1,1)'"),
+    (("unit_neg", "(0,0)"), DELETE, "unit_neg", "missing entry for '(0,0)'"),
+    (("scalar", "1", "zzz"), "(0,0)", "scalar", "row 1: unknown label 'zzz'"),
+    (("scalar", "1", "(0,1)"), "zzz", "scalar", "row 1: unknown label 'zzz' under key '(0,1)'"),
+    (("scalar", "0", "(1,0)"), 0, "scalar", "row 0: unknown label 0 under key '(1,0)'"),
+    (("scalar", "1", "(0,1)"), None, "scalar", "row 1: unknown label None under key '(0,1)'"),
+    (("scalar", "1", "(1,0)"), DELETE, "scalar", "row 1: missing entry for '(1,0)'"),
+    (("scalar", "0"), DELETE, "scalar", "row 0: missing required field"),
+    (("scalar", "1"), "(1,1)", "scalar", "row 1: expected dict"),
+    (("unit_scalar", "1", "(0,1)"), "(0,0)", "unit_scalar", "row 1: unknown label '(0,1)'"),
+    (("unit_scalar", "0", "(1,1)"), "(1,0)", "unit_scalar",
+     "row 0: unknown label '(1,0)' under key '(1,1)'"),
+    (("unit_scalar", "0", "(1,1)"), None, "unit_scalar",
+     "row 0: unknown label None under key '(1,1)'"),
+    (("unit_scalar", "1", "(0,0)"), DELETE, "unit_scalar", "row 1: missing entry for '(0,0)'"),
+    (("unit_scalar", "1"), DELETE, "unit_scalar", "row 1: missing required field"),
+])
+def test_every_groupoid_label_map_is_read_the_same_way(path, value, field, message):
+    doc = edited(vsg_document(pair_vector_space_groupoid(2, 1)), path, value)
+    with pytest.raises(ParseError) as err:
+        parse_groupoid_document(doc)
+    assert (err.value.field, err.value.message) == (field, message)
+
+
+# Z4 (labels "0" to "3", unit "0") onto Z2 (labels "0", "1")
+@pytest.mark.parametrize("path, value, field, message", [
+    (("f", "ghost"), "0", "f", "unknown label 'ghost'"),
+    (("f", "1"), "9", "f", "unknown label '9' under key '1'"),
+    (("f", "1"), 1, "f", "unknown label 1 under key '1'"),
+    (("f", "2"), None, "f", "unknown label None under key '2'"),
+    (("f", "3"), DELETE, "f", "missing entry for '3'"),
+    (("f0", "1"), "1", "f0", "unknown label '1'"),
+    (("f0", "ghost"), "0", "f0", "unknown label 'ghost'"),
+    (("f0", "0"), "9", "f0", "unknown label '9' under key '0'"),
+    (("f0", "0"), None, "f0", "unknown label None under key '0'"),
+    (("f0", "0"), DELETE, "f0", "missing entry for '0'"),
+    (("f0",), ["0"], "f0", "expected dict"),
+])
+def test_every_morphism_label_map_is_read_the_same_way(z4, z2, path, value, field, message):
+    good = {
+        "format_version": 1,
+        "domain": plain_document(z4),
+        "codomain": plain_document(z2),
+        "f": {"0": "0", "1": "1", "2": "0", "3": "1"},
+        "f0": {"0": "0"},
+    }
+    assert parse_morphism_document(good).unit_map == {0: 0}
+    with pytest.raises(ParseError) as err:
+        parse_morphism_document(edited(good, path, value))
+    assert (err.value.field, err.value.message) == (field, message)
+
+
+def test_constructor_refusals_are_document_parse_errors(gp2):
+    cases = [
+        (edited(plain_document(gp2), ("base_labels", "(2,2)"), "1"),
+         "base labels must be pairwise distinct"),
+        (edited(vsg_document(pair_vector_space_groupoid(2, 1)), ("p",), 1),
+         "scalar field size must be prime, got 1"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_groupoid_document(doc)
+        assert (err.value.field, err.value.message) == ("document", message)
+
+
 def z3_with_mul_row(row):
     """The Z3 document, labels "0", "1", "2", with mul[1] (the pair 0, 1)
     replaced by ``row``."""
