@@ -32,12 +32,8 @@ from .io import (
     _read_json,
     canonical_dumps,
     check_quasiperm_payloads,
-    group_groupoid_document,
     load_groupoid,
     load_morphism,
-    plain_document,
-    quasiperm_document,
-    vsg_document,
 )
 from .morphisms import (
     correspondence_check,
@@ -197,46 +193,50 @@ def cmd_morphism(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _build_document(args: argparse.Namespace) -> dict:
+def _build(args: argparse.Namespace) -> ParsedDocument:
     what = args.what
+    if what in ("symmetric", "alternating"):
+        if args.n > _DOCUMENT_DEGREE_LIMIT:
+            raise SizeLimitError(f"degree {args.n} exceeds the bound {_DOCUMENT_DEGREE_LIMIT}")
+        build = symmetric_groupoid if what == "symmetric" else alternating_groupoid
+        return ParsedDocument(build(args.n), "quasiperm")
+    if what == "pair-gg":
+        gg = pair_group_groupoid(group_table_of(_load_valid(args.group_file)))
+        return ParsedDocument(gg.carrier, "group-groupoid", gg)
+    if what == "pair-vsg":
+        v = pair_vector_space_groupoid(args.p, args.dim)
+        return ParsedDocument(v.carrier, "vsg", v.structure, v)
     if what == "pair":
-        return plain_document(pair_groupoid(args.n))
-    if what == "null":
+        g = pair_groupoid(args.n)
+    elif what == "null":
         if args.k < 1:
             raise ValueError("null groupoid needs at least one unit")
         _bound_null_units(args.k)
-        return plain_document(null_groupoid([str(i) for i in range(1, args.k + 1)]))
-    if what == "cyclic":
-        return plain_document(from_group(cyclic_group(args.n)))
-    if what in ("symmetric", "alternating") and args.n > _DOCUMENT_DEGREE_LIMIT:
-        raise SizeLimitError(f"degree {args.n} exceeds the bound {_DOCUMENT_DEGREE_LIMIT}")
-    if what == "symmetric":
-        return quasiperm_document(symmetric_groupoid(args.n), args.n)
-    if what == "alternating":
-        return quasiperm_document(alternating_groupoid(args.n), args.n)
-    if what == "union":
-        return plain_document(disjoint_union(*[_load_valid(f) for f in args.files]))
-    if what == "product":
-        return plain_document(direct_product(_load_valid(args.first), _load_valid(args.second)))
-    if what == "whitney":
-        return plain_document(whitney_sum(_load_valid(args.first), _load_valid(args.second)))
-    if what == "induced":
+        g = null_groupoid([str(i) for i in range(1, args.k + 1)])
+    elif what == "cyclic":
+        g = from_group(cyclic_group(args.n))
+    elif what == "union":
+        g = disjoint_union(*[_load_valid(f) for f in args.files])
+    elif what == "product":
+        g = direct_product(_load_valid(args.first), _load_valid(args.second))
+    elif what == "whitney":
+        g = whitney_sum(_load_valid(args.first), _load_valid(args.second))
+    elif what == "induced":
         g = _load_valid(args.file)
         mapping = _read_json(args.map_file)
         if not isinstance(mapping, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()):
             raise ParseError("map", "expected an object of label pairs")
-        return plain_document(induced_groupoid(g, mapping))
-    if what == "cayley":
-        return plain_document(left_translation_groupoid(_load_valid(args.file)))
-    if what == "pair-gg":
-        return group_groupoid_document(
-            pair_group_groupoid(group_table_of(_load_valid(args.group_file))))
-    return vsg_document(pair_vector_space_groupoid(args.p, args.dim))
+        g = induced_groupoid(g, mapping)
+    else:
+        g = left_translation_groupoid(_load_valid(args.file))
+    return ParsedDocument(g, "plain")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    sys.stdout.write(canonical_dumps(_build_document(args)))
+    # a built document is written from its product rows: canonical_dumps
+    # takes the ParsedDocument itself, so no triple list is made
+    sys.stdout.write(canonical_dumps(_build(args)))
     return 0
 
 

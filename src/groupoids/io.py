@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .core import FiniteGroupoid, GroupTable
 from .morphisms import GroupoidMorphism
@@ -171,6 +170,16 @@ def _scalar_fields(data: dict, field: str, p: int,
         raise ParseError(field, f"row {exc.field}: {exc.message}") from None
 
 
+def _refuse_other_rows(data: dict, field: str, p: int) -> None:
+    """Refuse a row key of a scalar field other than "0" .. "p-1", once all
+    of those have been read: another key is there exactly when the sizes
+    differ."""
+    rows = data[field]
+    if len(rows) != p:
+        wanted = {str(k) for k in range(p)}
+        raise ParseError(field, f"unknown row {next(k for k in rows if k not in wanted)!r}")
+
+
 def _check_header(data: Any) -> None:
     """Insist on a JSON object with the supported format_version."""
     if not isinstance(data, dict):
@@ -260,6 +269,10 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
                 _scalar_fields(data, "scalar", p, index),
                 _scalar_fields(data, "unit_scalar", p, unit_index),
             )
+            # after the constructor, so that a p that is no field size is
+            # reported as such, not as rows beyond it
+            for field in ("scalar", "unit_scalar"):
+                _refuse_other_rows(data, field, p)
     except ValueError as exc:
         raise ParseError("document", str(exc)) from exc
     return parsed
@@ -284,7 +297,31 @@ def load_groupoid(path: str | Path) -> ParsedDocument:
 # ----- serialization -------------------------------------------------------
 
 
-def plain_document(g: FiniteGroupoid) -> dict:
+@dataclass(slots=True)
+class _Table:
+    """A product table over ``labels``: ``rows[x]`` is {y: xy} with its keys
+    in any order, or the dense sequence of every xy.  Its [x, y, xy] label
+    triples are read off row by row, each row's y positions in order, which
+    is canonical order, so no triple list needs to be made or sorted."""
+
+    labels: Sequence[str]
+    rows: Sequence
+
+    def pairs(self, x: int) -> tuple[Iterable[int], Iterable[int]]:
+        """The y positions of row x in order, and their products."""
+        row = self.rows[x]
+        if type(row) is dict:
+            ys = sorted(row)
+            return ys, map(row.__getitem__, ys)
+        return range(len(row)), row
+
+    def triples(self) -> list[list[str]]:
+        labels = self.labels
+        return [[labels[x], labels[y], labels[z]]
+                for x in range(len(self.rows)) for y, z in zip(*self.pairs(x))]
+
+
+def _plain_fields(g: FiniteGroupoid) -> dict:
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": "plain",
@@ -293,44 +330,35 @@ def plain_document(g: FiniteGroupoid) -> dict:
         "alpha": {g.elements[x]: g.elements[g.alpha[x]] for x in range(len(g))},
         "beta": {g.elements[x]: g.elements[g.beta[x]] for x in range(len(g))},
         "inv": {g.elements[x]: g.elements[g.inv[x]] for x in range(len(g))},
-        "mul": [[g.elements[x], g.elements[y], g.elements[z]]
-                for x, row in enumerate(g.rows) for y, z in sorted(row.items())],
+        "mul": _Table(g.elements, g.rows),
     }
     if g.base_labels is not None:
         doc["base_labels"] = {g.elements[u]: lbl for u, lbl in g.base_labels.items()}
     return doc
 
 
-def quasiperm_document(g: FiniteGroupoid, degree: int) -> dict:
+def _quasiperm_fields(g: FiniteGroupoid, degree: int) -> dict:
     if g.payloads is None:
         raise ValueError("groupoid carries no quasipermutation payloads")
-    doc = plain_document(g)
+    doc = _plain_fields(g)
     doc["kind"] = "quasiperm"
     doc["degree"] = degree
     doc["payloads"] = [f.text_form() for f in g.payloads]
     return doc
 
 
-def _group_document_fields(doc: dict, prefix: str, t: GroupTable) -> None:
-    labels = t.labels
-    doc[f"{prefix}add"] = [
-        [labels[x], labels[y], labels[t.table[x][y]]]
-        for x in range(t.order) for y in range(t.order)
-    ]
-    doc[f"{prefix}zero"] = labels[t.identity]
-    doc[f"{prefix}neg"] = {labels[x]: labels[t.inv[x]] for x in range(t.order)}
-
-
-def group_groupoid_document(gg: GroupGroupoid) -> dict:
-    doc = plain_document(gg.carrier)
+def _group_groupoid_fields(gg: GroupGroupoid) -> dict:
+    doc = _plain_fields(gg.carrier)
     doc["kind"] = "group-groupoid"
-    _group_document_fields(doc, "", gg.elem_group)
-    _group_document_fields(doc, "unit_", gg.unit_group)
+    for prefix, t in (("", gg.elem_group), ("unit_", gg.unit_group)):
+        doc[f"{prefix}add"] = _Table(t.labels, t.table)
+        doc[f"{prefix}zero"] = t.labels[t.identity]
+        doc[f"{prefix}neg"] = {t.labels[x]: t.labels[t.inv[x]] for x in range(t.order)}
     return doc
 
 
-def vsg_document(v: VectorSpaceGroupoid) -> dict:
-    doc = group_groupoid_document(v.structure)
+def _vsg_fields(v: VectorSpaceGroupoid) -> dict:
+    doc = _group_groupoid_fields(v.structure)
     g = v.carrier
     doc["kind"] = "vsg"
     doc["p"] = v.p
@@ -347,16 +375,41 @@ def vsg_document(v: VectorSpaceGroupoid) -> dict:
     return doc
 
 
+def _fields(parsed: ParsedDocument) -> dict:
+    """The fields of a parsed document's kind, product tables as tables."""
+    if parsed.kind == "vsg":
+        return _vsg_fields(parsed.vector_space)
+    if parsed.kind == "group-groupoid":
+        return _group_groupoid_fields(parsed.group_groupoid)
+    if parsed.kind == "quasiperm":
+        return _quasiperm_fields(parsed.groupoid, parsed.groupoid.payloads[0].degree)
+    return _plain_fields(parsed.groupoid)
+
+
+def _with_triples(doc: dict) -> dict:
+    """The dict form of a document: each product table as its triple list."""
+    return {k: v.triples() if type(v) is _Table else v for k, v in doc.items()}
+
+
+def plain_document(g: FiniteGroupoid) -> dict:
+    return _with_triples(_plain_fields(g))
+
+
+def quasiperm_document(g: FiniteGroupoid, degree: int) -> dict:
+    return _with_triples(_quasiperm_fields(g, degree))
+
+
+def group_groupoid_document(gg: GroupGroupoid) -> dict:
+    return _with_triples(_group_groupoid_fields(gg))
+
+
+def vsg_document(v: VectorSpaceGroupoid) -> dict:
+    return _with_triples(_vsg_fields(v))
+
+
 def document_for(parsed: ParsedDocument) -> dict:
     """Serialize a parsed document back to its dict form."""
-    if parsed.kind == "vsg":
-        return vsg_document(parsed.vector_space)
-    if parsed.kind == "group-groupoid":
-        return group_groupoid_document(parsed.group_groupoid)
-    if parsed.kind == "quasiperm":
-        degree = parsed.groupoid.payloads[0].degree
-        return quasiperm_document(parsed.groupoid, degree)
-    return plain_document(parsed.groupoid)
+    return _with_triples(_fields(parsed))
 
 
 def canonicalize_document(doc: dict) -> dict:
@@ -375,6 +428,31 @@ def canonicalize_document(doc: dict) -> dict:
     return out
 
 
+def _read_tables(doc: dict) -> dict:
+    """``doc`` with its units in element order and each triple list read
+    into a table by the parser's reader, so that writing it gives the
+    bytes of ``canonicalize_document(doc)``.  Raises ParseError where those
+    bytes could differ: labels that are not unique strings, units outside
+    the elements, or a triple list the reader refuses (a malformed cell,
+    an unknown label or a repeated pair)."""
+    elements = _string_list(doc, "elements")
+    index = {lbl: i for i, lbl in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ParseError("elements", "labels must be unique")
+    units = _string_list(doc, "units")
+    if len(set(units)) != len(units) or not index.keys() >= set(units):
+        raise ParseError("units", "must be distinct element labels")
+    out = dict(doc)
+    out["units"] = units = sorted(units, key=index.__getitem__)
+    out["mul"] = _Table(elements, _label_triples(doc, "mul", index, "product"))
+    if "add" in doc:
+        out["add"] = _Table(elements, _label_triples(doc, "add", index, "sum"))
+    if "unit_add" in doc:
+        unit_index = {lbl: i for i, lbl in enumerate(units)}
+        out["unit_add"] = _Table(units, _label_triples(doc, "unit_add", unit_index, "sum"))
+    return out
+
+
 class _Encoded(dict):
     """The JSON text of each string, encoded on first use."""
 
@@ -383,65 +461,80 @@ class _Encoded(dict):
         return text
 
 
+def _write_table(t: _Table, indent: str, enc: _Encoded, out: list[str]) -> None:
+    """Append the pieces of a table's triple list.  A triple is the head,
+    mid and tail of its three labels, made once per label; each head
+    begins with the separator, cut from the first triple's."""
+    inner = indent + "  "
+    cell = inner + "  "
+    labels = [enc[s] for s in t.labels]
+    heads = [",\n" + inner + "[\n" + cell + s + ",\n" for s in labels]
+    mids = [cell + s + ",\n" for s in labels]
+    tails = [cell + s + "\n" + inner + "]" for s in labels]
+    first = len(out)
+    for x, head in enumerate(heads):
+        ys, zs = t.pairs(x)
+        row = [head] * (3 * len(ys))
+        row[1::3] = map(mids.__getitem__, ys)
+        row[2::3] = map(tails.__getitem__, zs)
+        out += row
+    if len(out) == first:
+        out.append("[]")
+        return
+    out[first] = "[\n" + out[first][2:]
+    out.append("\n" + indent + "]")
+
+
 def _write(o: Any, indent: str, enc: _Encoded, out: list[str]) -> None:
     """Append to ``out`` the pieces of ``json.dumps(o, sort_keys=True,
     indent=2)`` with every line after the first indented by ``indent``.
 
-    String-keyed dicts, string lists and lists of string triples (the
-    shapes the document builders produce) are written here, each string
-    through the cache; anything else, such as ints, empty containers,
-    tuples or other keys, goes to json.  JSON text holds no raw newline,
-    so re-indenting json's output line by line is safe.  The caller joins
-    the pieces once: joining at every level would copy a large list's
-    text again at each enclosing level."""
+    Product tables, string-keyed dicts and string lists (the shapes the
+    document builders produce) are written here, each string through the
+    cache; anything else, such as ints, empty containers, tuples or other
+    keys, goes to json.  JSON text holds no raw newline, so re-indenting
+    json's output line by line is safe.  The caller joins the pieces once:
+    joining at every level would copy a large list's text again at each
+    enclosing level."""
     kind = type(o)
     if kind is str:
         out.append(enc[o])
         return
-    if o and (kind is dict or kind is list):
+    if kind is _Table:
+        _write_table(o, indent, enc, out)
+        return
+    if o and (kind is dict or kind is list) and set(map(type, o)) == {str}:
         inner = indent + "  "
         sep = ",\n" + inner
-        if kind is dict:
-            if set(map(type, o)) == {str}:
-                lead = "{\n" + inner
-                for k in sorted(o):
-                    out.append(lead + enc[k] + ": ")
-                    _write(o[k], inner, enc, out)
-                    lead = sep
-                out.append("\n" + indent + "}")
-                return
-        else:
-            items = set(map(type, o))
-            if items == {str}:
-                out.append("[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]")
-                return
-            try:  # an unhashable cell leaves the list to json
-                cells = set(chain.from_iterable(o)) if items == {list} else set()
-            except TypeError:
-                cells = set()
-            if set(map(type, cells)) == {str} and set(map(len, o)) == {3}:
-                # a row is the head, mid and tail of its three labels; each
-                # head begins with the separator, cut from the first row's
-                cell = inner + "  "
-                heads = {s: sep + "[\n" + cell + enc[s] + ",\n" for s in cells}
-                mids = {s: cell + enc[s] + ",\n" for s in cells}
-                tails = {s: cell + enc[s] + "\n" + inner + "]" for s in cells}
-                first = len(out)
-                for x, y, z in o:
-                    out += (heads[x], mids[y], tails[z])
-                out[first] = "[\n" + out[first][2:]
-                out.append("\n" + indent + "]")
-                return
+        if kind is list:
+            out.append("[\n" + inner + sep.join(map(enc.__getitem__, o)) + "\n" + indent + "]")
+            return
+        lead = "{\n" + inner
+        for k in sorted(o):
+            out.append(lead + enc[k] + ": ")
+            _write(o[k], inner, enc, out)
+            lead = sep
+        out.append("\n" + indent + "}")
+        return
     out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
-def canonical_dumps(doc: dict) -> str:
+def canonical_dumps(doc: dict | ParsedDocument) -> str:
     """The canonical text of a document: ``canonicalize_document(doc)``
     written as ``json.dumps(..., sort_keys=True, indent=2)`` writes it
     (ASCII only, every list item and object member on its own line),
-    plus one trailing newline; the bytes are the same."""
+    plus one trailing newline; the bytes are the same.  A parsed document
+    is written as ``document_for(doc)`` would be, straight from its
+    product rows."""
+    if isinstance(doc, ParsedDocument):
+        fields = _fields(doc)
+    else:
+        try:
+            fields = _read_tables(doc)
+        except ParseError:
+            return json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
     out: list[str] = []
-    _write(canonicalize_document(doc), "", _Encoded(), out)
+    _write(fields, "", _Encoded(), out)
     out.append("\n")
     return "".join(out)
 

@@ -9,12 +9,14 @@ import pytest
 from groupoids import (
     FiniteGroupoid,
     GroupoidMorphism,
+    ParsedDocument,
     Quasipermutation,
     anchor_morphism,
     canonical_dumps,
     canonicalize_document,
     cyclic_group,
     disjoint_union,
+    document_for,
     from_group,
     group_as_group_groupoid,
     group_groupoid_document,
@@ -29,6 +31,7 @@ from groupoids import (
 )
 from groupoids import cli, constructions, pair_vector_space_groupoid, vsg_document
 from groupoids.cli import main
+from groupoids.quasiperm import DEGREE_LIMIT
 
 GOLDEN = None
 
@@ -419,7 +422,10 @@ def test_build_pair_gg(z4_file, gp2_file, tmp_path, capsys):
 
 
 def stdlib_dumps(doc):
-    """The reference for canonical text: the stdlib's own indent encoder."""
+    """The reference for canonical text: the stdlib's own indent encoder,
+    on the dict form of a built document."""
+    if isinstance(doc, ParsedDocument):
+        doc = document_for(doc)
     return json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
 
 
@@ -881,3 +887,40 @@ def test_build_survives_seeded_single_edits(tmp_path, capsys):
             assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, case[edited], err)
             codes.add(code)
     assert {0, 1, 2} <= codes
+
+
+# Each integer argument of `build` and `counts`: the bound its own size check
+# lets through, and the small valid values that hold it while another
+# argument varies.  pair-vsg's p and dim are bounded by its base points,
+# PAIR_BASE_LIMIT = 2^6 (64 is no prime, and 2^6 points pass the base check
+# but not the addition-table cap).
+INTEGER_ARGUMENTS = {
+    ("build", "pair"): [(constructions.PAIR_BASE_LIMIT, (1, 2, 3))],
+    ("build", "null"): [(constructions.NULL_UNIT_LIMIT, (1, 2, 3))],
+    ("build", "cyclic"): [(constructions.CYCLIC_ORDER_LIMIT, (1, 2, 4))],
+    ("build", "symmetric"): [(cli._DOCUMENT_DEGREE_LIMIT, (1, 2))],
+    ("build", "alternating"): [(cli._DOCUMENT_DEGREE_LIMIT, (2, 3))],
+    ("build", "pair-vsg"): [(constructions.PAIR_BASE_LIMIT, (2, 3)),
+                            (constructions.PAIR_BASE_LIMIT.bit_length() - 1, (1, 2))],
+    ("counts",): [(DEGREE_LIMIT, (1, 2, 3))],
+}
+
+
+def test_integer_arguments_end_in_an_exit_code(capsys):
+    """Each integer argument in turn at -1, 0, 1, its bound, one above it,
+    10^6 and 10^12, the others held at seeded small valid values."""
+    rng = random.Random(2323)
+    codes = set()
+    for command, arguments in INTEGER_ARGUMENTS.items():
+        for i, (bound, _) in enumerate(arguments):
+            for value in (-1, 0, 1, bound, bound + 1, 10**6, 10**12):
+                argv = [str(rng.choice(small)) for _, small in arguments]
+                argv[i] = str(value)
+                start = time.perf_counter()
+                code = main(list(command) + argv)
+                seconds = time.perf_counter() - start
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (command, argv, err)
+                assert seconds < 10, (command, argv, seconds)
+                codes.add(code)
+    assert codes == {0, 1, 3}

@@ -15,6 +15,7 @@ from groupoids import (
     canonicalize_document,
     check_quasiperm_payloads,
     cyclic_group,
+    disjoint_union,
     document_for,
     from_group,
     group_groupoid_document,
@@ -24,6 +25,7 @@ from groupoids import (
     load_groupoid,
     load_morphism,
     pair_group_groupoid,
+    pair_groupoid,
     pair_vector_space_groupoid,
     parse_groupoid_document,
     parse_morphism_document,
@@ -205,6 +207,9 @@ def edited(doc, path, value):
      "row 0: unknown label None under key '(1,1)'"),
     (("unit_scalar", "1", "(0,0)"), DELETE, "unit_scalar", "row 1: missing entry for '(0,0)'"),
     (("unit_scalar", "1"), DELETE, "unit_scalar", "row 1: missing required field"),
+    (("scalar", "7"), "junk", "scalar", "unknown row '7'"),
+    (("scalar", "01"), {}, "scalar", "unknown row '01'"),
+    (("unit_scalar", "x"), {}, "unit_scalar", "unknown row 'x'"),
 ])
 def test_every_groupoid_label_map_is_read_the_same_way(path, value, field, message):
     doc = edited(vsg_document(pair_vector_space_groupoid(2, 1)), path, value)
@@ -800,3 +805,35 @@ def test_canonicalize_reorders_shuffled_lists(gp2):
     assert fixed["units"] == doc["units"]
     assert fixed["mul"] == doc["mul"]
     assert canonical_dumps(shuffled) == canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    plain_document(disjoint_union(pair_groupoid(2), from_group(cyclic_group(3)))),
+    quasiperm_document(symmetric_groupoid(2), 2),
+    group_groupoid_document(pair_group_groupoid(cyclic_group(3))),
+    vsg_document(pair_vector_space_groupoid(3, 1)),
+], ids=lambda doc: doc["kind"])
+def test_tables_out_of_canonical_order_are_written_in_it(doc):
+    """Elements shuffled, units against element order and triples shuffled:
+    the parsed document, its dict form and the shuffled dict itself all
+    write the stdlib's bytes, with unit_add in the order of the sorted
+    units rather than that of the units list."""
+    rng = random.Random(2323)
+    order = list(range(len(doc["elements"])))
+    rng.shuffle(order)
+    shuffled = json.loads(json.dumps(doc))
+    shuffled["elements"] = [doc["elements"][i] for i in order]
+    if "payloads" in doc:
+        shuffled["payloads"] = [doc["payloads"][i] for i in order]
+    position = {lbl: i for i, lbl in enumerate(shuffled["elements"])}
+    shuffled["units"] = sorted(doc["units"], key=position.get, reverse=True)
+    for field in ("mul", "add", "unit_add"):
+        if field in shuffled:
+            rng.shuffle(shuffled[field])
+    parsed = parse_groupoid_document(shuffled)
+    expected = json.dumps(canonicalize_document(document_for(parsed)),
+                          sort_keys=True, indent=2) + "\n"
+    assert canonical_dumps(parsed) == expected
+    assert canonical_dumps(document_for(parsed)) == expected
+    assert canonical_dumps(shuffled) == expected
+    assert expected != canonical_dumps(doc)
