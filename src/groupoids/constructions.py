@@ -289,18 +289,15 @@ def induced_triples(
         if f[x] not in base_to_unit:
             raise ValueError(f"f({x!r}) = {f[x]!r} is not a base label of the groupoid")
     target_unit = {x: base_to_unit[f[x]] for x in points}
-    homs: dict[tuple[int, int], list[int]] = {}
-    for a in range(len(g)):
-        homs.setdefault((g.alpha[a], g.beta[a]), []).append(a)
     # (x, y, a) * (y, z, b) for every y: (arrows into f(y)) x (arrows out of f(y))
     over = Counter(target_unit.values())
     into, out_of = Counter(), Counter()
-    for (u, v), arrows in homs.items():
+    for (u, v), arrows in g._homs.items():
         into[v] += over[u] * len(arrows)
         out_of[u] += len(arrows) * over[v]
     _bound_products("induced groupoid", sum(c * into[u] * out_of[u] for u, c in over.items()))
     triples = [(x, y, a) for x in points for y in points
-               for a in homs.get((target_unit[x], target_unit[y]), ())]
+               for a in g._homs.get((target_unit[x], target_unit[y]), ())]
     return points, target_unit, triples
 
 

@@ -223,7 +223,9 @@ class FiniteGroupoid:
             unknown = set(base) - set(self.units)
             if unknown:
                 raise ValueError(f"base labels given for non-units: {sorted(unknown)}")
-            if len(set(base.values())) != len(base):
+            # a unit without a base label goes by its element label
+            effective = {**{u: self.elements[u] for u in self.units if 0 <= u < n}, **base}
+            if len(set(effective.values())) != len(effective):
                 raise ValueError("base labels must be pairwise distinct")
             self.base_labels: dict[int, str] | None = base
         else:
@@ -237,6 +239,9 @@ class FiniteGroupoid:
             self.payloads = None
 
         self._label_index: dict[str, int] = {lbl: i for i, lbl in enumerate(self.elements)}
+        # filled by ``_homs`` on first use, but made here: under CPython an
+        # attribute added after construction slows every attribute read
+        self._hom_index: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     # ----- basic queries ---------------------------------------------------
 
@@ -304,15 +309,25 @@ class FiniteGroupoid:
         self._check_index(x)
         return (self.alpha[x], self.beta[x])
 
+    @property
+    def _homs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The hom-sets: each anchor (alpha(x), beta(x)) with its elements x
+        in index order, anchors in the order of their first element.  Built
+        once, on first use, from the immutable ``alpha`` and ``beta``."""
+        if self._hom_index is None:
+            homs: dict[tuple[int, int], list[int]] = {}
+            for x, anchor in enumerate(zip(self.alpha, self.beta)):
+                homs.setdefault(anchor, []).append(x)
+            self._hom_index = {anchor: tuple(xs) for anchor, xs in homs.items()}
+        return self._hom_index
+
     def is_transitive(self) -> bool:
         """True when every ordered unit pair is the anchor of some element."""
-        seen = {(self.alpha[x], self.beta[x]) for x in range(len(self.elements))}
-        return len(seen) == len(self.units) ** 2
+        return len(self._homs) == len(self.units) ** 2
 
     def isotropy_members(self, u: int) -> tuple[int, ...]:
-        return tuple(
-            x for x in range(len(self.elements)) if self.alpha[x] == u and self.beta[x] == u
-        )
+        """The loops at u, the elements with source and target u, ascending."""
+        return self._homs.get((u, u), ())
 
     def isotropy_group(self, u: int) -> "GroupTable":
         """The group of elements with source and target both equal to the
@@ -745,12 +760,13 @@ def _element_order(g: FiniteGroupoid, x: int) -> int:
 
 def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
     """Each connected component as its least unit r and one arrow r -> u for
-    every unit u of it; in a groupoid these units are exactly the units that
-    some arrow out of r reaches."""
+    every unit u of it, the last element of the hom-set r -> u (r -> r
+    included); in a groupoid these units are exactly the units that some
+    arrow out of r reaches."""
     arrows: dict[int, dict[int, int]] = {u: {} for u in g.units}
-    for x in range(len(g)):
-        if g.alpha[x] in arrows and g.is_unit(g.beta[x]):
-            arrows[g.alpha[x]][g.beta[x]] = x
+    for (a, b), xs in g._homs.items():
+        if a in arrows and g.is_unit(b):
+            arrows[a][b] = xs[-1]
     components: list[tuple[int, dict[int, int]]] = []
     placed: set[int] = set()
     for r in g.units:
@@ -765,35 +781,28 @@ def _coordinate_failures(g: FiniteGroupoid) -> tuple[set[int], int]:
     associative, and the number of checks made.  With t_u : r -> u the
     arrows of ``_components`` and t_r = r, x : u -> v has the coordinate
     c(x) = t_u * x * inv(t_v) in the vertex group H_r; see ``validate`` for
-    the three conditions.  g must pass every other check of validate."""
-    rows, alpha, beta = g.rows, g.alpha, g.beta
-    root: dict[int, int] = {}
-    arrow: dict[int, int] = {}
-    for r, tree in _components(g):
-        root.update(dict.fromkeys(tree, r))
-        arrow.update({**tree, r: r})
-    loops: dict[int, list[int]] = {r: [] for r in root.values()}
-    for x in g.isotropy_bundle():
-        if alpha[x] in loops:
-            loops[alpha[x]].append(x)
-    # each H_r as a table over the positions of its members, c(x) as a position
-    pos: dict[int, int] = {}
-    table: dict[int, list[list[int]]] = {}
+    the three conditions.  g must pass every other check of validate, so
+    each component is the union of the hom-sets between its units and every
+    product stays in its component."""
+    rows, alpha, beta, inv, homs = g.rows, g.alpha, g.beta, g.inv, g._homs
+    c = [0] * len(g)  # c(x) as a position in the members of its H_r
     failed: set[int] = set()
-    for r, members in loops.items():
-        pos.update((x, i) for i, x in enumerate(members))
-        table[r] = [[pos[rows[x][y]] for y in members] for x in members]
-        if any(_group_law_violations(table[r], pos[r], [pos[g.inv[x]] for x in members])):
-            failed.add(r)
-    c = [pos[rows[rows[arrow[alpha[x]]][x]][g.inv[arrow[beta[x]]]]] for x in range(len(g))]
-    row = [table[root[alpha[x]]][cx] for x, cx in enumerate(c)]
-    failed.update(root[alpha[x]] for x, products in enumerate(rows)
-                  if [row[x][c[y]] for y in products] != [c[z] for z in products.values()])
-    first: dict[tuple[int, int, int], int] = {}
-    failed.update(root[alpha[x]] for x, cx in enumerate(c)
-                  if first.setdefault((alpha[x], beta[x], cx), x) != x)
-    checked = len(c) + len(g.mul) + sum(len(members) ** 2 for members in loops.values())
-    return {u for u, r in root.items() if r in failed}, checked
+    checked = len(g) + len(g.mul)
+    for r, tree in _components(g):
+        members = homs[r, r]
+        pos = {x: i for i, x in enumerate(members)}
+        table = [[pos[rows[x][y]] for y in members] for x in members]
+        checked += len(members) ** 2
+        arrow = {**tree, r: r}
+        hom_sets = [homs[u, v] for u in tree for v in tree]
+        for x in chain.from_iterable(hom_sets):
+            c[x] = pos[rows[rows[arrow[alpha[x]]][x]][inv[arrow[beta[x]]]]]
+        if (any(_group_law_violations(table, pos[r], [pos[inv[x]] for x in members]))
+                or any(len(set(map(c.__getitem__, xs))) != len(xs) for xs in hom_sets)
+                or any([table[c[x]][c[y]] for y in rows[x]] != [c[z] for z in rows[x].values()]
+                       for x in chain.from_iterable(hom_sets))):
+            failed.update(tree)
+    return failed, checked
 
 
 def _vertex_group_iso(

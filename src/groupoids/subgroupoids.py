@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    FiniteGroupoid, SizeLimitError, _components, _generators, _right_closure, restricted,
-    validate,
+    FiniteGroupoid, SizeLimitError, _generators, _right_closure, restricted, validate,
 )
 
 __all__ = [
@@ -110,12 +109,9 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
         if u not in inside:
             return SubsetClassification(
                 "subgroupoid", mem, (u,), f"unit {g.elements[u]} is missing")
-    loops: dict[int, list[int]] = {}
-    for h in mem:
-        if g.alpha[h] == g.beta[h]:
-            loops.setdefault(g.alpha[h], []).append(h)
+    loops = {b: [h for h in g.isotropy_members(b) if h in inside] for b in set(g.beta)}
     for x in range(len(g)):
-        for h in loops.get(g.beta[x], ()):
+        for h in loops[g.beta[x]]:
             xh = g.rows[x].get(h)
             z = g.rows[xh].get(g.inv[x]) if xh is not None and 0 <= xh < len(g) else None
             if z is None:
@@ -178,11 +174,9 @@ def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
     unit c a subgroup K of the vertex group at c and, for every other unit
     u of the class, one of the sets K*h with h : c -> u.  With K itself the
     set for c, the class holds inv(a)*b for a and b in the chosen sets; one
-    a per set already gives them all."""
-    hom: dict[tuple[int, int], list[int]] = {}
-    for x in range(len(g)):
-        hom.setdefault((g.alpha[x], g.beta[x]), []).append(x)
-    component = {u: r for r, tree in _components(g) for u in tree}
+    a per set already gives them all.  Two units share a component exactly
+    when some arrow joins them."""
+    hom = g._homs
 
     @functools.cache
     def subgroups(c: int) -> list[frozenset[int]]:
@@ -205,7 +199,7 @@ def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
             return [[]]
         u, rest = units[0], units[1:]
         out = within(rest)
-        mates = [v for v in rest if component[v] == component[u]]
+        mates = [v for v in rest if (u, v) in hom]
         for size in range(len(mates) + 1):
             for others in itertools.combinations(mates, size):
                 tails = within(tuple(v for v in rest if v not in others))
@@ -264,6 +258,8 @@ def enumerate_subgroupoids(
 
 def isotropy_subgroupoid(g: FiniteGroupoid, u: int) -> SubgroupoidHandle:
     """The isotropy group at a unit, as a subgroupoid."""
+    if not g.is_unit(u):
+        raise ValueError(f"element {u} is not a unit")
     return subgroupoid_handle(g, g.isotropy_members(u))
 
 

@@ -14,6 +14,7 @@ from groupoids import (
     anchor_morphism,
     canonical_dumps,
     canonicalize_document,
+    count_formulas,
     cyclic_group,
     disjoint_union,
     document_for,
@@ -131,6 +132,21 @@ def test_analyze_reference_groupoid(tmp_path, golden, capsys):
     assert "transitive: no" in out
     assert "isotropy at 3/0: order 4" in out
     assert "isotropy bundle size: 10" in out
+
+
+@pytest.mark.parametrize("kind, bundle", [("symmetric", count_formulas(4).s_isotropy),
+                                          ("alternating", count_formulas(4).a_isotropy)])
+def test_analyze_bundle_size_is_the_closed_form_and_the_sum_of_the_orders(
+        tmp_path, capsys, kind, bundle):
+    assert main(["build", kind, "4"]) == 0
+    path = tmp_path / f"{kind}4.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    orders = [int(line.rsplit(" ", 1)[1]) for line in lines if line.startswith("isotropy at ")]
+    assert len(orders) == 2 ** 4 - 1  # one unit per nonempty subset of {1, .., 4}
+    assert lines[-1] == f"isotropy bundle size: {bundle}"
+    assert bundle == sum(orders) == {"symmetric": 64, "alternating": 34}[kind]
 
 
 def test_analyze_rejects_invalid_document(tmp_path, golden, capsys):

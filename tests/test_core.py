@@ -35,6 +35,8 @@ from groupoids import (
     whitney_sum,
     with_base_labels,
 )
+from groupoids.core import _components
+from test_isomorphism import relabelled
 
 
 def z4_tables():
@@ -690,6 +692,53 @@ def test_isotropy_bundle(golden):
     assert len(bundle) == 10
     assert set(golden.units) <= set(bundle)
     assert all(golden.source(x) == golden.target(x) for x in bundle)
+
+
+def components_by_scan(g):
+    """``_components`` by its definition: per unit a, the last element of
+    each hom-set a -> b over the units b, and the least unit of each
+    component with the arrows out of it."""
+    arrows = {u: {} for u in g.units}
+    for x in range(len(g)):
+        if g.alpha[x] in arrows and g.is_unit(g.beta[x]):
+            arrows[g.alpha[x]][g.beta[x]] = x
+    components, placed = [], set()
+    for r in g.units:
+        if r not in placed:
+            placed.update(arrows[r])
+            components.append((r, list(arrows[r].items())))
+    return components
+
+
+def assert_hom_index_matches_the_scans(g):
+    n = len(g)
+    for u in range(-1, n + 1):
+        assert g.isotropy_members(u) == tuple(
+            x for x in range(n) if g.alpha[x] == u and g.beta[x] == u)
+    anchors = {(g.alpha[x], g.beta[x]) for x in range(n)}
+    assert g.is_transitive() == (len(anchors) == len(g.units) ** 2)
+    assert [(r, list(tree.items())) for r, tree in _components(g)] == components_by_scan(g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hom_index_answers_equal_their_definition_scans(seed):
+    rng = random.Random(seed)
+    pieces = [pair_groupoid(1), pair_groupoid(2), pair_groupoid(3), symmetric_groupoid(2),
+              alternating_groupoid(3), from_group(cyclic_group(3)), from_group(klein_four_group())]
+    union = disjoint_union(*rng.sample(pieces, rng.randint(1, 4)))
+    product = direct_product(*rng.sample(pieces, 2))
+    bases = [union.unit_base_label(u) for u in union.units]
+    induced = induced_groupoid(union, {f"p{i}": rng.choice(bases) for i in range(rng.randint(1, 4))})
+    for g in (union, product, induced):
+        assert validate(g).passed
+        assert_hom_index_matches_the_scans(g)
+        assert_hom_index_matches_the_scans(relabelled(g, rng))  # hom-sets interleaved
+        # anchors that name non-units reach the unit guard of _components
+        alpha, beta = list(g.alpha), list(g.beta)
+        for _ in range(rng.randint(1, 3)):
+            (alpha if rng.random() < 0.5 else beta)[rng.randrange(len(g))] = rng.randrange(len(g))
+        broken = FiniteGroupoid(g.elements, g.units, alpha, beta, g.inv, g.mul)
+        assert_hom_index_matches_the_scans(broken)
 
 
 def test_isotropy_conjugation(gp2, golden):

@@ -250,6 +250,9 @@ def test_constructor_refusals_are_document_parse_errors(gp2):
     cases = [
         (edited(plain_document(gp2), ("base_labels", "(2,2)"), "1"),
          "base labels must be pairwise distinct"),
+        # (2,2) has no base label, so it goes by its element label
+        (edited(plain_document(gp2), ("base_labels",), {"(1,1)": "(2,2)"}),
+         "base labels must be pairwise distinct"),
         (edited(vsg_document(pair_vector_space_groupoid(2, 1)), ("p",), 1),
          "scalar field size must be prime, got 1"),
     ]

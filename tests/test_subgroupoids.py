@@ -189,6 +189,12 @@ def test_named_subgroupoids(golden, gp2):
     assert tiny.members == (0,)
 
 
+def test_isotropy_subgroupoid_refuses_a_non_unit(golden):
+    x = golden.index("1/(1,2)")
+    with pytest.raises(ValueError, match=f"^element {x} is not a unit$"):
+        isotropy_subgroupoid(golden, x)
+
+
 def test_handles_reclassify_consistently(s2):
     for handle in enumerate_subgroupoids(s2):
         again = classify_subset(s2, handle.members)
