@@ -46,6 +46,7 @@ from .quasiperm import (
     _enumerate,
     alternating_groupoid,
     count_formulas,
+    signature,
     symmetric_groupoid,
 )
 from .structured import (
@@ -151,7 +152,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
     c = count_formulas(n)
     rows = [("S", all_maps, (c.s_total, c.s_units, c.s_isotropy))]
     if n >= 2:
-        rows.append(("A", _enumerate(n, even=True), (c.a_total, c.a_units, c.a_isotropy)))
+        even = [f for f in all_maps if signature(f) == 1]
+        rows.append(("A", even, (c.a_total, c.a_units, c.a_isotropy)))
     all_ok = True
     for name, maps, (total, units, iso) in rows:
         got = (len(maps), sum(f.is_identity() for f in maps),

@@ -242,15 +242,13 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
             f"{sorted(base_g.values())} vs {sorted(base_h.values())}"
         )
     anchor_g = [(base_g[g.alpha[x]], base_g[g.beta[x]]) for x in range(len(g))]
-    fibres_h: dict[tuple[str, str], list[int]] = {}
-    for y in range(len(h)):
-        fibres_h.setdefault((base_h[h.alpha[y]], base_h[h.beta[y]]), []).append(y)
+    unit_h = {lbl: w for w, lbl in base_h.items()}
     elements: list[tuple[int, int]] = []
     from_base: dict[str, list[tuple[int, int]]] = {}
-    for x in range(len(g)):
-        for y in fibres_h.get(anchor_g[x], ()):
+    for x, (a, b) in enumerate(anchor_g):
+        for y in h._homs.get((unit_h[a], unit_h[b]), ()):
             elements.append((x, y))
-            from_base.setdefault(anchor_g[x][0], []).append((x, y))
+            from_base.setdefault(a, []).append((x, y))
     # no larger than the product count: each element composes with its source unit
     _bound_products("whitney sum",
                     sum(len(from_base.get(anchor_g[x][1], ())) for x, _ in elements))

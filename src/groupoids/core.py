@@ -336,17 +336,15 @@ class FiniteGroupoid:
             raise ValueError(f"element {u} is not a unit")
         members = self.isotropy_members(u)
         pos = {x: i for i, x in enumerate(members)}
-        for x in members:
-            for y in members:
-                if self.rows[x].get(y) not in pos:
-                    raise ValueError(f"isotropy set at unit {u} is not closed at ({x}, {y})")
-        table = [[pos[self.rows[x][y]] for y in members] for x in members]
-        inv_positions = []
-        for x in members:
-            xi = self.inv[x]
-            if xi not in pos:
-                raise ValueError(f"isotropy set at unit {u} lacks the inverse of {x}")
-            inv_positions.append(pos[xi])
+        table = [[pos.get(self.rows[x].get(y)) for y in members] for x in members]
+        for x, row in zip(members, table):
+            if None in row:
+                y = members[row.index(None)]
+                raise ValueError(f"isotropy set at unit {u} is not closed at ({x}, {y})")
+        inv_positions = [pos.get(self.inv[x]) for x in members]
+        if None in inv_positions:
+            x = members[inv_positions.index(None)]
+            raise ValueError(f"isotropy set at unit {u} lacks the inverse of {x}")
         group = GroupTable.build(
             [self.elements[x] for x in members], table, pos[u], inv_positions)
         group.validate().require(f"isotropy group at unit {u} is not a group")

@@ -207,20 +207,16 @@ def _payloads(data: dict, count: int) -> list[Quasipermutation]:
     return payloads
 
 
-def parse_groupoid_document(data: Any) -> ParsedDocument:
-    """Build a groupoid (and structured extras) from a decoded document.
-    Shape problems raise ParseError; mathematical defects are left for the
-    validators."""
-    _check_header(data)
-    kind = data.get("kind", "plain")
-    if kind not in KINDS:
-        raise ParseError("kind", f"unknown kind {kind!r}")
+def _labels(data: dict) -> tuple[list[str], dict[str, int], list[str]]:
+    """The element labels of a document, the position of each, and its unit
+    labels.  Labels that are not unique strings, an empty list or a unit
+    outside the elements raise ParseError."""
     elements = _string_list(data, "elements")
     if not elements:
         raise ParseError("elements", "must not be empty")
-    if len(set(elements)) != len(elements):
-        raise ParseError("elements", "labels must be unique")
     index = {lbl: i for i, lbl in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ParseError("elements", "labels must be unique")
     units = _string_list(data, "units")
     for i, u in enumerate(units):
         if u not in index:
@@ -229,6 +225,18 @@ def parse_groupoid_document(data: Any) -> ParsedDocument:
         raise ParseError("units", "unit labels must be unique")
     if not units:
         raise ParseError("units", "must not be empty")
+    return elements, index, units
+
+
+def parse_groupoid_document(data: Any) -> ParsedDocument:
+    """Build a groupoid (and structured extras) from a decoded document.
+    Shape problems raise ParseError; mathematical defects are left for the
+    validators."""
+    _check_header(data)
+    kind = data.get("kind", "plain")
+    if kind not in KINDS:
+        raise ParseError("kind", f"unknown kind {kind!r}")
+    elements, index, units = _labels(data)
     alpha = _label_map(data, "alpha", index, index)
     beta = _label_map(data, "beta", index, index)
     inv = _label_map(data, "inv", index, index)
@@ -376,14 +384,23 @@ def _vsg_fields(v: VectorSpaceGroupoid) -> dict:
 
 
 def _fields(parsed: ParsedDocument) -> dict:
-    """The fields of a parsed document's kind, product tables as tables."""
-    if parsed.kind == "vsg":
-        return _vsg_fields(parsed.vector_space)
-    if parsed.kind == "group-groupoid":
+    """The fields of a parsed document's kind, product tables as tables.
+    Raises ValueError on an unknown kind, or when the document lacks the
+    part its kind is written from."""
+    kind, g = parsed.kind, parsed.groupoid
+    if kind == "plain":
+        return _plain_fields(g)
+    if kind == "quasiperm" and g.payloads is not None:
+        return _quasiperm_fields(g, g.payloads[0].degree)
+    if kind == "group-groupoid" and parsed.group_groupoid is not None:
         return _group_groupoid_fields(parsed.group_groupoid)
-    if parsed.kind == "quasiperm":
-        return _quasiperm_fields(parsed.groupoid, parsed.groupoid.payloads[0].degree)
-    return _plain_fields(parsed.groupoid)
+    if kind == "vsg" and parsed.vector_space is not None:
+        return _vsg_fields(parsed.vector_space)
+    parts = {"quasiperm": "quasipermutation payloads", "group-groupoid": "group-groupoid",
+             "vsg": "vector space"}
+    if kind in parts:
+        raise ValueError(f"document of kind {kind!r} carries no {parts[kind]}")
+    raise ValueError(f"unknown document kind {kind!r}")
 
 
 def _with_triples(doc: dict) -> dict:
@@ -430,18 +447,12 @@ def canonicalize_document(doc: dict) -> dict:
 
 def _read_tables(doc: dict) -> dict:
     """``doc`` with its units in element order and each triple list read
-    into a table by the parser's reader, so that writing it gives the
-    bytes of ``canonicalize_document(doc)``.  Raises ParseError where those
-    bytes could differ: labels that are not unique strings, units outside
-    the elements, or a triple list the reader refuses (a malformed cell,
-    an unknown label or a repeated pair)."""
-    elements = _string_list(doc, "elements")
-    index = {lbl: i for i, lbl in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ParseError("elements", "labels must be unique")
-    units = _string_list(doc, "units")
-    if len(set(units)) != len(units) or not index.keys() >= set(units):
-        raise ParseError("units", "must be distinct element labels")
+    into a table by the parser's readers, so that writing it gives the
+    bytes of ``canonicalize_document(doc)``.  Raises ParseError where the
+    parser refuses the labels (``_labels``) or a triple list (a malformed
+    cell, an unknown label or a repeated pair), which covers every document
+    whose bytes could differ."""
+    elements, index, units = _labels(doc)
     out = dict(doc)
     out["units"] = units = sorted(units, key=index.__getitem__)
     out["mul"] = _Table(elements, _label_triples(doc, "mul", index, "product"))

@@ -154,6 +154,17 @@ def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
+def _require_strong(m: GroupoidMorphism, what: str) -> None:
+    """Raise ValueError, its message opening with ``what``, naming the
+    witness pair unless the morphism is strong."""
+    strong, witness = is_strong(m)
+    if not strong:
+        x, y = witness
+        raise ValueError(
+            f"{what} a strong morphism; composability is not reflected at "
+            f"({m.domain.elements[x]}, {m.domain.elements[y]})")
+
+
 def is_isomorphism(m: GroupoidMorphism) -> bool:
     """True when the morphism validates (so both endpoints are groupoids)
     and both maps are bijections."""
@@ -193,12 +204,7 @@ def image(m: GroupoidMorphism, h: Optional[SubgroupoidHandle] = None) -> Subgrou
     if h is not None and h.parent != m.domain:
         raise ValueError("image needs a subgroupoid of the domain")
     validate_morphism(m).require("image")
-    strong, witness = is_strong(m)
-    if not strong:
-        x, y = witness
-        raise ValueError(
-            "image requires a strong morphism; composability is not reflected at "
-            f"({m.domain.elements[x]}, {m.domain.elements[y]})")
+    _require_strong(m, "image requires")
     members = set(m.elem_map) if h is None else {m.elem_map[x] for x in h.members}
     return subgroupoid_handle(m.codomain, members)
 
@@ -230,11 +236,8 @@ def anchor_morphism(g: FiniteGroupoid) -> GroupoidMorphism:
 def induced_canonical_morphism(g: FiniteGroupoid, f: Mapping[str, str]) -> GroupoidMorphism:
     """The projection (x, y, a) -> a from the pullback of g along f back
     to g."""
-    points, target_unit, triples = induced_triples(g, f)
-    domain = induced_groupoid(g, f)
-    index = {t: k for k, t in enumerate(triples)}
-    unit_map = {index[(x, x, target_unit[x])]: target_unit[x] for x in points}
-    return GroupoidMorphism(domain, g, [a for _, _, a in triples], unit_map)
+    _, _, triples = induced_triples(g, f)
+    return GroupoidMorphism(induced_groupoid(g, f), g, [a for _, _, a in triples])
 
 
 @dataclass(frozen=True)
@@ -307,18 +310,13 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
     strong morphism.  Hypothesis failures raise before any enumeration;
     the endpoints are validated once, by ``validate_morphism``."""
     validate_morphism(m).require("correspondence")
-    strong, witness = is_strong(m)
-    if not strong:
-        x, y = witness
-        raise ValueError(
-            "correspondence needs a strong morphism; composability is not reflected at "
-            f"({m.domain.elements[x]}, {m.domain.elements[y]})")
+    _require_strong(m, "correspondence needs")
     if set(m.elem_map) != set(range(len(m.codomain))):
         raise ValueError("correspondence needs a morphism surjective on elements")
     if set(m.unit_map.values()) != set(m.codomain.units):
         raise ValueError("correspondence needs a morphism surjective on units")
+    # surjective, so the codomain is no larger than the domain
     _require_enumerable(m.domain)
-    _require_enumerable(m.codomain)
     ker = tuple(x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x]))
     inside_ker = set(ker)
     over_kernel = [h for h in _lattice(m.domain) if inside_ker.issubset(h.members)]

@@ -159,11 +159,10 @@ def signature(f: Quasipermutation) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _enumerate(n: int, *, even: bool = False) -> list[Quasipermutation]:
-    """All quasipermutations of degree n, or only those of signature +1 when
-    ``even``: identity maps first (by length, then domain), then the rest by
-    (length, domain, image).  Raises SizeLimitError above the degree bound,
-    before enumerating."""
+def _enumerate(n: int) -> list[Quasipermutation]:
+    """All quasipermutations of degree n: identity maps first (by length,
+    then domain), then the rest by (length, domain, image).  Raises
+    SizeLimitError above the degree bound, before enumerating."""
     if n > DEGREE_LIMIT:
         raise SizeLimitError(f"degree {n} exceeds the bound {DEGREE_LIMIT}")
     units: list[Quasipermutation] = []
@@ -171,15 +170,8 @@ def _enumerate(n: int, *, even: bool = False) -> list[Quasipermutation]:
     points = range(1, n + 1)
     for k in range(1, n + 1):
         for domain in itertools.combinations(points, k):
-            units.append(Quasipermutation(n, domain, domain))
-    units.sort(key=lambda f: (f.length, f.domain))
-    for k in range(1, n + 1):
-        for domain in itertools.combinations(points, k):
             for image in itertools.permutations(points, k):
-                if image != domain:
-                    f = Quasipermutation(n, domain, image)
-                    if not even or signature(f) == 1:
-                        rest.append(f)
+                (units if image == domain else rest).append(Quasipermutation(n, domain, image))
     return units + rest
 
 
@@ -286,7 +278,7 @@ def alternating_groupoid(n: int) -> FiniteGroupoid:
     with the elements in the order they have in the full groupoid."""
     if n < 2:
         raise ValueError("the even quasipermutations need degree at least 2")
-    return _groupoid(_enumerate(n, even=True))
+    return _groupoid([f for f in _enumerate(n) if signature(f) == 1])
 
 
 @dataclass(frozen=True)

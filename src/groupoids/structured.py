@@ -521,12 +521,10 @@ def pair_vector_space_groupoid(p: int, dim: int) -> VectorSpaceGroupoid:
     t = gf_vector_group(p, dim)
     gg = pair_group_groupoid(t)
     n = t.order
-    vectors = list(iter_product(range(p), repeat=dim))
-    vec_index = {vec: i for i, vec in enumerate(vectors)}
-    vec_scale = [
-        [vec_index[tuple((k * a) % p for a in vec)] for vec in vectors]
-        for k in range(p)
-    ]
+    # k.v as the k-fold sum v + ... + v, so (k+1).v = k.v + v
+    vec_scale = [[t.identity] * n]
+    for _ in range(1, p):
+        vec_scale.append([t.table[kv][v] for v, kv in enumerate(vec_scale[-1])])
     pairs = pair_arrows(n)
     scalar = [
         [pair_index(n, vec_scale[k][a], vec_scale[k][b]) for (a, b) in pairs]

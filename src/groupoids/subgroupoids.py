@@ -99,12 +99,12 @@ def classify_subset(g: FiniteGroupoid, members: Iterable[int]) -> SubsetClassifi
                 "not_subgroupoid", mem, (x, g.inv[x]),
                 f"inverse of {g.elements[x]} escapes the subset")
     for x in mem:
-        for y in mem:
-            z = g.rows[x].get(y)
-            if z is not None and z not in inside:
-                return SubsetClassification(
-                    "not_subgroupoid", mem, (x, y, z),
-                    f"product {g.elements[x]} * {g.elements[y]} escapes the subset")
+        # the least escaping y, so that (x, y) is the first in member order
+        y = min((y for y, z in g.rows[x].items() if y in inside and z not in inside), default=None)
+        if y is not None:
+            return SubsetClassification(
+                "not_subgroupoid", mem, (x, y, g.rows[x][y]),
+                f"product {g.elements[x]} * {g.elements[y]} escapes the subset")
     for u in g.units:
         if u not in inside:
             return SubsetClassification(

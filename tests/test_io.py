@@ -8,6 +8,7 @@ import pytest
 from groupoids import (
     FiniteGroupoid,
     ParseError,
+    ParsedDocument,
     Quasipermutation,
     Violation,
     alternating_groupoid,
@@ -121,6 +122,19 @@ def test_vsg_document_round_trip():
     assert validate_vector_space_groupoid(parsed.vector_space).passed
     assert parsed.vector_space.scalar == v.scalar
     assert canonical_dumps(document_for(parsed)) == canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("quasiperm", "document of kind 'quasiperm' carries no quasipermutation payloads"),
+    ("group-groupoid", "document of kind 'group-groupoid' carries no group-groupoid"),
+    ("vsg", "document of kind 'vsg' carries no vector space"),
+    ("bogus", "unknown document kind 'bogus'"),
+], ids=["quasiperm", "group-groupoid", "vsg", "bogus"])
+def test_a_parsed_document_lacking_its_kind_is_refused(kind, message, gp2):
+    for write in (document_for, canonical_dumps):
+        with pytest.raises(ValueError) as err:
+            write(ParsedDocument(gp2, kind))
+        assert str(err.value) == message, write
 
 
 def test_parse_error_fields(gp2):

@@ -198,6 +198,11 @@ def test_count_formulas_match_enumeration():
             assert a.payloads == by_restriction.payloads
 
 
+def test_alternating_payloads_are_the_even_symmetric_payloads(s5):
+    # degrees 2 to 4 are pinned by test_count_formulas_match_enumeration
+    assert alternating_groupoid(5).payloads == tuple(f for f in s5.payloads if signature(f) == 1)
+
+
 def test_known_count_values():
     two = count_formulas(2)
     assert (two.s_total, two.s_units, two.s_isotropy) == (6, 3, 4)

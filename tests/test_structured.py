@@ -214,6 +214,21 @@ def test_pair_vector_space_groupoid_validates_both_ways():
         assert v.carrier.groupoid_type() == (p ** (2 * dim), p**dim)
 
 
+@pytest.mark.parametrize("p, dim", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_pair_vector_space_scalars_act_coordinate_wise(p, dim):
+    # each unit's base label names its vector; an arrow goes by its anchors
+    v = pair_vector_space_groupoid(p, dim)
+    g = v.carrier
+    vector = {u: tuple(int(c) for c in g.base_labels[u].split(",")) for u in g.units}
+    unit_of = {vec: u for u, vec in vector.items()}
+    arrow = {(g.alpha[x], g.beta[x]): x for x in range(len(g))}
+    for k in range(p):
+        times = {u: unit_of[tuple(k * c % p for c in vec)] for u, vec in vector.items()}
+        assert v.unit_scalar[k] == tuple(g.units.index(times[u]) for u in g.units)
+        assert v.scalar[k] == tuple(arrow[times[g.alpha[x]], times[g.beta[x]]]
+                                    for x in range(len(g)))
+
+
 def test_one_point_line_as_vector_space():
     structure = group_as_group_groupoid(cyclic_group(3))
     scalar = [[(k * x) % 3 for x in range(3)] for k in range(3)]

@@ -139,6 +139,73 @@ def test_generated_subgroupoid_matches_the_closure_by_rounds():
     assert 0 < errors < 300
 
 
+def classify_by_pairs(g, members):
+    """Reference for classify_subset as (kind, members, witness, detail):
+    inverses, then the product of every ordered pair of members, then the
+    units, then the conjugate of every loop of the subset by every arrow,
+    each in index order."""
+    mem = tuple(sorted(set(members)))
+    inside, name = set(mem), g.elements
+    if not mem:
+        return ("not_subgroupoid", mem, None, "empty subset")
+    for x in mem:
+        if g.inv[x] not in inside:
+            return ("not_subgroupoid", mem, (x, g.inv[x]),
+                    f"inverse of {name[x]} escapes the subset")
+    for x in mem:
+        for y in mem:
+            z = g.mul.get((x, y))
+            if z is not None and z not in inside:
+                return ("not_subgroupoid", mem, (x, y, z),
+                        f"product {name[x]} * {name[y]} escapes the subset")
+    for u in g.units:
+        if u not in inside:
+            return ("subgroupoid", mem, (u,), f"unit {name[u]} is missing")
+    for x in range(len(g)):
+        for h in mem:
+            if g.alpha[h] == g.beta[h] == g.beta[x]:
+                z = g.mul.get((g.mul.get((x, h)), g.inv[x]))
+                if z is None:
+                    raise ValueError(f"conjugate of {name[h]} by {name[x]} is undefined; "
+                                     "not a groupoid")
+                if z not in inside:
+                    return ("wide", mem, (x, h, z), f"conjugate of {name[h]} by {name[x]} escapes")
+    return ("normal", mem, None, "")
+
+
+def test_classify_subset_matches_the_pairwise_reference():
+    # groupoids and broken tables as in the closure-by-rounds test; half the
+    # subsets are closed under inverses, so that the product check decides
+    # them often.  Pair-groupoid rows are not in ascending key order, so the
+    # first escaping product in row order is not always the least.
+    rng = random.Random(2718)
+    escaping_products = 0
+    for _ in range(200):
+        g = _random_union(rng)
+        mul, inv = dict(g.mul), list(g.inv)
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                mul[rng.choice(sorted(mul))] = rng.randrange(len(g))
+            else:
+                inv[rng.randrange(len(g))] = rng.randrange(len(g))
+        table = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, inv, mul)
+        for i in range(6):
+            members = set(rng.sample(range(len(g)), rng.randint(1, len(g))))
+            if i % 2:
+                members |= {inv[x] for x in members}
+            try:
+                want = classify_by_pairs(table, members)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    classify_subset(table, members)
+                assert str(got.value) == str(exc)
+                continue
+            got = classify_subset(table, members)
+            assert (got.kind, got.members, got.witness, got.detail) == want
+            escaping_products += want[3].startswith("product")
+    assert escaping_products > 100
+
+
 def test_enumerate_pair_groupoid(gp2):
     handles = enumerate_subgroupoids(gp2)
     assert [h.members for h in handles] == [(0,), (1,), (0, 1), (0, 1, 2, 3)]
