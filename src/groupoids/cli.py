@@ -44,9 +44,9 @@ from .morphisms import (
 )
 from .quasiperm import (
     _enumerate,
+    _even,
     alternating_groupoid,
     count_formulas,
-    signature,
     symmetric_groupoid,
 )
 from .structured import (
@@ -152,8 +152,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     c = count_formulas(n)
     rows = [("S", all_maps, (c.s_total, c.s_units, c.s_isotropy))]
     if n >= 2:
-        even = [f for f in all_maps if signature(f) == 1]
-        rows.append(("A", even, (c.a_total, c.a_units, c.a_isotropy)))
+        rows.append(("A", _even(all_maps), (c.a_total, c.a_units, c.a_isotropy)))
     all_ok = True
     for name, maps, (total, units, iso) in rows:
         got = (len(maps), sum(f.is_identity() for f in maps),

@@ -180,6 +180,18 @@ def from_group(t: GroupTable) -> FiniteGroupoid:
 # ----- combinators ---------------------------------------------------------
 
 
+def _require_unit_anchors(what: str, *factors: FiniteGroupoid) -> None:
+    """Raise ValueError naming the first element of a factor whose source or
+    target is not a unit; one pass over ``alpha`` and ``beta``, not a
+    ``validate``."""
+    for g in factors:
+        for end, anchors in (("source", g.alpha), ("target", g.beta)):
+            if not g._unit_set.issuperset(anchors):
+                x = next(x for x, u in enumerate(anchors) if u not in g._unit_set)
+                raise ValueError(f"{what} needs groupoids: the {end} of element "
+                                 f"{g.elements[x]!r} is {anchors[x]}, not a unit")
+
+
 def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
     """The disjoint union of groupoids; elements are tagged copies, and no
     cross-factor pair is composable.  Raises SizeLimitError when it would
@@ -208,7 +220,9 @@ def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
 def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     """The direct product: all element pairs, with componentwise structure.
     Raises SizeLimitError when it would have more than ``PRODUCT_MUL_LIMIT``
-    products, before building."""
+    products, before building, and raises ValueError when a source or target
+    is not a unit."""
+    _require_unit_anchors("direct product", g, h)
     _bound_products("direct product", len(g.mul) * len(h.mul),
                     f"{len(g.mul)} x {len(h.mul)}")
     nh = len(h)
@@ -232,8 +246,10 @@ def whitney_sum(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     The bases are identified through ``base_labels`` (element labels of the
     units when absent); the two label sets must coincide.  Raises
     SizeLimitError when the sum would have more than ``PRODUCT_MUL_LIMIT``
-    products, counted from the fibre sizes before building.
+    products, counted from the fibre sizes before building, and raises
+    ValueError when a source or target is not a unit.
     """
+    _require_unit_anchors("whitney sum", g, h)
     base_g = {u: g.unit_base_label(u) for u in g.units}
     base_h = {u: h.unit_base_label(u) for u in h.units}
     if set(base_g.values()) != set(base_h.values()):
@@ -308,7 +324,12 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
     Raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` products, before
     building.
     """
-    points, target_unit, triples = induced_triples(g, f)
+    return _induced_from(g, *induced_triples(g, f))
+
+
+def _induced_from(g: FiniteGroupoid, points: list[str], target_unit: dict[str, int],
+                  triples: list[tuple[str, str, int]]) -> FiniteGroupoid:
+    """The groupoid of ``induced_groupoid`` on ``induced_triples(g, f)``."""
     index = {t: k for k, t in enumerate(triples)}
     starting: dict[str, list[tuple[str, str, int]]] = {}
     for t in triples:

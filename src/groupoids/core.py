@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import ItemsView, Mapping
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -437,10 +438,11 @@ def _group_law_violations(
     at the entries of j's row; i and j associate when the two lists are
     equal, and only a pair whose lists differ is walked per l.  Once
     identity and inverses hold, associativity is decided on the middles j
-    drawn from a greedy generating set: the middles that associate are
-    closed under products and contain e, so they are the whole table exactly
-    when they contain the generators.  The full scan runs only on a failure,
-    to list its witnesses."""
+    drawn from a greedy generating set, each generator's row read over every
+    row i with one ``itemgetter``: the middles that associate are closed
+    under products and contain e, so they are the whole table exactly when
+    they contain the generators.  The full scan runs only on a failure, to
+    list its witnesses."""
     k = len(table)
     unit_laws: list[Violation] = []
     for i in range(k):
@@ -451,12 +453,17 @@ def _group_law_violations(
         elif table[i][inv[i]] != e or table[inv[i]][i] != e:
             unit_laws.append(Violation("inverse", (i,), "inverse element fails"))
     yield from unit_laws
-    rows = [list(row) for row in table]  # lists compare equal only to lists
     if not unit_laws:
+        # a generator exists only for k >= 2, where itemgetter returns tuples
+        rows = [tuple(row) for row in table]
         gens = _greedy_generators(e, range(k), lambda a, s: table[a][s])
-        if all(rows[row_i[j]] == [row_i[jl] for jl in rows[j]]
-               for j in gens for row_i in rows):
+        for j in gens:
+            pick = itemgetter(*rows[j])
+            if any(rows[row_i[j]] != pick(row_i) for row_i in rows):
+                break
+        else:
             return
+    rows = [list(row) for row in table]  # lists compare equal only to lists
     for i, row_i in enumerate(rows):
         for j, ij in enumerate(row_i):
             right = [row_i[jl] for jl in rows[j]]

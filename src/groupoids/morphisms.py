@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Optional
 
 from .core import FiniteGroupoid, ValidationReport, Violation, _generators, _prefixed, validate
 from .constructions import (
-    induced_groupoid,
+    _induced_from,
     induced_triples,
     left_translation_groupoid,
     pair_groupoid_over,
@@ -236,8 +236,9 @@ def anchor_morphism(g: FiniteGroupoid) -> GroupoidMorphism:
 def induced_canonical_morphism(g: FiniteGroupoid, f: Mapping[str, str]) -> GroupoidMorphism:
     """The projection (x, y, a) -> a from the pullback of g along f back
     to g."""
-    _, _, triples = induced_triples(g, f)
-    return GroupoidMorphism(induced_groupoid(g, f), g, [a for _, _, a in triples])
+    points, target_unit, triples = induced_triples(g, f)
+    return GroupoidMorphism(_induced_from(g, points, target_unit, triples), g,
+                            [a for _, _, a in triples])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import attrgetter, itemgetter
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .core import (
     FiniteGroupoid,
@@ -53,6 +53,9 @@ class Quasipermutation:
     degree: int
     domain: tuple[int, ...]
     image: tuple[int, ...]
+    # the text form, set on the instance by _enumerate, which makes each map
+    # with its text; not a field, so equality, hash and repr ignore it
+    _text: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -103,9 +106,9 @@ class Quasipermutation:
         )
 
     def text_form(self) -> str:
-        dom = " ".join(str(i) for i in self.domain)
-        img = " ".join(str(j) for j in self.image)
-        return f"{self.length}: {dom} -> {img}"
+        if self._text is not None:
+            return self._text
+        return f"{self.length}: {_spaced(self.domain)} -> {_spaced(self.image)}"
 
     @classmethod
     def from_text(cls, degree: int, text: str) -> "Quasipermutation":
@@ -159,20 +162,52 @@ def signature(f: Quasipermutation) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _spaced(points: Sequence[int]) -> str:
+    return " ".join(map(str, points))
+
+
 def _enumerate(n: int) -> list[Quasipermutation]:
     """All quasipermutations of degree n: identity maps first (by length,
     then domain), then the rest by (length, domain, image).  Raises
-    SizeLimitError above the degree bound, before enumerating."""
+    SizeLimitError above the degree bound, before enumerating.
+
+    A map from ``combinations`` x ``permutations`` is valid by construction,
+    so each is made without ``__init__``'s checks, with its text joined from
+    the text of its domain and of its image; the images of each length are
+    listed, and their texts made, once."""
     if n > DEGREE_LIMIT:
         raise SizeLimitError(f"degree {n} exceeds the bound {DEGREE_LIMIT}")
     units: list[Quasipermutation] = []
     rest: list[Quasipermutation] = []
+    make = object.__new__
     points = range(1, n + 1)
     for k in range(1, n + 1):
+        images = [(image, _spaced(image)) for image in itertools.permutations(points, k)]
         for domain in itertools.combinations(points, k):
-            for image in itertools.permutations(points, k):
-                (units if image == domain else rest).append(Quasipermutation(n, domain, image))
+            head = f"{k}: {_spaced(domain)} -> "
+            for image, tail in images:
+                f = make(Quasipermutation)
+                f.__dict__.update(degree=n, domain=domain, image=image, _text=head + tail)
+                (units if image == domain else rest).append(f)
     return units + rest
+
+
+def _even(maps: Sequence[Quasipermutation]) -> list[Quasipermutation]:
+    """The maps of signature 1, in list order.  Past length 1 the signature
+    depends on the image alone, so it is taken once per distinct image."""
+    even_image: dict[tuple[int, ...], bool] = {}
+    even: list[Quasipermutation] = []
+    for f in maps:
+        image = f.image
+        if len(image) == 1:
+            keep = f.domain == image
+        else:
+            keep = even_image.get(image)
+            if keep is None:
+                keep = even_image[image] = signature(f) == 1
+        if keep:
+            even.append(f)
+    return even
 
 
 def _coordinates(
@@ -185,16 +220,18 @@ def _coordinates(
     first."""
     subsets: dict[tuple[int, ...], tuple[int, ...]] = {}
     rank: dict[tuple[int, ...], int] = {}
+    # the sorted range and permutation number of each distinct image
+    by_image: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     coords: list[_Coordinate] = []
     for f in maps:
-        rng = tuple(sorted(f.image))
-        at = {v: i for i, v in enumerate(rng)}
-        pi = tuple(at[v] for v in f.image)
-        coords.append((
-            subsets.setdefault(f.domain, f.domain),
-            subsets.setdefault(rng, rng),
-            rank.setdefault(pi, len(rank)),
-        ))
+        image = f.image
+        got = by_image.get(image)
+        if got is None:
+            rng = tuple(sorted(image))
+            at = {v: i for i, v in enumerate(rng)}
+            pi = tuple(at[v] for v in image)
+            got = by_image[image] = (subsets.setdefault(rng, rng), rank.setdefault(pi, len(rank)))
+        coords.append((subsets.setdefault(f.domain, f.domain), *got))
     return coords, list(rank)
 
 
@@ -278,7 +315,7 @@ def alternating_groupoid(n: int) -> FiniteGroupoid:
     with the elements in the order they have in the full groupoid."""
     if n < 2:
         raise ValueError("the even quasipermutations need degree at least 2")
-    return _groupoid([f for f in _enumerate(n) if signature(f) == 1])
+    return _groupoid(_even(_enumerate(n)))
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,23 @@ def test_whitney_sum_base_mismatch(gp2, z4):
         whitney_sum(gp2, z4)
 
 
+def source_off_the_units(g, x, y):
+    """g with the source of element x set to the non-unit y."""
+    alpha = list(g.alpha)
+    alpha[x] = y
+    return FiniteGroupoid(g.elements, g.units, alpha, g.beta, g.inv, g.mul)
+
+
+@pytest.mark.parametrize("build", [whitney_sum, direct_product])
+def test_sums_and_products_refuse_an_anchor_off_the_units(build):
+    gp2 = pair_groupoid(2)
+    broken = source_off_the_units(gp2, 2, 3)
+    message = "the source of element '(1,2)' is 3, not a unit"
+    for args in ((broken, gp2), (gp2, broken)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)
+
+
 def test_induced_groupoid_doubles_a_point(z2):
     ind = induced_groupoid(z2, {"x": "0", "y": "0"})
     assert ind.groupoid_type() == (8, 2)

@@ -18,6 +18,7 @@ from groupoids import (
     identity_morphism,
     image,
     induced_canonical_morphism,
+    induced_groupoid,
     is_isomorphism,
     is_strong,
     kernel,
@@ -29,7 +30,7 @@ from groupoids import (
     validate,
     validate_morphism,
 )
-from groupoids import morphisms, subgroupoids
+from groupoids import constructions, morphisms, subgroupoids
 from groupoids.core import Violation
 from groupoids.morphisms import _mutually_inverse
 
@@ -210,6 +211,22 @@ def test_induced_canonical_morphism(z2):
     x, y = witness
     assert z2.composable(m.apply(x), m.apply(y))
     assert not m.domain.composable(x, y)
+
+
+def test_induced_canonical_morphism_lists_the_triples_once(z2, monkeypatch):
+    calls = []
+    listed = constructions.induced_triples
+
+    def counted(g, f):
+        calls.append(f)
+        return listed(g, f)
+
+    monkeypatch.setattr(constructions, "induced_triples", counted)
+    monkeypatch.setattr(morphisms, "induced_triples", counted)
+    m = induced_canonical_morphism(z2, {"x": "0", "y": "0"})
+    assert len(calls) == 1
+    assert m.domain == induced_groupoid(z2, {"x": "0", "y": "0"})
+    assert m.domain.elements == induced_groupoid(z2, {"x": "0", "y": "0"}).elements
 
 
 def test_compose_morphisms(z4, z2):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from groupoids import (
@@ -12,7 +15,7 @@ from groupoids import (
     symmetric_groupoid,
     validate,
 )
-from groupoids.quasiperm import DEGREE_LIMIT
+from groupoids.quasiperm import DEGREE_LIMIT, _coordinates, _enumerate, _even
 
 
 def test_text_form_round_trip():
@@ -266,3 +269,90 @@ def test_groupoid_matches_the_qp_compose_reference(s5):
         assert g.inv == expected.inv
         assert list(g.mul.items()) == list(expected.mul.items())
         assert g.payloads == expected.payloads
+
+
+def checked_maps(n):
+    """Every map of degree n made by the public constructor, identities
+    first, in the order ``_enumerate`` promises."""
+    pairs = [(d, i) for k in range(1, n + 1)
+             for d in itertools.combinations(range(1, n + 1), k)
+             for i in itertools.permutations(range(1, n + 1), k)]
+    ordered = [p for p in pairs if p[0] == p[1]] + [p for p in pairs if p[0] != p[1]]
+    return [Quasipermutation(n, d, i) for d, i in ordered]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_makes_the_checked_maps(n):
+    maps = _enumerate(n)
+    expected = checked_maps(n)
+    assert maps == expected
+    for f, g in zip(maps, expected):
+        assert type(f) is Quasipermutation
+        assert (hash(f), repr(f)) == (hash(g), repr(g))
+        text = f"{len(g.domain)}: {' '.join(str(i) for i in g.domain)} -> " \
+               f"{' '.join(str(j) for j in g.image)}"
+        assert f.text_form() == g.text_form() == str(f) == text
+
+
+def test_enumerate_keeps_no_map_between_calls():
+    first, second = _enumerate(3), _enumerate(3)
+    assert first == second
+    assert all(f is not g for f, g in zip(first, second))
+
+
+def coordinates_map_by_map(maps):
+    """Reference for _coordinates: the range sorted and the permutation
+    ranked again for every map."""
+    rank, coords = {}, []
+    for f in maps:
+        rng = tuple(sorted(f.image))
+        pi = tuple(rng.index(v) for v in f.image)
+        coords.append((f.domain, rng, rank.setdefault(pi, len(rank))))
+    return coords, list(rank)
+
+
+def test_coordinates_per_image_equal_the_per_map_reference():
+    for n in (1, 2, 3, 4, 5):
+        maps = _enumerate(n)
+        shuffled = random.Random(n).sample(maps, len(maps))
+        for given in (maps, _even(maps), shuffled):
+            assert _coordinates(given) == coordinates_map_by_map(given)
+
+
+def test_even_filter_equals_the_signature_filter():
+    for n in (1, 2, 3, 4, 5):
+        maps = _enumerate(n)
+        shuffled = random.Random(n).sample(maps, len(maps))
+        for given in (maps, shuffled):
+            assert _even(given) == [f for f in given if signature(f) == 1]
+
+
+def table_over_all_pairs(maps):
+    """(elements, units, alpha, beta, inv, products) of the maps, read from
+    qp_compose over every ordered pair."""
+    index = {f: i for i, f in enumerate(maps)}
+    identity_on = {f.domain: i for i, f in enumerate(maps) if f.is_identity()}
+    products = {}
+    for (i, f), (j, g) in itertools.product(enumerate(maps), repeat=2):
+        h = qp_compose(f, g)
+        if h is not None:
+            products[(i, j)] = index[h]
+    return ([f.text_form() for f in maps], sorted(identity_on.values()),
+            [identity_on[f.domain] for f in maps],
+            [identity_on[tuple(sorted(f.image))] for f in maps],
+            [index[f.inverse()] for f in maps], products)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_groupoids_equal_the_all_pairs_qp_compose_tables(n):
+    builds = [(symmetric_groupoid, checked_maps(n))]
+    if n >= 2:
+        builds.append((alternating_groupoid,
+                       [f for f in checked_maps(n) if signature(f) == 1]))
+    for build, maps in builds:
+        g = build(n)
+        elements, units, alpha, beta, inv, products = table_over_all_pairs(maps)
+        assert list(g.payloads) == maps
+        assert (list(g.elements), list(g.units)) == (elements, units)
+        assert (list(g.alpha), list(g.beta), list(g.inv)) == (alpha, beta, inv)
+        assert dict(g.mul.items()) == products
