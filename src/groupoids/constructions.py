@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 PAIR_BASE_LIMIT = 64
-NULL_UNIT_LIMIT = 4096  # as many elements as the pair groupoid on PAIR_BASE_LIMIT points
+NULL_UNIT_LIMIT = PAIR_BASE_LIMIT ** 2  # as many elements as the largest pair groupoid
 CYCLIC_ORDER_LIMIT = 256
 PRODUCT_MUL_LIMIT = 5_874_516  # the product count of the degree-6 quasipermutation groupoid
 

@@ -513,6 +513,16 @@ def _generators(g: FiniteGroupoid) -> list[int]:
     return gens
 
 
+def _preserves_products(g: FiniteGroupoid, h: FiniteGroupoid, f: Sequence[int]) -> bool:
+    """True when f(s*y) == f(s)*f(y) for every generator s of g and every y
+    after s.  When f sends units to units and commutes with the anchors,
+    this decides the product law: the x with f(x*y) == f(x)*f(y) for every
+    y include the units and are closed under products, and the generators
+    reach every element."""
+    return all(h.rows[f[s]].get(f[y]) == f[sy]
+               for s in _generators(g) for y, sy in g.rows[s].items())
+
+
 # ----- validation ----------------------------------------------------------
 
 
@@ -884,7 +894,6 @@ def is_isomorphic(g: FiniteGroupoid, h: FiniteGroupoid) -> Optional[tuple[int, .
     if (set(f) != set(range(len(h))) or not all(h.is_unit(f[u]) for u in g.units)
             or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
                    for x, y in enumerate(f))
-            or any(h.rows[f[x]].get(f[y]) != f[z]
-                   for x, row in enumerate(g.rows) for y, z in row.items())):
+            or not _preserves_products(g, h, f)):
         raise ValueError("is_isomorphic: the component map is not an isomorphism")
     return f  # type: ignore[return-value]

@@ -63,10 +63,8 @@ class ParsedDocument:
     vector_space: Optional[VectorSpaceGroupoid] = None
 
 
-def _require(data: dict, field: str, kind: type, *, optional: bool = False):
+def _require(data: dict, field: str, kind: type):
     if field not in data:
-        if optional:
-            return None
         raise ParseError(field, "missing required field")
     value = data[field]
     # JSON true and false decode to bool, which Python counts as an int
@@ -431,9 +429,22 @@ def document_for(parsed: ParsedDocument) -> dict:
 
 def canonicalize_document(doc: dict) -> dict:
     """Deterministic form: mul and add triples ordered by factor positions,
-    units by element position."""
-    out = dict(doc)
+    units by element position.  A missing elements, units or mul field, or
+    a unit, mul or add label outside the elements, raises ParseError."""
+    for field in ("elements", "units", "mul"):
+        if field not in doc:
+            raise ParseError(field, "missing required field")
     index = {lbl: i for i, lbl in enumerate(doc["elements"])}
+    for field, rows in (("units", [[u] for u in doc["units"]]), ("mul", doc["mul"]),
+                        ("add", doc.get("add", ()))):
+        for i, row in enumerate(rows):
+            try:
+                unknown = [lbl for lbl in row if lbl not in index]
+            except TypeError:  # a row that is not iterable, or an unhashable cell
+                raise ParseError(f"{field}[{i}]", "expected element labels") from None
+            if unknown:
+                raise ParseError(f"{field}[{i}]", f"unknown label {unknown[0]!r}")
+    out = dict(doc)
     out["units"] = sorted(doc["units"], key=index.get)
     out["mul"] = sorted(doc["mul"], key=lambda t: (index[t[0]], index[t[1]]))
     if "add" in out:

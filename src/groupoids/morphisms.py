@@ -6,7 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import FiniteGroupoid, ValidationReport, Violation, _generators, _prefixed, validate
+from .core import (
+    FiniteGroupoid, ValidationReport, Violation, _prefixed, _preserves_products, validate,
+)
 from .constructions import (
     _induced_from,
     induced_triples,
@@ -106,7 +108,7 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     unit_breaks = [
         Violation("unit-compat", (u,), f"element map and unit map disagree on unit {g.elements[u]}")
         for u in g.units if f[u] != f0[u]]
-    if v or unit_breaks or not _compatible_at_generators(m):
+    if v or unit_breaks or not _preserves_products(g, h, f):
         for x, row in enumerate(g.rows):
             for y, z in row.items():
                 fz = h.rows[f[x]].get(f[y])
@@ -125,31 +127,23 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def _compatible_at_generators(m: GroupoidMorphism) -> bool:
-    """True when f(s*y) == f(s)*f(y) for every generator s of the domain and
-    every y after s.  With the anchor and unit laws, this decides the product
-    law: the x with f(x*y) == f(x)*f(y) for every y include the units and are
-    closed under products, and the generators reach every element."""
-    g, h, f = m.domain, m.codomain, m.elem_map
-    return all(h.rows[f[s]].get(f[y]) == f[sy]
-               for s in _generators(g) for y, sy in g.rows[s].items())
-
-
 def is_strong(m: GroupoidMorphism) -> tuple[bool, Optional[tuple[int, int]]]:
     """A morphism is strong when it reflects composability: whenever the
     images of x and y compose, x and y already compose.  Returns the flag
     and, when false, the lexicographically first witness pair (x, y).
-    The images compose exactly when y is in the bucket of elements whose
-    image starts where the image of x ends, so only those pairs are visited;
-    on a valid morphism this is injectivity of the unit map."""
+    Of the y whose image starts at a unit c, x fails first with the least,
+    y0, or else with the least whose source differs from y0's, so these two
+    are the only candidates kept per c; on a valid morphism strength is
+    injectivity of the unit map."""
     g, h, f = m.domain, m.codomain, m.elem_map
-    by_image_source: dict[int, list[int]] = {}
+    candidates: dict[int, list[int]] = {}
     for y in range(len(g)):
-        by_image_source.setdefault(h.alpha[f[y]], []).append(y)
+        ys = candidates.setdefault(h.alpha[f[y]], [y])
+        if len(ys) == 1 and g.alpha[y] != g.alpha[ys[0]]:
+            ys.append(y)
     for x in range(len(g)):
-        bx = g.beta[x]
-        for y in by_image_source.get(h.beta[f[x]], ()):
-            if g.alpha[y] != bx:
+        for y in candidates.get(h.beta[f[x]], ()):
+            if g.alpha[y] != g.beta[x]:
                 return False, (x, y)
     return True, None
 
@@ -167,10 +161,9 @@ def _require_strong(m: GroupoidMorphism, what: str) -> None:
 
 def is_isomorphism(m: GroupoidMorphism) -> bool:
     """True when the morphism validates (so both endpoints are groupoids)
-    and both maps are bijections."""
+    and f is a bijection, which makes f0 (f on units) a bijection too."""
     return (validate_morphism(m).passed
-            and len(m.domain) == len(set(m.elem_map)) == len(m.codomain)
-            and sorted(m.unit_map.values()) == list(m.codomain.units))
+            and len(m.domain) == len(set(m.elem_map)) == len(m.codomain))
 
 
 def identity_morphism(g: FiniteGroupoid) -> GroupoidMorphism:
@@ -314,9 +307,7 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
     _require_strong(m, "correspondence needs")
     if set(m.elem_map) != set(range(len(m.codomain))):
         raise ValueError("correspondence needs a morphism surjective on elements")
-    if set(m.unit_map.values()) != set(m.codomain.units):
-        raise ValueError("correspondence needs a morphism surjective on units")
-    # surjective, so the codomain is no larger than the domain
+    # onto the elements, so onto the units; the codomain is no larger than the domain
     _require_enumerable(m.domain)
     ker = tuple(x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x]))
     inside_ker = set(ker)

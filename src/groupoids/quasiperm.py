@@ -200,7 +200,7 @@ def _even(maps: Sequence[Quasipermutation]) -> list[Quasipermutation]:
     for f in maps:
         image = f.image
         if len(image) == 1:
-            keep = f.domain == image
+            keep = signature(f) == 1
         else:
             keep = even_image.get(image)
             if keep is None:

@@ -854,3 +854,26 @@ def test_tables_out_of_canonical_order_are_written_in_it(doc):
     assert canonical_dumps(document_for(parsed)) == expected
     assert canonical_dumps(shuffled) == expected
     assert expected != canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("doc, field, message", [
+    ({"units": ["a"], "mul": []}, "elements", "missing required field"),
+    ({"elements": ["a"], "mul": []}, "units", "missing required field"),
+    ({"elements": ["a", "b"], "units": ["a"]}, "mul", "missing required field"),
+    ({"elements": ["a", "b"], "units": ["a", "zz"], "mul": []}, "units[1]", "unknown label 'zz'"),
+    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a", "a"], ["a", "zz", "a"]]},
+     "mul[1]", "unknown label 'zz'"),
+    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a", "zz"]]},
+     "mul[0]", "unknown label 'zz'"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "add": [["zz", "a", "a"]]},
+     "add[0]", "unknown label 'zz'"),
+    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a", ["a"]]]},
+     "mul[0]", "expected element labels"),
+    ({"elements": ["a"], "units": ["a"], "mul": [5]}, "mul[0]", "expected element labels"),
+])
+def test_canonical_forms_of_a_document_dict_refuse_a_missing_field_or_unknown_label(
+        doc, field, message):
+    for write in (canonicalize_document, canonical_dumps):
+        with pytest.raises(ParseError) as err:
+            write(doc)
+        assert (err.value.field, err.value.message) == (field, message)

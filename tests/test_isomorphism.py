@@ -213,3 +213,15 @@ def test_is_isomorphic_validates_before_answering():
         is_isomorphic(broken, klein)
     with pytest.raises(ValueError, match="second argument is not a groupoid"):
         is_isomorphic(klein, broken)
+
+
+def test_is_isomorphic_refuses_a_vertex_map_that_is_not_a_homomorphism(monkeypatch):
+    """A vertex-group search that returned 0->0, 1->2, 2->1, 3->4, 4->3 on
+    Z5: a bijection that fixes the unit and commutes with inverses, so only
+    the product part of the final guard can refuse it."""
+    z5 = from_group(cyclic_group(5))
+    swap = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3}
+    assert all(swap[z5.inv[x]] == z5.inv[swap[x]] for x in swap)
+    monkeypatch.setattr("groupoids.core._vertex_group_iso", lambda g, r, h, s: dict(swap))
+    with pytest.raises(ValueError, match="is_isomorphic: the component map is not an isomorphism"):
+        is_isomorphic(z5, z5)

@@ -394,7 +394,10 @@ def strong_by_pair_scan(m):
     return True, None
 
 
-def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
+def strength_corpus(gp2, gp3, golden, z4):
+    """Seeded morphisms between five groupoids: identities, anchor maps,
+    Cayley embeddings, constant maps to a unit, and 40 maps per pair of
+    groupoids, half of them random and half over a random unit map."""
     rng = random.Random(2408)
     corpus = [gp2, gp3, golden, z4, symmetric_groupoid(3)]
     morphisms = []
@@ -416,6 +419,11 @@ def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
                         rng.choice(by_anchor.get((f0[g.alpha[x]], f0[g.beta[x]]), h.units))
                         for x in range(len(g))]
                 morphisms.append(GroupoidMorphism(g, h, elem_map))
+    return morphisms
+
+
+def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
+    morphisms = strength_corpus(gp2, gp3, golden, z4)
     assert len(morphisms) >= 1000
     flags = set()
     for m in morphisms:
@@ -423,6 +431,28 @@ def test_is_strong_matches_pair_scan(gp2, gp3, golden, z4):
         assert is_strong(m) == expected
         flags.add(expected[0])
     assert flags == {True, False}
+
+
+def test_valid_morphisms_obey_the_unit_map_theorems(gp2, gp3, golden, z4):
+    """On every morphism of the strength corpus that validates: it is strong
+    exactly when its unit map is injective; onto the elements implies onto
+    the units; a bijection on elements has a unit map that is a bijection
+    onto the codomain units."""
+    premises = {"strong": 0, "not strong": 0, "onto": 0, "bijective": 0}
+    for m in strength_corpus(gp2, gp3, golden, z4):
+        if not validate_morphism(m).passed:
+            continue
+        units = sorted(m.unit_map.values())
+        injective = len(set(units)) == len(units)
+        assert is_strong(m)[0] == injective
+        premises["strong" if injective else "not strong"] += 1
+        if set(m.elem_map) == set(range(len(m.codomain))):
+            premises["onto"] += 1
+            assert set(units) == set(m.codomain.units)
+        if sorted(m.elem_map) == list(range(len(m.codomain))):
+            premises["bijective"] += 1
+            assert units == list(m.codomain.units)
+    assert min(premises.values()) >= 10, premises
 
 
 def laws_by_full_scan(m):
