@@ -103,6 +103,12 @@ def pair_arrows(n: int) -> list[tuple[int, int]]:
     return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+def _pair_grid(n: int) -> list[list[int]]:
+    """``pair_index(n, i, j)`` at ``[i][j]``, worked out once for a builder
+    that reads a pair position per table cell."""
+    return [[pair_index(n, i, j) for j in range(n)] for i in range(n)]
+
+
 def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
     """The pair groupoid on the given base points.
 
@@ -119,14 +125,16 @@ def pair_groupoid_over(points: Sequence[str]) -> FiniteGroupoid:
         raise ValueError("pair groupoid points must be distinct")
     n = len(pts)
     pairs = pair_arrows(n)
-    index = {p: k for k, p in enumerate(pairs)}
+    at = _pair_grid(n)
     return FiniteGroupoid._typed(
         elements=[f"({pts[i]},{pts[j]})" for i, j in pairs],
         units=list(range(n)),
-        alpha=[index[(i, i)] for i, j in pairs],
-        beta=[index[(j, j)] for i, j in pairs],
-        inv=[index[(j, i)] for i, j in pairs],
-        rows=[{index[(j, l)]: index[(i, l)] for l in range(n)} for i, j in pairs],
+        # the unit at point i is element i
+        alpha=[i for i, j in pairs],
+        beta=[j for i, j in pairs],
+        inv=[at[j][i] for i, j in pairs],
+        # (i, j) * (j, l) = (i, l), for l in order
+        rows=[dict(zip(at[j], at[i])) for i, j in pairs],
         base_labels={i: pts[i] for i in range(n)},
     )
 
@@ -225,16 +233,15 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     _require_unit_anchors("direct product", g, h)
     _bound_products("direct product", len(g.mul) * len(h.mul),
                     f"{len(g.mul)} x {len(h.mul)}")
+    # the pair (x, y) is element x * nh + y
     nh = len(h)
-    elements = [f"({a},{b})" for a in g.elements for b in h.elements]
-    pair = lambda x, y: x * nh + y
     return FiniteGroupoid._typed(
-        elements=elements,
-        units=[pair(u, w) for u in g.units for w in h.units],
-        alpha=[pair(g.alpha[x], h.alpha[y]) for x in range(len(g)) for y in range(nh)],
-        beta=[pair(g.beta[x], h.beta[y]) for x in range(len(g)) for y in range(nh)],
-        inv=[pair(g.inv[x], h.inv[y]) for x in range(len(g)) for y in range(nh)],
-        rows=[{pair(y1, y2): pair(z1, z2) for y1, z1 in row1.items() for y2, z2 in row2.items()}
+        elements=[f"({a},{b})" for a in g.elements for b in h.elements],
+        units=[u * nh + w for u in g.units for w in h.units],
+        alpha=[a * nh + b for a in g.alpha for b in h.alpha],
+        beta=[a * nh + b for a in g.beta for b in h.beta],
+        inv=[a * nh + b for a in g.inv for b in h.inv],
+        rows=[{y1 * nh + y2: z1 * nh + z2 for y1, z1 in row1.items() for y2, z2 in row2.items()}
               for row1 in g.rows for row2 in h.rows],
     )
 

@@ -196,10 +196,11 @@ def _payloads(data: dict, count: int) -> list[Quasipermutation]:
     texts = _string_list(data, "payloads")
     if len(texts) != count:
         raise ParseError("payloads", "must be parallel to elements")
+    read = Quasipermutation.text_reader(degree)
     payloads = []
     for i, text in enumerate(texts):
         try:
-            payloads.append(Quasipermutation.from_text(degree, text))
+            payloads.append(read(text))
         except ValueError as exc:
             raise ParseError(f"payloads[{i}]", str(exc)) from exc
     return payloads
@@ -427,23 +428,42 @@ def document_for(parsed: ParsedDocument) -> dict:
     return _with_triples(_fields(parsed))
 
 
+def _refuse_unknown(field: str, rows: Any, index: dict, width: Optional[int]) -> None:
+    """Raise ParseError naming ``field`` when it is not a list, or naming its
+    first entry that is not ``width`` labels of ``index`` (one label when
+    ``width`` is None)."""
+    if not isinstance(rows, (list, tuple)):
+        raise ParseError(field, "expected a list")
+    for i, row in enumerate(rows):
+        try:
+            unknown = [lbl for lbl in ([row] if width is None else row) if lbl not in index]
+        except TypeError:  # a row that is not iterable, or an unhashable cell
+            raise ParseError(f"{field}[{i}]", "expected element labels") from None
+        if unknown:
+            raise ParseError(f"{field}[{i}]", f"unknown label {unknown[0]!r}")
+        if width is not None and len(row) != width:
+            raise ParseError(f"{field}[{i}]", f"expected {width} labels")
+
+
 def canonicalize_document(doc: dict) -> dict:
     """Deterministic form: mul and add triples ordered by factor positions,
-    units by element position.  A missing elements, units or mul field, or
-    a unit, mul or add label outside the elements, raises ParseError."""
+    units by element position.  A missing elements, units or mul field, one
+    of those or add or unit_add that is not a list, a unit, mul or add label
+    outside the elements, or a unit_add label outside the units raises
+    ParseError."""
     for field in ("elements", "units", "mul"):
         if field not in doc:
             raise ParseError(field, "missing required field")
-    index = {lbl: i for i, lbl in enumerate(doc["elements"])}
-    for field, rows in (("units", [[u] for u in doc["units"]]), ("mul", doc["mul"]),
-                        ("add", doc.get("add", ()))):
-        for i, row in enumerate(rows):
-            try:
-                unknown = [lbl for lbl in row if lbl not in index]
-            except TypeError:  # a row that is not iterable, or an unhashable cell
-                raise ParseError(f"{field}[{i}]", "expected element labels") from None
-            if unknown:
-                raise ParseError(f"{field}[{i}]", f"unknown label {unknown[0]!r}")
+    if not isinstance(doc["elements"], (list, tuple)):
+        raise ParseError("elements", "expected a list")
+    try:
+        index = {lbl: i for i, lbl in enumerate(doc["elements"])}
+    except TypeError:  # an unhashable label
+        raise ParseError("elements", "expected element labels") from None
+    _refuse_unknown("units", doc["units"], index, None)
+    for field in ("mul", "add"):
+        if field in doc:
+            _refuse_unknown(field, doc[field], index, 3)
     out = dict(doc)
     out["units"] = sorted(doc["units"], key=index.get)
     out["mul"] = sorted(doc["mul"], key=lambda t: (index[t[0]], index[t[1]]))
@@ -451,6 +471,7 @@ def canonicalize_document(doc: dict) -> dict:
         out["add"] = sorted(out["add"], key=lambda t: (index[t[0]], index[t[1]]))
     if "unit_add" in out:
         unit_index = {lbl: i for i, lbl in enumerate(out["units"])}
+        _refuse_unknown("unit_add", out["unit_add"], unit_index, 3)
         out["unit_add"] = sorted(
             out["unit_add"], key=lambda t: (unit_index[t[0]], unit_index[t[1]]))
     return out

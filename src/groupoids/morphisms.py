@@ -11,10 +11,10 @@ from .core import (
 )
 from .constructions import (
     _induced_from,
+    _pair_grid,
     induced_triples,
     left_translation_groupoid,
     pair_groupoid_over,
-    pair_index,
 )
 from .subgroupoids import (
     SubgroupoidHandle,
@@ -220,9 +220,9 @@ def anchor_morphism(g: FiniteGroupoid) -> GroupoidMorphism:
     """The map x -> (source, target) into the pair groupoid on g's base."""
     base = [g.unit_base_label(u) for u in g.units]
     pos = {u: i for i, u in enumerate(g.units)}
-    n = len(base)
+    at = _pair_grid(len(base))
     codomain = pair_groupoid_over(base)
-    elem_map = [pair_index(n, pos[g.alpha[x]], pos[g.beta[x]]) for x in range(len(g))]
+    elem_map = [at[pos[a]][pos[b]] for a, b in zip(g.alpha, g.beta)]
     return GroupoidMorphism(g, codomain, elem_map, {u: pos[u] for u in g.units})
 
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import attrgetter, itemgetter
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .core import (
     FiniteGroupoid,
@@ -123,6 +123,49 @@ class Quasipermutation:
         if k != len(domain):
             raise ValueError(f"length prefix {k} does not match domain in {text!r}")
         return cls(degree, domain, image)
+
+    @classmethod
+    def text_reader(cls, degree: int) -> Callable[[str], "Quasipermutation"]:
+        """A function that reads text forms of one degree as ``from_text``
+        does, for reading many maps: each distinct domain part and image
+        part is parsed and checked once, and a text whose parts pass and
+        whose length prefix matches is made without ``__init__``'s checks,
+        as ``_enumerate`` makes maps.  Any other text goes to ``from_text``,
+        for its exact error."""
+        domains: dict[str, Optional[tuple[int, ...]]] = {}
+        images: dict[str, Optional[tuple[int, ...]]] = {}
+
+        def points(part: str, is_domain: bool) -> Optional[tuple[int, ...]]:
+            # the points of a part that passes __init__'s checks, else None
+            try:
+                p = tuple(map(int, part.split()))
+            except ValueError:
+                return None
+            if not p or not all(1 <= i <= degree for i in p):
+                return None
+            if any(a >= b for a, b in zip(p, p[1:])) if is_domain else len(set(p)) != len(p):
+                return None
+            return p
+
+        def read(text: str) -> Quasipermutation:
+            head, _, rest = text.partition(":")
+            dom, arrow, img = rest.partition("->")
+            if dom not in domains:
+                domains[dom] = points(dom, True)
+            if img not in images:
+                images[img] = points(img, False)
+            domain, image = domains[dom], images[img]
+            try:
+                k = int(head)  # not isdigit: "²".isdigit(), but int("²") raises
+            except ValueError:
+                k = None
+            if arrow and domain and image and k == len(domain) == len(image):
+                f = object.__new__(cls)
+                f.__dict__.update(degree=degree, domain=domain, image=image)
+                return f
+            return cls.from_text(degree, text)
+
+        return read
 
     def __str__(self) -> str:
         return self.text_form()

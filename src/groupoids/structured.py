@@ -27,12 +27,12 @@ from .constructions import (
     PAIR_BASE_LIMIT,
     GroupTable,
     _bound_products,
+    _pair_grid,
     direct_product,
     from_group,
     null_groupoid,
     pair_arrows,
     pair_groupoid_over,
-    pair_index,
 )
 from .morphisms import GroupoidMorphism, validate_morphism
 
@@ -457,15 +457,15 @@ def pair_group_groupoid(t: GroupTable) -> GroupGroupoid:
     t.validate().require("not a group")
     carrier = pair_groupoid_over(t.labels)
     pairs = pair_arrows(n)
-    table = [
-        [pair_index(n, t.table[a][c], t.table[b][d]) for (c, d) in pairs]
-        for (a, b) in pairs
-    ]
+    at = _pair_grid(n)
+    # (a, b) + (c, d) = (a + c, b + d)
+    table = [[at[ta[c]][tb[d]] for c, d in pairs]
+             for ta, tb in ((t.table[a], t.table[b]) for a, b in pairs)]
     elem_group = GroupTable.build(
         labels=carrier.elements,
         table=table,
-        identity=pair_index(n, t.identity, t.identity),
-        inv=[pair_index(n, t.inv[a], t.inv[b]) for (a, b) in pairs],
+        identity=at[t.identity][t.identity],
+        inv=[at[t.inv[a]][t.inv[b]] for a, b in pairs],
     )
     unit_group = GroupTable.build(
         labels=tuple(carrier.elements[u] for u in carrier.units),
@@ -526,9 +526,7 @@ def pair_vector_space_groupoid(p: int, dim: int) -> VectorSpaceGroupoid:
     for _ in range(1, p):
         vec_scale.append([t.table[kv][v] for v, kv in enumerate(vec_scale[-1])])
     pairs = pair_arrows(n)
-    scalar = [
-        [pair_index(n, vec_scale[k][a], vec_scale[k][b]) for (a, b) in pairs]
-        for k in range(p)
-    ]
+    at = _pair_grid(n)
+    scalar = [[at[scale[a]][scale[b]] for a, b in pairs] for scale in vec_scale]
     unit_scalar = [[vec_scale[k][i] for i in range(n)] for k in range(p)]
     return VectorSpaceGroupoid(gg, p, scalar, unit_scalar)

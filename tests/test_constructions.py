@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -9,6 +10,8 @@ from groupoids import (
     FiniteGroupoid,
     GroupTable,
     SizeLimitError,
+    anchor_morphism,
+    canonical_dumps,
     cyclic_group,
     direct_product,
     disjoint_union,
@@ -24,9 +27,14 @@ from groupoids import (
     pair_groupoid_over,
     pair_index,
     gf_vector_group,
+    group_groupoid_document,
+    pair_group_groupoid,
+    pair_vector_space_groupoid,
+    plain_document,
     qp_compose,
     symmetric_groupoid,
     validate,
+    vsg_document,
     whitney_sum,
 )
 from groupoids import constructions
@@ -262,6 +270,40 @@ def test_pair_index_agrees_with_element_order():
         for i in range(n):
             for j in range(n):
                 assert g.index(f"({i + 1},{j + 1})") == pair_index(n, i, j)
+
+
+def test_pair_groupoid_rows_follow_pair_index():
+    # (i, j) * (j, l) = (i, l): the row of (i, j) is keyed by the arrows out
+    # of j in order of l
+    for n in range(1, 10):
+        g = pair_groupoid(n)
+        for i in range(n):
+            for j in range(n):
+                assert list(g.rows[pair_index(n, i, j)].items()) == [
+                    (pair_index(n, j, l), pair_index(n, i, l)) for l in range(n)]
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: plain_document(pair_groupoid(7)),
+     "88bcef35dfd1c1877005511dde869a13fdbedc0a68f1745c158245040a1bc952"),
+    (lambda: vsg_document(pair_vector_space_groupoid(3, 2)),
+     "41603b60d2abfb42c9da091c593f1d733008abdd54c9ab4790d749ad0b9b6007"),
+    (lambda: vsg_document(pair_vector_space_groupoid(2, 3)),
+     "46536b08a62919552c71cfdd58b1f3d4d550e45323aa4ca5d7c05d3e31fd3095"),
+    (lambda: group_groupoid_document(pair_group_groupoid(klein_four_group())),
+     "0e74d272cf2867cbf6fc8e79d2ff54099e1993981e5b6f851519b2f18384b5fc"),
+    (lambda: plain_document(direct_product(pair_groupoid(3), from_group(cyclic_group(4)))),
+     "3e219b422226b9b65c0d91b55666dc42dd08acd6a4e515b29027299770c89254"),
+], ids=["pair-7", "pair-vsg-3-2", "pair-vsg-2-3", "pair-gg-klein", "pair-3-x-z4"])
+def test_pair_shaped_builders_keep_their_document_bytes(build, digest):
+    text = canonical_dumps(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_anchor_morphism_keeps_its_element_map():
+    assert anchor_morphism(symmetric_groupoid(3)).elem_map == (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 19, 20, 28, 3, 29, 28, 29, 34, 34, 35,
+        4, 35, 40, 41, 40, 41, 5, 6, 6, 6, 6, 6)
 
 
 def test_pair_groupoid_over_points():

@@ -356,6 +356,42 @@ def test_payload_text_parse_errors(s2, text, message):
     assert (err.value.field, err.value.message) == ("payloads[3]", message)
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("²: 1 -> 1", ("payloads[0]", "malformed quasipermutation text '²: 1 -> 1'")),
+    ("1: 1 -> 1 2", ("payloads[0]", "domain and image must have equal length")),
+    ("2: 2 1 -> 1 2", ("payloads[0]", "domain must be strictly increasing")),
+    ("2: 1 2 -> 1 1", ("payloads[0]", "image entries must be distinct")),
+    ("1: 9 -> 1", ("payloads[0]", "entries must lie in 1..2")),
+    ("0: -> ", ("payloads[0]", "domain must be nonempty")),
+    ("1: 1 -> 1 -> 1", ("payloads[0]", "malformed quasipermutation text '1: 1 -> 1 -> 1'")),
+    ("+1: 1 -> 1", ((1,), (1,), "1: 1 -> 1")),
+    ("1:1->1", ((1,), (1,), "1: 1 -> 1")),
+    (" 2: 1 2 -> 2 1 ", ((1, 2), (2, 1), "2: 1 2 -> 2 1")),
+])
+def test_a_payload_text_reads_as_from_text_reads_it(text, outcome):
+    # the parts of each text are parsed once per document; a text read that
+    # way gives from_text's map, and its text form is the canonical one
+    doc = quasiperm_document(symmetric_groupoid(1), 1)
+    doc["degree"] = 2
+    doc["payloads"] = [text]
+    try:
+        f = parse_groupoid_document(doc).groupoid.payloads[0]
+    except ParseError as err:
+        assert (err.field, err.message) == outcome
+    else:
+        assert (f.domain, f.image, f.text_form()) == outcome
+        assert f == Quasipermutation.from_text(2, text)
+
+
+def test_built_payloads_read_back_as_from_text_reads_them(capsys):
+    assert main(["build", "symmetric", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    payloads = parse_groupoid_document(doc).groupoid.payloads
+    assert len(payloads) == 208
+    assert list(payloads) == [Quasipermutation.from_text(4, t) for t in doc["payloads"]]
+    assert [f.text_form() for f in payloads] == doc["payloads"]
+
+
 def test_payload_text_around_the_numbers_is_free(s2):
     doc = quasiperm_document(s2, 2)
     at = doc["payloads"].index("2: 1 2 -> 2 1")
@@ -870,6 +906,18 @@ def test_tables_out_of_canonical_order_are_written_in_it(doc):
     ({"elements": ["a"], "units": ["a"], "mul": [["a", "a", ["a"]]]},
      "mul[0]", "expected element labels"),
     ({"elements": ["a"], "units": ["a"], "mul": [5]}, "mul[0]", "expected element labels"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "unit_add": [["a", "zz", "a"]]},
+     "unit_add[0]", "unknown label 'zz'"),
+    ({"elements": ["a", "b"], "units": ["a"], "mul": [], "unit_add": [["a", "a", "b"]]},
+     "unit_add[0]", "unknown label 'b'"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "add": 5}, "add", "expected a list"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "unit_add": 5}, "unit_add", "expected a list"),
+    ({"elements": 5, "units": ["a"], "mul": []}, "elements", "expected a list"),
+    ({"elements": ["a"], "units": 5, "mul": []}, "units", "expected a list"),
+    ({"elements": ["a"], "units": ["a"], "mul": 5}, "mul", "expected a list"),
+    ({"elements": [["a"]], "units": ["a"], "mul": []}, "elements", "expected element labels"),
+    ({"elements": ["a"], "units": [["a"]], "mul": []}, "units[0]", "expected element labels"),
+    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a"]]}, "mul[0]", "expected 3 labels"),
 ])
 def test_canonical_forms_of_a_document_dict_refuse_a_missing_field_or_unknown_label(
         doc, field, message):
