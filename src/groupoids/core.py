@@ -176,7 +176,7 @@ class FiniteGroupoid:
 
     @classmethod
     def _typed(cls, elements: Sequence[str], units: Iterable[int], alpha: Sequence[int],
-               beta: Sequence[int], inv: Sequence[int], rows: Sequence[dict[int, int]], *,
+               beta: Sequence[int], inv: Sequence[int], rows: Iterable[dict[int, int]], *,
                base_labels: Mapping[int, str] | None = None,
                payloads: Sequence[object] | None = None) -> "FiniteGroupoid":
         """The groupoid on product rows that the caller built with exact int

@@ -13,14 +13,13 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import attrgetter, itemgetter
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 from .core import (
     FiniteGroupoid,
     SizeLimitError,
     ValidationReport,
     Violation,
-    _closure_gaps,
     _index_violations,
 )
 
@@ -112,40 +111,29 @@ class Quasipermutation:
 
     @classmethod
     def from_text(cls, degree: int, text: str) -> "Quasipermutation":
-        try:
-            head, rest = text.split(":", 1)
-            dom_part, img_part = rest.split("->", 1)
-            k = int(head)
-            domain = tuple(map(int, dom_part.split()))
-            image = tuple(map(int, img_part.split()))
-        except (ValueError, IndexError):
-            raise ValueError(f"malformed quasipermutation text {text!r}") from None
-        if k != len(domain):
-            raise ValueError(f"length prefix {k} does not match domain in {text!r}")
-        return cls(degree, domain, image)
+        """The map of one text form, read by ``text_reader``."""
+        return cls.text_reader(degree)(text)
 
     @classmethod
     def text_reader(cls, degree: int) -> Callable[[str], "Quasipermutation"]:
-        """A function that reads text forms of one degree as ``from_text``
-        does, for reading many maps: each distinct domain part and image
-        part is parsed and checked once, and a text whose parts pass and
+        """A function that reads text forms ``"k: i1 .. ik -> j1 .. jk"`` of
+        one degree, for reading many maps: each distinct domain part and
+        image part is parsed and checked once.  A text whose parts pass and
         whose length prefix matches is made without ``__init__``'s checks,
-        as ``_enumerate`` makes maps.  Any other text goes to ``from_text``,
-        for its exact error."""
-        domains: dict[str, Optional[tuple[int, ...]]] = {}
-        images: dict[str, Optional[tuple[int, ...]]] = {}
+        as ``_enumerate`` makes maps; any other well-formed text goes to
+        ``__init__`` for its exact error."""
+        # per part: its points, None if they are not integers, and whether
+        # they pass __init__'s checks
+        domains: dict[str, tuple[Optional[tuple[int, ...]], bool]] = {}
+        images: dict[str, tuple[Optional[tuple[int, ...]], bool]] = {}
 
-        def points(part: str, is_domain: bool) -> Optional[tuple[int, ...]]:
-            # the points of a part that passes __init__'s checks, else None
+        def points(part: str, is_domain: bool) -> tuple[Optional[tuple[int, ...]], bool]:
             try:
                 p = tuple(map(int, part.split()))
             except ValueError:
-                return None
-            if not p or not all(1 <= i <= degree for i in p):
-                return None
-            if any(a >= b for a, b in zip(p, p[1:])) if is_domain else len(set(p)) != len(p):
-                return None
-            return p
+                return None, False
+            return p, bool(p) and all(1 <= i <= degree for i in p) and (
+                all(a < b for a, b in zip(p, p[1:])) if is_domain else len(set(p)) == len(p))
 
         def read(text: str) -> Quasipermutation:
             head, _, rest = text.partition(":")
@@ -154,16 +142,20 @@ class Quasipermutation:
                 domains[dom] = points(dom, True)
             if img not in images:
                 images[img] = points(img, False)
-            domain, image = domains[dom], images[img]
+            (domain, domain_ok), (image, image_ok) = domains[dom], images[img]
             try:
                 k = int(head)  # not isdigit: "²".isdigit(), but int("²") raises
             except ValueError:
                 k = None
-            if arrow and domain and image and k == len(domain) == len(image):
-                f = object.__new__(cls)
-                f.__dict__.update(degree=degree, domain=domain, image=image)
-                return f
-            return cls.from_text(degree, text)
+            if not arrow or k is None or domain is None or image is None:
+                raise ValueError(f"malformed quasipermutation text {text!r}")
+            if k != len(domain):
+                raise ValueError(f"length prefix {k} does not match domain in {text!r}")
+            if not (domain_ok and image_ok and k == len(image)):
+                return cls(degree, domain, image)
+            f = object.__new__(cls)
+            f.__dict__.update(degree=degree, domain=domain, image=image)
+            return f
 
         return read
 
@@ -278,64 +270,68 @@ def _coordinates(
     return coords, list(rank)
 
 
-def _inverse_ranks(perms: Sequence[tuple[int, ...]]) -> list[Optional[int]]:
-    """The number in ``perms`` of each permutation's inverse, None where
-    the inverse is not in ``perms``; the map (A, B, p) has the inverse
-    (B, A, undo[p])."""
-    rank = {p: r for r, p in enumerate(perms)}
-    return [rank.get(tuple(sorted(range(len(p)), key=p.__getitem__))) for p in perms]
-
-
-def _composite_table(
+def _table(
     coords: Sequence[_Coordinate], perms: Sequence[tuple[int, ...]]
-) -> list[dict[int, Optional[int]]]:
-    """``composite[p][q]``, the number in ``perms`` of p;q, where (A, B, p) *
-    (B, C, q) = (A, C, p;q), or None when p;q is not in ``perms``.  It is
-    worked out for each p of a map into B and q of a map out of B, so the
-    work follows the maps given, not k!.  Takes ``_coordinates(maps)``."""
-    ends: dict[tuple[int, ...], tuple[set[int], set[int]]] = {}
-    for a, b, p in coords:
-        ends.setdefault(b, (set(), set()))[0].add(p)
-        ends.setdefault(a, (set(), set()))[1].add(p)
-    index = {p: r for r, p in enumerate(perms)}
-    composite: list[dict[int, Optional[int]]] = [{} for _ in perms]
-    for ps, qs in ends.values():
+) -> tuple[list[bool], list[Optional[int]], list[Optional[int]], list[Optional[int]],
+           Iterator[dict[int, Optional[int]]]]:
+    """The table the maps with these coordinates determine, as
+    (is_identity, alpha, beta, inv, rows), each entry the list position of a
+    map: the map (A, B, p) has source the identity on A, target the identity
+    on B, inverse (B, A, p^-1) and, for each map (B, C, q) in list order, the
+    product (A, C, p;q).  An entry is None where the map it names is not in
+    the list, and names the last of a map listed twice.  p;q is worked out
+    once for each p of a map into B and q of a map out of B, so the work
+    follows the maps given, not k!.  The rows are yielded one at a time.
+    Takes ``_coordinates(maps)``."""
+    rank = {p: r for r, p in enumerate(perms)}
+    number: dict[tuple[int, ...], int] = {}
+    numbered = [(number.setdefault(a, len(number)), number.setdefault(b, len(number)), p)
+                for a, b, p in coords]
+    # hom[A][C][p] = map, so that a missing map reads None through .get
+    hom: list[list[dict[int, int]]] = [[{} for _ in number] for _ in number]
+    bucket: list[list[tuple[int, int, int]]] = [[] for _ in number]  # maps out of B
+    into: list[set[int]] = [set() for _ in number]  # the p of maps into B
+    unit_of: list[Optional[int]] = [None] * len(number)  # the identity on A
+    is_identity_perm = [p == tuple(range(len(p))) for p in perms]
+    is_identity = [a is b and is_identity_perm[p] for a, b, p in coords]
+    for j, (b, c, q) in enumerate(numbered):
+        hom[b][c][q] = j
+        bucket[b].append((j, c, q))
+        into[c].add(q)
+        if is_identity[j]:
+            unit_of[b] = j
+    composite: list[dict[int, Optional[int]]] = [{} for _ in perms]  # [p][q] = p;q
+    for ps, out_of_b in zip(into, bucket):
+        qs = {q for _, _, q in out_of_b}
         for p in ps:
             # p;q is (q[p[0]], ..., q[p[-1]]); itemgetter gives q[p[0]] bare for one point
             pick, row = itemgetter(*perms[p]), composite[p]
             for q in qs:
                 pq = pick(perms[q])
-                row[q] = index.get(pq if type(pq) is tuple else (pq,))
-    return composite
+                row[q] = rank.get(pq if type(pq) is tuple else (pq,))
+    undo = [rank.get(tuple(sorted(range(len(p)), key=p.__getitem__))) for p in perms]
+
+    def rows() -> Iterator[dict[int, Optional[int]]]:
+        for a, b, p in numbered:
+            times_p, out_of_a = composite[p], hom[a]
+            yield {j: out_of_a[c].get(times_p[q]) for j, c, q in bucket[b]}
+
+    return (is_identity, [unit_of[a] for a, _, _ in numbered],
+            [unit_of[b] for _, b, _ in numbered],
+            [hom[b][a].get(undo[p]) for a, b, p in numbered], rows())
 
 
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
-    and inversion, with elements in list order and the maps as payloads.
-    The row of map i : A -> B is read from ``_composite_table`` with the
-    maps out of B in list order."""
-    coords, perms = _coordinates(maps)
-    composite = _composite_table(coords, perms)
-    undo = _inverse_ranks(perms)
-    number: dict[tuple[int, ...], int] = {}
-    numbered = [(number.setdefault(a, len(number)), number.setdefault(b, len(number)), p)
-                for a, b, p in coords]
-    hom: list[dict[int, dict[int, int]]] = [{} for _ in number]  # hom[A][C][p] = map
-    bucket: list[list[tuple[int, int, int]]] = [[] for _ in number]  # maps out of B
-    for j, (b, c, q) in enumerate(numbered):
-        hom[b].setdefault(c, {})[q] = j
-        bucket[b].append((j, c, q))
-    rows: list[dict[int, int]] = []
-    for a, b, p in numbered:
-        row, out_of_a = composite[p], hom[a]
-        rows.append({j: out_of_a[c][row[q]] for j, c, q in bucket[b]})
-    unit_of_subset = {numbered[u][0]: u for u, f in enumerate(maps) if f.is_identity()}
+    and inversion, with elements in list order, the maps as payloads and
+    the table ``_table`` reads off them."""
+    is_identity, alpha, beta, inv, rows = _table(*_coordinates(maps))
     return FiniteGroupoid._typed(
         elements=[f.text_form() for f in maps],
-        units=list(unit_of_subset.values()),
-        alpha=[unit_of_subset[a] for a, _, _ in numbered],
-        beta=[unit_of_subset[b] for _, b, _ in numbered],
-        inv=[hom[b][a][undo[p]] for a, b, p in numbered],
+        units=[x for x, unit in enumerate(is_identity) if unit],
+        alpha=alpha,
+        beta=beta,
+        inv=inv,
         rows=rows,
         payloads=maps,
     )
@@ -397,41 +393,6 @@ def count_formulas(n: int) -> GroupoidCounts:
 # ----- payload cross-check -------------------------------------------------
 
 
-def _product_violations(
-    g: FiniteGroupoid,
-    coords: Sequence[_Coordinate],
-    perms: Sequence[tuple[int, ...]],
-) -> list[Violation]:
-    """The violations of g's products, sorted by pair: products of maps that
-    do not compose (a factor out of range among them) and composable pairs
-    without a product, from the keys of each row against the maps whose
-    domain is the range of its map (``_closure_gaps``), then products that
-    are not the composite (A, B, p) * (B, C, q) = (A, C, p;q) (a value out
-    of range among them), one row at a time.  p;q is read from
-    ``_composite_table``.  Takes ``_coordinates(g.payloads)``."""
-    n = len(coords)
-    dom, rng, num = zip(*coords)
-    composite = _composite_table(coords, perms)
-    by_domain: dict[tuple[int, ...], dict[int, None]] = {}
-    for y, a in enumerate(dom):
-        by_domain.setdefault(a, {})[y] = None
-    buckets = [by_domain.get(b, {}) for b in rng]
-    gaps = _closure_gaps(g.rows, buckets)
-    off_pairs = [(x, y) for x, row in g._stray.items() for y in row]
-    off_pairs += [(x, y) for x, (off, _) in gaps.items() for y in off]
-    v = [Violation("payload", xy, "product defined but maps do not compose") for xy in off_pairs]
-    v += [Violation("payload", (x, y), "maps compose but product is undefined")
-          for x, (_, missing) in gaps.items() for y in missing]
-    for x, row in enumerate(g.rows):
-        a, times_x = dom[x], composite[num[x]]
-        products = [(y, z) for y, z in row.items() if y in buckets[x]] if x in gaps else row.items()
-        for y, z in products:
-            if not (0 <= z < n and dom[z] is a and rng[z] is rng[y] and num[z] == times_x[num[y]]):
-                v.append(Violation("payload", (x, y), "product disagrees with map composition"))
-    v.sort(key=attrgetter("witness"))
-    return v
-
-
 def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     """Verify that the groupoid's tables agree with its quasipermutation
     payloads: units are identity maps, anchors pick the identities on
@@ -439,14 +400,14 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     composition.
 
     Every check reads the coordinates (domain, range, permutation number)
-    of ``_coordinates``; no map is built.  The map (A, B, p) is
-    an identity when A is B and p is an identity permutation, and its
-    inverse is (B, A, undo[p]).  The products are checked one row at a
-    time (``_product_violations``), so a failing table costs no more than a
-    passing one; a row's keys are walked only when they are not the maps
-    its map composes with.  A unit, source, target or inverse index out of
-    range is reported alone, before any coordinate is read
-    (``_index_violations``); payloads of different degrees raise ValueError
+    of ``_coordinates``; no map is built.  The tables must equal those
+    ``_table`` reads off the payloads, up to repeated maps: an entry passes
+    when it names the map ``_table`` names or one with the same coordinates.
+    A row equal to ``_table``'s passes whole, and only a row that differs is
+    walked, so a failing table costs no more than a passing one.  A unit,
+    source, target or inverse index out of range is reported alone, before
+    any coordinate is read (``_index_violations``); a payload that is not a
+    Quasipermutation, or payloads of different degrees, raise ValueError
     after that.
 
     A passing report makes x -> payload an embedding of the table in the
@@ -458,7 +419,9 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
     v = _index_violations(g, "payload")
     if v:
         return ValidationReport(tuple(v))
-    for f in g.payloads:
+    for x, f in enumerate(g.payloads):
+        if not isinstance(f, Quasipermutation):
+            raise ValueError(f"payload {x} is not a Quasipermutation: {f!r}")
         if f.degree != g.payloads[0].degree:
             raise ValueError(f"degree mismatch: {g.payloads[0].degree} vs {f.degree}")
     # for maps of one degree a coordinate names one map
@@ -468,22 +431,38 @@ def check_quasiperm_payloads(g: FiniteGroupoid) -> ValidationReport:
         if c in by_value:
             v.append(Violation("payload", (by_value[c], i), "duplicate quasipermutation"))
         by_value[c] = i
-    identities = {r for r, p in enumerate(perms) if p == tuple(range(len(p)))}
-    is_identity = [a is b and p in identities for a, b, p in coords]
-    undo = _inverse_ranks(perms)
-    for x, (a, b, p) in enumerate(coords):
+    n = len(coords)
+
+    def same(z: int, w: Optional[int]) -> bool:
+        # z names the map w names, or one with its coordinates
+        return z == w or (w is not None and 0 <= z < n and coords[z] == coords[w])
+
+    is_identity, alpha, beta, inv, rows = _table(coords, perms)
+    for x in range(n):
         if g.is_unit(x) != is_identity[x]:
             v.append(Violation(
                 "payload", (x,), "unit flag disagrees with being an identity map"))
-        s = g.alpha[x]
-        if not (is_identity[s] and coords[s][0] is a):
+        if not same(g.alpha[x], alpha[x]):
             v.append(Violation(
                 "payload", (x,), "source is not the identity on the domain"))
-        t = g.beta[x]
-        if not (is_identity[t] and coords[t][0] is b):
+        if not same(g.beta[x], beta[x]):
             v.append(Violation(
                 "payload", (x,), "target is not the identity on the range"))
-        if coords[g.inv[x]] != (b, a, undo[p]):
+        if not same(g.inv[x], inv[x]):
             v.append(Violation("payload", (x,), "inverse map mismatch"))
-    v.extend(_product_violations(g, coords, perms))
-    return ValidationReport(tuple(v))
+    products = [Violation("payload", (x, y), "product defined but maps do not compose")
+                for x, row in g._stray.items() for y in row]
+    for x, (row, want) in enumerate(zip(g.rows, rows)):
+        if row == want:
+            continue
+        for y, z in row.items():
+            if y not in want:
+                products.append(Violation(
+                    "payload", (x, y), "product defined but maps do not compose"))
+            elif not same(z, want[y]):
+                products.append(Violation(
+                    "payload", (x, y), "product disagrees with map composition"))
+        products.extend(Violation("payload", (x, y), "maps compose but product is undefined")
+                        for y in want if y not in row)
+    products.sort(key=attrgetter("witness"))
+    return ValidationReport((*v, *products))

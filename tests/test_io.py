@@ -33,6 +33,7 @@ from groupoids import (
     plain_document,
     qp_compose,
     quasiperm_document,
+    signature,
     symmetric_groupoid,
     validate,
     validate_group_groupoid,
@@ -41,7 +42,6 @@ from groupoids import (
     vsg_document,
 )
 from groupoids.cli import main
-from groupoids.quasiperm import _coordinates, _product_violations
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
 
@@ -632,7 +632,6 @@ def test_products_of_valid_groupoids_pass_the_one_pass_check():
     # point
     for g in (symmetric_groupoid(1), symmetric_groupoid(3), alternating_groupoid(4),
               left_translation_groupoid(from_group(cyclic_group(10)))):
-        assert _product_violations(g, *_coordinates(g.payloads)) == []
         assert check_quasiperm_payloads(g).passed
 
 
@@ -644,6 +643,33 @@ def test_payload_cross_check_rejects_mixed_degrees_up_front(s2):
         s2.elements, s2.units, s2.alpha, s2.beta, s2.inv, s2.mul, payloads=payloads)
     with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
         check_quasiperm_payloads(mixed)
+
+
+@pytest.mark.parametrize("payload", ["2: 1 2 -> 2 1", None])
+def test_payload_cross_check_refuses_a_payload_that_is_no_map(s2, payload):
+    payloads = list(s2.payloads)
+    payloads[3] = payloads[5] = payload
+    broken = FiniteGroupoid(
+        s2.elements, s2.units, s2.alpha, s2.beta, s2.inv, s2.mul, payloads=payloads)
+    with pytest.raises(ValueError, match=f"payload 3 is not a Quasipermutation: {payload!r}"):
+        check_quasiperm_payloads(broken)
+
+
+def test_payload_cross_check_matches_pair_scan_with_a_map_from_outside_the_list():
+    # an odd map in the even groupoid: its composites with the even maps are
+    # odd, so the maps they should name are not in the list
+    rng = random.Random(2029)
+    for degree in (3, 4):
+        g = alternating_groupoid(degree)
+        odd = [f for f in symmetric_groupoid(degree).payloads if signature(f) == -1]
+        for _ in range(50):
+            payloads = list(g.payloads)
+            payloads[rng.randrange(len(g))] = rng.choice(odd)
+            mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, g.mul,
+                                    payloads=payloads)
+            expected = payloads_by_pair_scan(mutant)
+            assert expected
+            assert check_quasiperm_payloads(mutant).violations == expected
 
 
 @pytest.mark.parametrize("edit", ["product", "inv"])
