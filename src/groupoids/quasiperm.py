@@ -287,19 +287,25 @@ def _table(
     number: dict[tuple[int, ...], int] = {}
     numbered = [(number.setdefault(a, len(number)), number.setdefault(b, len(number)), p)
                 for a, b, p in coords]
-    # hom[A][C][p] = map, so that a missing map reads None through .get
-    hom: list[list[dict[int, int]]] = [[{} for _ in number] for _ in number]
+    # hom[A][C][p] = map, for each C one or two maps reach from A, so that a
+    # missing map reads None through .get; the size follows the products
+    hom: list[dict[int, dict[int, int]]] = [{} for _ in number]
     bucket: list[list[tuple[int, int, int]]] = [[] for _ in number]  # maps out of B
     into: list[set[int]] = [set() for _ in number]  # the p of maps into B
     unit_of: list[Optional[int]] = [None] * len(number)  # the identity on A
     is_identity_perm = [p == tuple(range(len(p))) for p in perms]
     is_identity = [a is b and is_identity_perm[p] for a, b, p in coords]
     for j, (b, c, q) in enumerate(numbered):
-        hom[b][c][q] = j
+        hom[b].setdefault(c, {})[q] = j
         bucket[b].append((j, c, q))
         into[c].add(q)
         if is_identity[j]:
             unit_of[b] = j
+    none: dict[int, int] = {}  # hom[A][C] where no map goes from A to C
+    reach = [list(out_of_b) for out_of_b in hom]
+    for a, b in {(a, b) for a, b, _ in numbered}:
+        for c in reach[b]:
+            hom[a].setdefault(c, none)
     composite: list[dict[int, Optional[int]]] = [{} for _ in perms]  # [p][q] = p;q
     for ps, out_of_b in zip(into, bucket):
         qs = {q for _, _, q in out_of_b}
@@ -318,21 +324,32 @@ def _table(
 
     return (is_identity, [unit_of[a] for a, _, _ in numbered],
             [unit_of[b] for _, b, _ in numbered],
-            [hom[b][a].get(undo[p]) for a, b, p in numbered], rows())
+            [hom[b].get(a, none).get(undo[p]) for a, b, p in numbered], rows())
 
 
 def _groupoid(maps: list[Quasipermutation]) -> FiniteGroupoid:
     """The groupoid on a list of quasipermutations closed under composition
     and inversion, with elements in list order, the maps as payloads and
-    the table ``_table`` reads off them."""
+    the table ``_table`` reads off them.  A list that is not closed, so
+    that some entry of that table is None, raises ValueError."""
     is_identity, alpha, beta, inv, rows = _table(*_coordinates(maps))
+    not_closed = ValueError("the maps are not closed under composition and inversion")
+    if None in (*alpha, *beta, *inv):
+        raise not_closed
+
+    def closed_rows() -> Iterator[dict[int, Optional[int]]]:
+        for row in rows:
+            if None in row.values():
+                raise not_closed
+            yield row
+
     return FiniteGroupoid._typed(
         elements=[f.text_form() for f in maps],
         units=[x for x, unit in enumerate(is_identity) if unit],
         alpha=alpha,
         beta=beta,
         inv=inv,
-        rows=rows,
+        rows=closed_rows(),
         payloads=maps,
     )
 

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -670,6 +672,28 @@ def test_payload_cross_check_matches_pair_scan_with_a_map_from_outside_the_list(
             expected = payloads_by_pair_scan(mutant)
             assert expected
             assert check_quasiperm_payloads(mutant).violations == expected
+
+
+def test_payload_cross_check_on_thousands_of_subsets_is_linear(tmp_path, capsys):
+    # the identity maps on the 2047 nonempty subsets of 11 points: the
+    # check's memory follows the maps, not the square of the subsets
+    degree = 11
+    maps = [Quasipermutation(degree, s, s) for k in range(1, degree + 1)
+            for s in itertools.combinations(range(1, degree + 1), k)]
+    n = len(maps)
+    g = FiniteGroupoid([f.text_form() for f in maps], range(n), range(n), range(n), range(n),
+                       {(x, x): x for x in range(n)}, payloads=maps)
+    tracemalloc.start()
+    try:
+        assert check_quasiperm_payloads(g).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    path = tmp_path / "discrete.json"
+    path.write_text(canonical_dumps(quasiperm_document(g, degree)), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"ok: {path} is a quasiperm groupoid of type ({n};{n})\n"
 
 
 @pytest.mark.parametrize("edit", ["product", "inv"])

@@ -15,7 +15,7 @@ from groupoids import (
     symmetric_groupoid,
     validate,
 )
-from groupoids.quasiperm import DEGREE_LIMIT, _coordinates, _enumerate, _even
+from groupoids.quasiperm import DEGREE_LIMIT, _coordinates, _enumerate, _even, _groupoid
 
 
 def test_text_form_round_trip():
@@ -356,3 +356,16 @@ def test_groupoids_equal_the_all_pairs_qp_compose_tables(n):
         assert (list(g.elements), list(g.units)) == (elements, units)
         assert (list(g.alpha), list(g.beta), list(g.inv)) == (alpha, beta, inv)
         assert dict(g.mul.items()) == products
+
+
+@pytest.mark.parametrize("maps", [
+    # (1 2);(2 3) is a 3-cycle, which is not in the list
+    [Quasipermutation(3, (1, 2, 3), (1, 2, 3)), Quasipermutation(3, (1, 2, 3), (2, 1, 3)),
+     Quasipermutation(3, (1, 2, 3), (1, 3, 2))],
+    # the identity on {1}, the source, is not in the list
+    [Quasipermutation(2, (1,), (2,)), Quasipermutation(2, (2,), (1,)),
+     Quasipermutation(2, (2,), (2,))],
+])
+def test_a_list_not_closed_under_composition_is_refused(maps):
+    with pytest.raises(ValueError, match="not closed under composition and inversion"):
+        _groupoid(maps)
