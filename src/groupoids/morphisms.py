@@ -1,5 +1,12 @@
 """Groupoid morphisms: validation, strength, kernels, images, and the
-machine-checked subgroupoid correspondence for surjective strong maps."""
+machine-checked subgroupoid correspondence for surjective strong maps.
+
+``validate_morphism`` validates both endpoints, once, before any law;
+``kernel``, ``image``, ``correspondence_check`` and ``is_isomorphism`` call
+it first.  ``is_strong``, ``preimage``, ``compose_morphisms`` and the
+morphism builders trust their input, as does ``_morphism_laws``, the law
+check alone, which ``structured`` runs on morphisms between groupoids that
+are valid by construction."""
 
 from __future__ import annotations
 
@@ -85,26 +92,29 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     """Check compatibility with products and anchors, plus the derived
     identities on units and inverses, between groupoids only: violations of
     either endpoint, prefixed ``domain-`` or ``codomain-``, are reported
-    alone.  The scan over every product runs only when a product fails at
-    the generators of the domain or the anchor or unit law fails."""
-    endpoints = (_prefixed(validate(m.domain), "domain")
-                 + _prefixed(validate(m.codomain), "codomain"))
-    if endpoints:
-        return ValidationReport(tuple(endpoints))
+    alone, and so is a unit-map value that is not a unit."""
+    v = (_prefixed(validate(m.domain), "domain") + _prefixed(validate(m.codomain), "codomain")
+         or _unit_map_violations(m))
+    return ValidationReport(tuple(v)) if v else _morphism_laws(m)
+
+
+def _unit_map_violations(m: GroupoidMorphism) -> list[Violation]:
+    """The unit-map values that are not units of the codomain."""
+    return [Violation("structure", (u, w), "unit map value is not a unit")
+            for u, w in m.unit_map.items() if not m.codomain.is_unit(w)]
+
+
+def _morphism_laws(m: GroupoidMorphism) -> ValidationReport:
+    """``validate_morphism``'s laws, trusting that both endpoints validate
+    and that the unit map sends units to units.  The scan over every
+    product runs only when a product fails at the generators of the domain
+    or the anchor or unit law fails."""
     g, h, f, f0 = m.domain, m.codomain, m.elem_map, m.unit_map
-    v = [Violation("structure", (u, w), "unit map value is not a unit")
-         for u, w in f0.items() if not h.is_unit(w)]
-    if v:
-        return ValidationReport(tuple(v))
-    for x in range(len(g)):
-        if h.alpha[f[x]] != f0[g.alpha[x]]:
-            v.append(Violation(
-                "anchor-compat", (x,),
-                f"source of image of {g.elements[x]} disagrees with mapped source"))
-        if h.beta[f[x]] != f0[g.beta[x]]:
-            v.append(Violation(
-                "anchor-compat", (x,),
-                f"target of image of {g.elements[x]} disagrees with mapped target"))
+    v = [Violation("anchor-compat", (x,),
+                   f"{end} of image of {g.elements[x]} disagrees with mapped {end}")
+         for x in range(len(g))
+         for end, a, b in (("source", g.alpha, h.alpha), ("target", g.beta, h.beta))
+         if b[f[x]] != f0[a[x]]]
     unit_breaks = [
         Violation("unit-compat", (u,), f"element map and unit map disagree on unit {g.elements[u]}")
         for u in g.units if f[u] != f0[u]]

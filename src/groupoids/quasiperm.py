@@ -57,6 +57,16 @@ class Quasipermutation:
     _text: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
+        # exact types, so that the text form reads back as an equal map: a
+        # bool is an int whose text is "True", and a list never equals a tuple
+        if type(self.degree) is not int:
+            raise ValueError(f"degree must be an int, got {self.degree!r}")
+        for field, points in (("domain", self.domain), ("image", self.image)):
+            if type(points) is not tuple:
+                raise ValueError(f"{field} must be a tuple, got {points!r}")
+            for i in points:
+                if type(i) is not int:
+                    raise ValueError(f"{field} entries must be ints, got {i!r}")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
         if not self.domain:
@@ -167,8 +177,12 @@ def qp_compose(f: Quasipermutation, g: Quasipermutation) -> Optional[Quasipermut
     """The product f*g: apply f first, then g.
 
     Defined exactly when the range of f equals the domain of g; returns None
-    otherwise.  Degrees must agree.
+    otherwise.  Degrees must agree, and an argument that is not a
+    Quasipermutation raises ValueError naming it.
     """
+    for name, h in (("f", f), ("g", g)):
+        if not isinstance(h, Quasipermutation):
+            raise ValueError(f"{name} is not a Quasipermutation: {h!r}")
     if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     if f.range_set != g.domain_set:

@@ -6,6 +6,13 @@ interchange law (x*y) + (z*t) = (x+z)*(y+t).  Over a prime field the same
 data with a scalar action gives a vector-space groupoid.  Each validator
 exists in two equivalent forms: a direct checklist of laws, and a
 reduction to ordinary groupoid morphisms.
+
+Every public validator first validates each carrier once, with
+``validate``, and the group tables with ``GroupTable.validate``; the law
+checks after that trust their input, and the morphism forms run only
+``morphisms._morphism_laws``.  The constructors check shapes and ranges,
+not laws; ``pair_group_groupoid`` validates its group, and
+``group_as_group_groupoid`` trusts it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .constructions import (
     pair_arrows,
     pair_groupoid_over,
 )
-from .morphisms import GroupoidMorphism, validate_morphism
+from .morphisms import GroupoidMorphism, _morphism_laws, _unit_map_violations
 
 __all__ = [
     "GroupGroupoid",
@@ -105,11 +112,6 @@ def _precheck_violations(gg: GroupGroupoid) -> list[Violation]:
     return _prefixed(validate(gg.carrier), "carrier") or _table_violations(gg)
 
 
-def _precheck_failed(violations: Sequence[Violation]) -> bool:
-    """True when a group-groupoid report stopped at its pre-check."""
-    return any(x.axiom.startswith(("carrier", "elem-group", "unit-group")) for x in violations)
-
-
 def _generators_with_identity(t: GroupTable) -> list[int]:
     """The identity of a validated group table followed by greedy
     generators of the group."""
@@ -177,16 +179,25 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     domain group, and, once they are additive, the interchange law by
     ``_interchange_by_kernels`` in one pass over the products.  The scans
     over all pairs run only when these checks fail, to list every witness."""
-    v = _prefixed(validate(gg.carrier), "carrier")
-    return ValidationReport(tuple(v)) if v else _group_groupoid_laws(gg)
+    return ValidationReport(tuple(_precheck_violations(gg) or _group_groupoid_law_violations(gg)))
 
 
 def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
     """``validate_group_groupoid`` on a carrier that validates."""
-    v = _table_violations(gg)
-    if v:
-        return ValidationReport(tuple(v))
+    return ValidationReport(tuple(_table_violations(gg) or _group_groupoid_law_violations(gg)))
+
+
+def _group_groupoid_law_violations(gg: GroupGroupoid) -> list[Violation]:
+    """The laws of ``validate_group_groupoid`` on a valid carrier whose two
+    tables are groups.
+
+    The ``neg-compat`` scan runs only when another law has failed.  When
+    none has, source and target are additive, so for every product x*y
+    beta(-x) = -beta(x) = -alpha(y) = alpha(-y) and (-x, -y) composes; the
+    unit inclusion is additive, so 0 is the zero unit; and interchange gives
+    (x*y) + (-x * -y) = (x - x)*(y - y) = 0*0 = 0, so -x * -y = -(x*y)."""
     g = gg.carrier
+    v: list[Violation] = []
     pos = {u: i for i, u in enumerate(g.units)}
     add = gg.elem_group.table
     add0 = gg.unit_group.table
@@ -216,39 +227,37 @@ def _group_groupoid_laws(gg: GroupGroupoid) -> ValidationReport:
                     v.append(Violation(
                         "interchange", (x, y, z, t),
                         "sum of products differs from product of sums"))
-    neg = gg.elem_group.inv
-    v.extend(Violation("neg-compat", (x, y), "group negation fails to distribute over this product")
-             for x, row in enumerate(g.rows) for y, xy in row.items()
-             if g.rows[neg[x]].get(neg[y]) != neg[xy])
-    return ValidationReport(tuple(v))
+    if v:
+        neg = gg.elem_group.inv
+        v.extend(Violation("neg-compat", (x, y),
+                           "group negation fails to distribute over this product")
+                 for x, row in enumerate(g.rows) for y, xy in row.items()
+                 if g.rows[neg[x]].get(neg[y]) != neg[xy])
+    return v
 
 
 def validate_group_groupoid_as_morphisms(gg: GroupGroupoid) -> ValidationReport:
     """Equivalent formulation: addition, the identity selection, and
     negation are groupoid morphisms (from the square of the carrier, from a
     one-point groupoid, and from the carrier)."""
-    v = _precheck_violations(gg)
-    if v:
-        return ValidationReport(tuple(v))
-    g = gg.carrier
+    return ValidationReport(tuple(_precheck_violations(gg) or _structure_morphism_violations(gg)))
+
+
+def _structure_morphism_violations(gg: GroupGroupoid) -> list[Violation]:
+    """The laws of the add, zero and neg morphisms, on a valid carrier
+    whose two tables are groups.  Their domains are then groupoids too,
+    since products and null groupoids of groupoids are, and their unit maps
+    take unit values by construction, so only ``_morphism_laws`` runs."""
+    g, t, t0 = gg.carrier, gg.elem_group, gg.unit_group
     n = len(g)
     pos = {u: i for i, u in enumerate(g.units)}
-    square = direct_product(g, g)
-    add_map = [gg.elem_group.table[i // n][i % n] for i in range(n * n)]
-    add_unit_map = {}
-    for u in g.units:
-        for w in g.units:
-            add_unit_map[u * n + w] = g.units[gg.unit_group.table[pos[u]][pos[w]]]
-    omega = GroupoidMorphism(square, g, add_map, add_unit_map)
-    v.extend(_prefixed(validate_morphism(omega), "add"))
-    point = null_groupoid(["*"])
-    nu = GroupoidMorphism(point, g, [gg.elem_group.identity],
-                          {0: g.units[gg.unit_group.identity]})
-    v.extend(_prefixed(validate_morphism(nu), "zero"))
-    sigma = GroupoidMorphism(g, g, gg.elem_group.inv,
-                             {u: g.units[gg.unit_group.inv[pos[u]]] for u in g.units})
-    v.extend(_prefixed(validate_morphism(sigma), "neg"))
-    return ValidationReport(tuple(v))
+    omega = GroupoidMorphism(
+        direct_product(g, g), g, [s for row in t.table for s in row],
+        {u * n + w: g.units[t0.table[pos[u]][pos[w]]] for u in g.units for w in g.units})
+    nu = GroupoidMorphism(null_groupoid(["*"]), g, [t.identity], {0: g.units[t0.identity]})
+    sigma = GroupoidMorphism(g, g, t.inv, {u: g.units[t0.inv[pos[u]]] for u in g.units})
+    return (_prefixed(_morphism_laws(omega), "add") + _prefixed(_morphism_laws(nu), "zero")
+            + _prefixed(_morphism_laws(sigma), "neg"))
 
 
 def validate_group_groupoid_morphism(
@@ -256,19 +265,17 @@ def validate_group_groupoid_morphism(
 ) -> ValidationReport:
     """A groupoid morphism between group-groupoids that is also additive on
     elements and on units.  Violations of either endpoint, prefixed
-    ``domain-`` or ``codomain-``, are reported alone; on valid endpoints
-    additivity is checked at generators of the domain groups.  A morphism
-    that sends a unit to a non-unit is reported by that alone."""
+    ``domain-`` or ``codomain-``, are reported alone, and so is a unit-map
+    value that is not a unit; each endpoint is validated once, by
+    ``validate_group_groupoid``.  Additivity is checked at generators of
+    the domain groups."""
     if m.domain != dom.carrier or m.codomain != cod.carrier:
         raise ValueError("morphism endpoints must be the carriers of the two structures")
-    endpoints = (_prefixed(validate_group_groupoid(dom), "domain")
-                 + _prefixed(validate_group_groupoid(cod), "codomain"))
-    if endpoints:
-        return ValidationReport(tuple(endpoints))
-    report = validate_morphism(m)
-    if any(x.axiom == "structure" for x in report.violations):
-        return report
-    v = list(report.violations)
+    v = (_prefixed(validate_group_groupoid(dom), "domain")
+         + _prefixed(validate_group_groupoid(cod), "codomain") or _unit_map_violations(m))
+    if v:
+        return ValidationReport(tuple(v))
+    v = list(_morphism_laws(m).violations)
     add = dom.elem_group.table
     v.extend(Violation("additive", xy, "element map is not a group homomorphism here")
              for xy in _non_additive_pairs(m.elem_map, add, cod.elem_group.table,
@@ -335,33 +342,21 @@ def _vector_space_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
     scalar actions, assuming the additive groups already validate.  Each
     k. is checked to distribute over + by ``_non_additive_pairs``, at the
     generators of the group, and only when that fails over all pairs."""
-    out: list[Violation] = []
-    p = v.p
-    gg = v.structure
-    if not gg.elem_group.is_commutative():
-        out.append(Violation("commutative", (), "element group is not commutative"))
-    if not gg.unit_group.is_commutative():
-        out.append(Violation("commutative", (), "unit group is not commutative"))
-    n = len(gg.carrier)
-    m = len(gg.carrier.units)
-    for name, size, act, group in (
-        ("scalar", n, v.scalar, gg.elem_group),
-        ("unit-scalar", m, v.unit_scalar, gg.unit_group),
-    ):
+    p, gg = v.p, v.structure
+    out = [Violation("commutative", (), f"{which} group is not commutative")
+           for which, group in (("element", gg.elem_group), ("unit", gg.unit_group))
+           if not group.is_commutative()]
+    for name, act, group in (("scalar", v.scalar, gg.elem_group),
+                             ("unit-scalar", v.unit_scalar, gg.unit_group)):
         table = group.table
-        for x in range(size):
-            if act[1 % p][x] != x:
-                out.append(Violation(f"{name}-identity", (x,), "1.x differs from x"))
-        for k in range(p):
-            for l in range(p):
-                for x in range(size):
-                    if act[k][act[l][x]] != act[(k * l) % p][x]:
-                        out.append(Violation(
-                            f"{name}-assoc", (k, l, x), "k.(l.x) differs from (kl).x"))
-                    if act[(k + l) % p][x] != table[act[k][x]][act[l][x]]:
-                        out.append(Violation(
-                            f"{name}-distrib", (k, l, x),
-                            "(k+l).x differs from k.x + l.x"))
+        out.extend(Violation(f"{name}-identity", (x,), "1.x differs from x")
+                   for x in range(group.order) if act[1 % p][x] != x)
+        for k, l, x in iter_product(range(p), range(p), range(group.order)):
+            if act[k][act[l][x]] != act[(k * l) % p][x]:
+                out.append(Violation(f"{name}-assoc", (k, l, x), "k.(l.x) differs from (kl).x"))
+            if act[(k + l) % p][x] != table[act[k][x]][act[l][x]]:
+                out.append(Violation(
+                    f"{name}-distrib", (k, l, x), "(k+l).x differs from k.x + l.x"))
         gens = _generators_with_identity(group)
         for k in range(p):
             out.extend(Violation(f"{name}-distrib-add", (k, x, y),
@@ -403,11 +398,9 @@ def validate_vector_space_groupoid(v: VectorSpaceGroupoid) -> ValidationReport:
 
 def _vector_space_laws(v: VectorSpaceGroupoid) -> ValidationReport:
     """``validate_vector_space_groupoid`` on a carrier that validates."""
-    out = list(_group_groupoid_laws(v.structure).violations)
-    if _precheck_failed(out):
-        return ValidationReport(tuple(out))
-    out.extend(_vector_space_law_violations(v))
-    out.extend(_linearity_violations(v))
+    out = _table_violations(v.structure) or (
+        _group_groupoid_law_violations(v.structure) + _vector_space_law_violations(v)
+        + _linearity_violations(v))
     return ValidationReport(tuple(out))
 
 
@@ -416,23 +409,18 @@ def validate_vector_space_groupoid_via_morphisms(v: VectorSpaceGroupoid) -> Vali
     the carrier is a commutative group-groupoid in the morphism sense, and
     the action is a groupoid morphism from (scalars, carrier) pairs with
     scalars as a null groupoid."""
-    base = validate_group_groupoid_as_morphisms(v.structure)
-    out = list(base.violations)
-    if _precheck_failed(out):
+    out = _precheck_violations(v.structure)
+    if out:
         return ValidationReport(tuple(out))
-    out.extend(_vector_space_law_violations(v))
     g = v.carrier
     n = len(g)
-    scalars = null_groupoid([str(k) for k in range(v.p)])
-    square = direct_product(scalars, g)
-    act_map = [v.scalar[i // n][i % n] for i in range(v.p * n)]
-    act_unit_map = {}
-    for k in range(v.p):
-        for i, u in enumerate(g.units):
-            act_unit_map[k * n + u] = g.units[v.unit_scalar[k][i]]
-    action = GroupoidMorphism(square, g, act_map, act_unit_map)
-    out.extend(_prefixed(validate_morphism(action), "action"))
-    return ValidationReport(tuple(out))
+    action = GroupoidMorphism(
+        direct_product(null_groupoid([str(k) for k in range(v.p)]), g),
+        g, [x for row in v.scalar for x in row],
+        {k * n + u: g.units[v.unit_scalar[k][i]] for k in range(v.p) for i, u in enumerate(g.units)})
+    return ValidationReport(tuple(
+        _structure_morphism_violations(v.structure) + _vector_space_law_violations(v)
+        + _prefixed(_morphism_laws(action), "action")))
 
 
 # ----- canonical models ----------------------------------------------------

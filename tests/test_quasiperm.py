@@ -65,6 +65,56 @@ def test_constructor_rejects_bad_maps():
         Quasipermutation(3, (1, 4), (1, 2))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((3, (1.0,), (1,)), "domain entries must be ints, got 1.0"),
+    ((3, (True,), (1,)), "domain entries must be ints, got True"),
+    ((3, ("1",), ("1",)), "domain entries must be ints, got '1'"),
+    ((3, (1,), (False,)), "image entries must be ints, got False"),
+    ((3, (1, 2), (2, None)), "image entries must be ints, got None"),
+    (("3", (1,), (1,)), "degree must be an int, got '3'"),
+    ((True, (1,), (1,)), "degree must be an int, got True"),
+    ((3.0, (1,), (1,)), "degree must be an int, got 3.0"),
+    ((3, [1], (1,)), "domain must be a tuple, got [1]"),
+    ((3, (1,), [1]), "image must be a tuple, got [1]"),
+])
+def test_constructor_refuses_points_that_are_not_ints(args, message):
+    with pytest.raises(ValueError) as err:
+        Quasipermutation(*args)
+    assert str(err.value) == message
+
+
+def test_every_constructed_map_reads_back_from_its_text():
+    # seeded constructor arguments drawn from ints in and out of range and
+    # from values that are not ints: each is refused or round-trips
+    rng = random.Random(31)
+    values = [1, 2, 3, 4, 0, -1, 1.0, True, False, "1", None]
+    made = 0
+    for _ in range(3000):
+        degree = rng.choice([3, 3, 3, 0, True, 3.0, "3"])
+        k = rng.randint(0, 3)
+        domain = tuple(rng.choice(values) for _ in range(k))
+        image = tuple(rng.choice(values) for _ in range(k))
+        if rng.random() < 0.6:
+            domain = tuple(sorted(rng.sample(range(1, 4), k)))
+        if rng.random() < 0.6:
+            image = tuple(rng.sample(range(1, 4), k))
+        try:
+            f = Quasipermutation(degree, domain, image)
+        except ValueError:
+            continue
+        assert Quasipermutation.from_text(f.degree, f.text_form()) == f
+        made += 1
+    assert made > 300
+
+
+def test_compose_refuses_an_argument_that_is_not_a_quasipermutation():
+    f = Quasipermutation(2, (1,), (2,))
+    with pytest.raises(ValueError, match="^g is not a Quasipermutation: 'x'$"):
+        qp_compose(f, "x")
+    with pytest.raises(ValueError, match="^f is not a Quasipermutation: None$"):
+        qp_compose(None, f)
+
+
 def test_apply_and_inverse():
     f = Quasipermutation(3, (1, 2), (3, 1))
     assert f.apply(1) == 3 and f.apply(2) == 1

@@ -33,7 +33,7 @@ from groupoids import (
 )
 from groupoids import constructions, structured
 from groupoids.constructions import pair_arrows
-from groupoids.structured import _precheck_failed, is_prime
+from groupoids.structured import is_prime
 
 
 def mutate_cell(t, i, j, value):
@@ -390,7 +390,7 @@ def vector_space_laws_by_scan(v):
 def vector_space_by_scan(v):
     """Reference for validate_vector_space_groupoid's report."""
     head = group_groupoid_by_pair_scan(v.structure)
-    if _precheck_failed(head):
+    if structured._precheck_violations(v.structure):
         return head
     return head + tuple(vector_space_laws_by_scan(v) + structured._linearity_violations(v))
 
@@ -735,3 +735,39 @@ def test_group_groupoid_morphism_validates_both_endpoints():
         assert list(report.violations) == endpoint_violations(mutant, mutant)
         rejected += not report.passed
     assert rejected > 250
+
+
+def test_each_structured_validator_validates_each_carrier_once(monkeypatch):
+    # the morphism forms build the square, a point and scalars x carrier,
+    # which are groupoids once the carrier is, and check only their laws
+    from groupoids import core, morphisms
+    calls = []
+
+    def counted(g):
+        calls.append(len(g))
+        return core.validate(g)
+
+    monkeypatch.setattr(structured, "validate", counted)
+    monkeypatch.setattr(morphisms, "validate", counted)
+    gg = pair_group_groupoid(cyclic_group(4))
+    twisted = twisted_group_groupoid(2, 2, 0)
+    vs = pair_vector_space_groupoid(2, 2)
+    relabelled = vector_space_mutant(vs, random.Random(3))
+    n, nt = len(gg.carrier), len(twisted.carrier)
+    identity = GroupoidMorphism(gg.carrier, gg.carrier, range(n))
+    cases = [
+        (validate_group_groupoid, (gg,), [n]),
+        (validate_group_groupoid, (twisted,), [nt]),
+        (validate_group_groupoid_as_morphisms, (gg,), [n]),
+        (validate_group_groupoid_as_morphisms, (twisted,), [nt]),
+        (validate_vector_space_groupoid, (vs,), [n]),
+        (validate_vector_space_groupoid, (relabelled,), [n]),
+        (validate_vector_space_groupoid_via_morphisms, (vs,), [n]),
+        (validate_vector_space_groupoid_via_morphisms, (relabelled,), [n]),
+        (validate_group_groupoid_morphism, (identity, gg, gg), [n, n]),
+    ]
+    for check, args, expected in cases:
+        calls.clear()
+        passed = check(*args).passed
+        assert passed == (twisted not in args and relabelled not in args), check.__name__
+        assert calls == expected, check.__name__
