@@ -1,4 +1,16 @@
-"""Constructors for finite groupoids and the group tables that feed them."""
+"""Constructors for finite groupoids and the group tables that feed them.
+
+The builders from parameters (``pair_groupoid``, ``pair_groupoid_over``,
+``null_groupoid``, ``cyclic_group``) check their arguments and sizes, and
+``from_group`` validates its group table.  ``group_table_of`` refuses a
+groupoid that is not one group and validates the table it reads.  The
+combinators trust that their arguments are groupoids: ``direct_product``
+and ``whitney_sum`` refuse, with ValueError, a source or target that is
+not a unit, and ``induced_groupoid`` and ``left_translation_groupoid``
+refuse what their own construction cannot use (a map off the base, equal
+translations).  ``disjoint_union`` checks only its size.  No combinator
+calls ``validate``; validate the inputs first where they may be broken.
+"""
 
 from __future__ import annotations
 

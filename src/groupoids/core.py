@@ -17,6 +17,15 @@ x -> (alpha(x), beta(x), c(x)) is injective, c is multiplicative and H_r
 passes the group laws, the component embeds in the associative pair(U) x H_r.
 The triple scan runs only to list the witnesses of a failure, in the
 components where a condition fails.
+
+``validate`` and ``GroupTable.validate`` take any table of the right shape
+and report its defects; they do not raise on them.  ``is_isomorphic``
+validates both groupoids before any answer.  The ``FiniteGroupoid``
+constructor checks shapes and index types, not laws, and
+``with_base_labels`` checks only the base labels.  ``restricted``,
+``isotropy_conjugation`` and ``FiniteGroupoid.isotropy_group`` check the
+closure that their result needs and raise ValueError without it.  Every
+other function and method trusts that the table is a groupoid.
 """
 
 from __future__ import annotations
@@ -93,6 +102,17 @@ def _prefixed(report: ValidationReport, prefix: str) -> list[Violation]:
     return [Violation(f"{prefix}-{v.axiom}", v.witness, v.detail) for v in report.violations]
 
 
+def _ints(field: str, values: Iterable[object]) -> tuple[int, ...]:
+    """``values`` as a tuple, refusing with ValueError any entry whose type
+    is not exactly int: int() would truncate 0.9 and read "0", and a bool
+    is an int whose text is "True"."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        bad = next(v for v in out if type(v) is not int)
+        raise ValueError(f"{field} entries must be ints, got {bad!r}")
+    return out
+
+
 class _ProductView(Mapping):
     """The products of a groupoid as a read-only mapping {(x, y): x*y} over
     its rows: row by row in element order, each row in its own order, then
@@ -139,13 +159,16 @@ class FiniteGroupoid:
                    used when two groupoids must share a base.
       payloads:    optional per-element payload objects (e.g. partial maps).
 
-    The constructor checks container shape only (lengths, label uniqueness,
-    key forms); semantic defects such as out-of-range indices or products
-    defined off the composable pairs are reported by :func:`validate`, not
-    raised here; a product whose first factor names no element is kept
-    apart from ``rows``.  Given another groupoid's ``.mul`` over as many
-    elements, it shares that groupoid's rows.  Equality compares the tables
-    index-wise and ignores labels, base labels and payloads.
+    The constructor checks container shape only: lengths, label uniqueness,
+    key forms, and entries of type exactly int in ``units``, ``alpha``,
+    ``beta``, ``inv`` and the keys of ``base_labels`` (product keys and
+    values are converted with int()).  Semantic defects such as
+    out-of-range indices or products defined off the composable pairs are
+    reported by :func:`validate`, not raised here; a product whose first
+    factor names no element is kept apart from ``rows``.  Given another
+    groupoid's ``.mul`` over as many elements, it shares that groupoid's
+    rows.  Equality compares the tables index-wise and ignores labels, base
+    labels and payloads.
     """
 
     def __init__(
@@ -199,7 +222,7 @@ class FiniteGroupoid:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("element labels must be unique")
 
-        unit_list = [int(u) for u in units]
+        unit_list = _ints("units", units)
         if len(set(unit_list)) != len(unit_list):
             raise ValueError("duplicate entries in unit set")
         if not unit_list:
@@ -208,9 +231,9 @@ class FiniteGroupoid:
         self._unit_set: frozenset[int] = frozenset(unit_list)
 
         n = len(self.elements)
-        self.alpha: tuple[int, ...] = tuple(int(v) for v in alpha)
-        self.beta: tuple[int, ...] = tuple(int(v) for v in beta)
-        self.inv: tuple[int, ...] = tuple(int(v) for v in inv)
+        self.alpha: tuple[int, ...] = _ints("alpha", alpha)
+        self.beta: tuple[int, ...] = _ints("beta", beta)
+        self.inv: tuple[int, ...] = _ints("inv", inv)
         for name, table in (("alpha", self.alpha), ("beta", self.beta), ("inv", self.inv)):
             if len(table) != n:
                 raise ValueError(f"{name} must assign every element, got {len(table)} of {n}")
@@ -220,7 +243,7 @@ class FiniteGroupoid:
         self.mul: Mapping[tuple[int, int], int] = _ProductView(rows, stray)
 
         if base_labels is not None:
-            base = {int(u): str(lbl) for u, lbl in base_labels.items()}
+            base = dict(zip(_ints("base_labels", base_labels), map(str, base_labels.values())))
             unknown = set(base) - set(self.units)
             if unknown:
                 raise ValueError(f"base labels given for non-units: {sorted(unknown)}")

@@ -6,6 +6,15 @@ per defined product; a missing pair means the product is undefined.
 Canonical serialization sorts object keys and orders the triples by the
 positions of their factors, so equal documents serialize to identical
 bytes.
+
+The parsers (``parse_groupoid_document``, ``parse_morphism_document`` and
+the two loaders) refuse a document of the wrong shape with ParseError and
+leave the laws to the validators: a parsed groupoid may fail ``validate``.
+``canonicalize_document`` and ``canonical_dumps`` refuse a dict with a
+missing or mistyped field or an unknown label, with ParseError.  The
+writers (``plain_document``, ``quasiperm_document``,
+``group_groupoid_document``, ``vsg_document``, ``document_for``, and
+``canonical_dumps`` on a parsed document) trust the tables they write.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import (
-    FiniteGroupoid, ValidationReport, Violation, _prefixed, _preserves_products, validate,
+    FiniteGroupoid, ValidationReport, Violation, _ints, _prefixed, _preserves_products, validate,
 )
 from .constructions import (
     _induced_from,
@@ -63,7 +63,7 @@ class GroupoidMorphism:
     ):
         self.domain = domain
         self.codomain = codomain
-        self.elem_map = tuple(int(v) for v in elem_map)
+        self.elem_map = _ints("element map", elem_map)
         if len(self.elem_map) != len(domain):
             raise ValueError(
                 f"element map has {len(self.elem_map)} entries for {len(domain)} elements")
@@ -73,7 +73,8 @@ class GroupoidMorphism:
         if unit_map is None:
             self.unit_map = {u: self.elem_map[u] for u in domain.units}
         else:
-            self.unit_map = {int(k): int(v) for k, v in unit_map.items()}
+            self.unit_map = dict(zip(_ints("unit map", unit_map),
+                                     _ints("unit map", unit_map.values())))
         if sorted(self.unit_map) != list(domain.units):
             raise ValueError("unit map must be defined exactly on the domain units")
         for u, v in self.unit_map.items():

@@ -5,6 +5,14 @@ A quasipermutation of degree n is an injective map from a nonempty subset of
 equals the domain of the second, which makes the full collection a groupoid
 whose units are the identity maps of the nonempty subsets.  Restricting to
 the ones of positive signature gives a wide normal subgroupoid.
+
+The ``Quasipermutation`` constructor and ``from_text`` check every field,
+with exact types, and ``qp_compose`` refuses an argument that is not a
+map.  ``symmetric_groupoid``, ``alternating_groupoid`` and
+``count_formulas`` check the degree.  ``check_quasiperm_payloads`` refuses
+payloads that are not maps of one degree and reports, without raising,
+every table entry that disagrees with them; it does not run ``validate``.
+``signature`` trusts that its argument is a map.
 """
 
 from __future__ import annotations

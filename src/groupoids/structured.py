@@ -26,6 +26,7 @@ from .core import (
     ValidationReport,
     Violation,
     _greedy_generators,
+    _ints,
     _prefixed,
     validate,
 )
@@ -137,13 +138,13 @@ def _non_additive_pairs(
     return failures(range(len(add))) if failures(gens) else []
 
 
-def _interchange_by_kernels(gg: GroupGroupoid) -> bool:
-    """Whether the interchange law (x*y) + (z*t) == (x+z)*(y+t) holds, on a
-    valid carrier whose two tables are groups and whose source, target and
-    unit inclusion are additive (``_group_groupoid_laws`` calls it once
-    inversion is additive too).  Units are read as elements, - is the
-    element group's inverse and 0 its identity, which is then the zero
-    unit.  Interchange holds exactly when (Brown-Spencer)
+def _interchange_violations(gg: GroupGroupoid) -> list[Violation]:
+    """Instances (x, y, z, t) at which the interchange law
+    (x*y) + (z*t) == (x+z)*(y+t) fails, on a valid carrier whose two tables
+    are groups and whose source, target and unit inclusion are additive.
+    Units are read as elements, - is the element group's inverse and 0 its
+    identity, which is then the zero unit.  Interchange holds exactly when
+    (Brown-Spencer)
 
       (a) x*y == x - beta(x) + y on every product, and
       (b) a + b == b + a for every a with alpha(a) == 0 and b with beta(b) == 0.
@@ -158,15 +159,25 @@ def _interchange_by_kernels(gg: GroupGroupoid) -> bool:
     in (b), a + b = (0*a) + (b*0) = (0+b)*(a+0) = b*a = b - beta(b) + a
     = b + a.
 
+    The witnesses are those two derivations.  For each product x*y that
+    fails (a), in table order, (x, beta(x), 0, -beta(x) + y): both pairs
+    compose, since -beta(x) + y lies in ker alpha, their sums are (x, y),
+    and the two sides are x - beta(x) + y and x*y.  Only when (a) holds,
+    for each pair of (b) that fails, (0, a, b, 0): the two sides are
+    a + b and b*a = b + a.  Each list is at most as long as the products,
+    since every (b, a) of ker beta x ker alpha composes.
+
     This reads each product once and each pair of the two kernels once."""
     g, t = gg.carrier, gg.elem_group
     add, neg, zero = t.table, t.inv, t.identity
+    detail = "sum of products differs from product of sums"
     left = [add[x][neg[b]] for x, b in enumerate(g.beta)]  # x - beta(x)
-    if any(add[left[x]][y] != xy for x, row in enumerate(g.rows) for y, xy in row.items()):
-        return False
     ker_beta = [b for b, u in enumerate(g.beta) if u == zero]
-    return all(add[a][b] == add[b][a]
-               for a, u in enumerate(g.alpha) if u == zero for b in ker_beta)
+    failing = [Violation("interchange", (x, g.beta[x], zero, add[neg[g.beta[x]]][y]), detail)
+               for x, row in enumerate(g.rows) for y, xy in row.items() if add[left[x]][y] != xy]
+    return failing or [Violation("interchange", (zero, a, b, zero), detail)
+                       for a, u in enumerate(g.alpha) if u == zero
+                       for b in ker_beta if add[a][b] != add[b][a]]
 
 
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
@@ -176,9 +187,10 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
 
     Source, target, inversion and the unit inclusion are checked for
     additivity by ``_non_additive_pairs`` at the generators of their
-    domain group, and, once they are additive, the interchange law by
-    ``_interchange_by_kernels`` in one pass over the products.  The scans
-    over all pairs run only when these checks fail, to list every witness."""
+    domain group, and over all pairs only when that fails.  Once source,
+    target and unit inclusion are additive, ``_interchange_violations``
+    decides the interchange law and lists its witnesses in one pass over
+    the products and the two kernels: at most one witness per product."""
     return ValidationReport(tuple(_precheck_violations(gg) or _group_groupoid_law_violations(gg)))
 
 
@@ -197,36 +209,21 @@ def _group_groupoid_law_violations(gg: GroupGroupoid) -> list[Violation]:
     unit inclusion is additive, so 0 is the zero unit; and interchange gives
     (x*y) + (-x * -y) = (x - x)*(y - y) = 0*0 = 0, so -x * -y = -(x*y)."""
     g = gg.carrier
-    v: list[Violation] = []
     pos = {u: i for i, u in enumerate(g.units)}
-    add = gg.elem_group.table
-    add0 = gg.unit_group.table
+    add, add0 = gg.elem_group.table, gg.unit_group.table
     gens = _generators_with_identity(gg.elem_group)
-    for axiom, f, add_to, detail in (
-        ("alpha-additive", [pos[u] for u in g.alpha], add0, "source is not additive"),
-        ("beta-additive", [pos[u] for u in g.beta], add0, "target is not additive"),
-        ("inv-additive", g.inv, add, "groupoid inversion is not additive"),
-    ):
-        v.extend(Violation(axiom, xy, f"{detail} on this pair")
-                 for xy in _non_additive_pairs(f, add, add_to, gens))
-    v.sort(key=lambda x: x.witness)  # stable: alpha, beta, inv within each pair
+    source, target, inverse = (_non_additive_pairs(f, add, add_to, gens) for f, add_to in (
+        ([pos[u] for u in g.alpha], add0), ([pos[u] for u in g.beta], add0), (g.inv, add)))
+    unit = _non_additive_pairs(g.units, add0, add, _generators_with_identity(gg.unit_group))
+    v = sorted((Violation(axiom, xy, f"{detail} on this pair") for axiom, pairs, detail in (
+        ("alpha-additive", source, "source is not additive"),
+        ("beta-additive", target, "target is not additive"),
+        ("inv-additive", inverse, "groupoid inversion is not additive")) for xy in pairs),
+        key=lambda x: x.witness)  # stable: alpha, beta, inv within each pair
     v.extend(Violation("unit-additive", ij, "unit inclusion is not a homomorphism on this pair")
-             for ij in _non_additive_pairs(
-                 g.units, add0, add, _generators_with_identity(gg.unit_group)))
-    if v or not _interchange_by_kernels(gg):
-        products = [(x, y, xy) for x, row in enumerate(g.rows) for y, xy in row.items()]
-        for x, y, xy in products:
-            for z, t, zt in products:
-                lhs = add[xy][zt]
-                rhs = g.rows[add[x][z]].get(add[y][t])
-                if rhs is None:
-                    v.append(Violation(
-                        "interchange", (x, y, z, t),
-                        "sums of a composable pair of pairs fail to compose"))
-                elif lhs != rhs:
-                    v.append(Violation(
-                        "interchange", (x, y, z, t),
-                        "sum of products differs from product of sums"))
+             for ij in unit)
+    if not (source or target or unit):  # the hypotheses of the criterion
+        v.extend(_interchange_violations(gg))
     if v:
         neg = gg.elem_group.inv
         v.extend(Violation("neg-compat", (x, y),
@@ -310,8 +307,8 @@ class VectorSpaceGroupoid:
         m = len(structure.carrier.units)
         self.structure = structure
         self.p = p
-        self.scalar = tuple(tuple(int(x) for x in row) for row in scalar)
-        self.unit_scalar = tuple(tuple(int(x) for x in row) for row in unit_scalar)
+        self.scalar = tuple(_ints("scalar", row) for row in scalar)
+        self.unit_scalar = tuple(_ints("unit_scalar", row) for row in unit_scalar)
         if len(self.scalar) != p or any(len(row) != n for row in self.scalar):
             raise ValueError("scalar table must have p rows over the elements")
         if len(self.unit_scalar) != p or any(len(row) != m for row in self.unit_scalar):

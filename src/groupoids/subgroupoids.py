@@ -1,4 +1,11 @@
-"""Subgroupoids: recognition, generation, and exhaustive enumeration."""
+"""Subgroupoids: recognition, generation, and exhaustive enumeration.
+
+``enumerate_subgroupoids`` validates its groupoid before listing.
+``classify_subset``, ``subgroupoid_handle`` and ``generated_subgroupoid``
+range-check the member indices they are given, and ``isotropy_subgroupoid``
+checks that its unit is one; these and ``null_subgroupoid`` trust that the
+table is a groupoid.
+"""
 
 from __future__ import annotations
 

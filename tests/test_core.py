@@ -89,6 +89,18 @@ def test_constructor_converts_products_that_are_not_int_pairs():
         FiniteGroupoid(**{**good, "mul": {**good["mul"], (0, 1, 2): 3}})
 
 
+def test_constructor_refuses_index_entries_that_are_not_ints():
+    # int() would read 0.9 and "0" as 0, and a bool is an int whose text is
+    # "False"; product pairs are still converted, as above
+    good = z4_tables()
+    for field in ("units", "alpha", "beta", "inv"):
+        for bad in (0.9, "0", False):
+            with pytest.raises(ValueError, match=f"{field} entries must be ints, got {bad!r}"):
+                FiniteGroupoid(**{**good, field: [bad, *good[field][1:]]})
+    with pytest.raises(ValueError, match="base_labels entries must be ints, got 0.5"):
+        FiniteGroupoid(**good, base_labels={0.5: "p"})
+
+
 def exact_int_rows(g):
     """Whether g has one product row per element and every key and value of
     every row is of type exactly int (so not bool)."""

@@ -51,6 +51,17 @@ def test_constructor_rejects_bad_maps(gp2, z4):
         GroupoidMorphism(gp2, z4, [0, 0, 0, 0], {0: 0, 1: 9})
 
 
+def test_constructor_refuses_map_entries_that_are_not_ints(gp2):
+    # int() would read [0.9, 1, 2, 3] as the identity of pair(2)
+    assert gp2.units == (0, 1)
+    for bad in (0.9, "0", False):
+        with pytest.raises(ValueError, match=f"element map entries must be ints, got {bad!r}"):
+            GroupoidMorphism(gp2, gp2, [bad, 1, 2, 3])
+        for unit_map in ({0: bad, 1: 1}, {bad: 0, 1: 1}):
+            with pytest.raises(ValueError, match=f"unit map entries must be ints, got {bad!r}"):
+                GroupoidMorphism(gp2, gp2, range(4), unit_map)
+
+
 def test_identity_morphism_validates(golden):
     m = identity_morphism(golden)
     assert validate_morphism(m).passed

@@ -271,6 +271,19 @@ def test_vector_space_constructor_shape_checks():
         VectorSpaceGroupoid(structure, 3, [[9, 9, 9]] * 3, [[0]] * 3)
 
 
+def test_vector_space_constructor_refuses_scalar_entries_that_are_not_ints():
+    # each bad entry reads as 1 under int(), which would make a valid table
+    v = pair_vector_space_groupoid(2, 1)
+    assert v.scalar[1][1] == v.unit_scalar[1][1] == 1
+    for bad in (1.5, "1", True):
+        for field in ("scalar", "unit_scalar"):
+            tables = {"scalar": [list(r) for r in v.scalar],
+                      "unit_scalar": [list(r) for r in v.unit_scalar]}
+            tables[field][1][1] = bad
+            with pytest.raises(ValueError, match=f"{field} entries must be ints, got {bad!r}"):
+                VectorSpaceGroupoid(v.structure, 2, tables["scalar"], tables["unit_scalar"])
+
+
 def test_pair_vector_space_bounds():
     with pytest.raises(ValueError):
         pair_vector_space_groupoid(4, 1)
@@ -340,14 +353,46 @@ def negation_by_product_scan(gg):
     return v
 
 
+def interchange_by_criterion(gg):
+    """Reference for the interchange witnesses, from the Brown-Spencer
+    criterion: (x, beta(x), 0, -beta(x) + y) for each product x*y other
+    than x - beta(x) + y, in table order; only when there is none,
+    (0, a, b, 0) for each a in ker alpha and b in ker beta with
+    a + b != b + a."""
+    g, t = gg.carrier, gg.elem_group
+    add, neg, zero = t.table, t.inv, t.identity
+    detail = "sum of products differs from product of sums"
+    v = []
+    for (x, y), xy in g.mul.items():
+        b = g.beta[x]
+        if add[add[x][neg[b]]][y] != xy:
+            v.append(Violation("interchange", (x, b, zero, add[neg[b]][y]), detail))
+    if v:
+        return v
+    for a in range(len(g)):
+        for b in range(len(g)):
+            if g.alpha[a] == zero and g.beta[b] == zero and add[a][b] != add[b][a]:
+                v.append(Violation("interchange", (zero, a, b, zero), detail))
+    return v
+
+
+def criterion_applies(additivity):
+    """Whether source, target and unit inclusion are additive, given the
+    report of ``additivity_by_pair_scan``."""
+    return not any(x.axiom in ("alpha-additive", "beta-additive", "unit-additive")
+                   for x in additivity)
+
+
 def group_groupoid_by_pair_scan(gg):
     """Reference for validate_group_groupoid's report: the library's
-    pre-check, then every law by its full scan."""
+    pre-check, then additivity by its full scan, interchange by the
+    criterion when its hypotheses hold, and negation by its full scan."""
     pre = structured._precheck_violations(gg)
     if pre:
         return tuple(pre)
-    return tuple(additivity_by_pair_scan(gg) + interchange_by_pair_scan(gg)
-                 + negation_by_product_scan(gg))
+    additivity = additivity_by_pair_scan(gg)
+    interchange = interchange_by_criterion(gg) if criterion_applies(additivity) else []
+    return tuple(additivity + interchange + negation_by_product_scan(gg))
 
 
 def vector_space_laws_by_scan(v):
@@ -483,7 +528,7 @@ def test_interchange_by_kernels_matches_the_pair_scan_on_mutants():
             if structured._precheck_violations(candidate) or additivity_by_pair_scan(candidate):
                 continue
             holds = not interchange_by_pair_scan(candidate)
-            assert structured._interchange_by_kernels(candidate) == holds
+            assert (not structured._interchange_violations(candidate)) == holds
             decided[holds] += 1
     assert decided[True] >= 20 and decided[False] >= 10
 
@@ -492,7 +537,7 @@ def test_interchange_of_a_non_abelian_group_is_decided_by_its_kernels():
     # one unit: source, target and unit inclusion are additive, which is
     # all the criterion asks, and both kernels are the whole group, so
     # interchange is commutativity and S3 fails it (inversion is not
-    # additive either, so validate lists interchange by the full scan);
+    # additive either, which the criterion does not ask);
     # the pair groupoid over S3 passes, since there ker alpha = {(e, b)}
     # and ker beta = {(a, e)} commute
     s3 = symmetric_group_3()
@@ -500,11 +545,11 @@ def test_interchange_of_a_non_abelian_group_is_decided_by_its_kernels():
     report = validate_group_groupoid(one_unit).violations
     assert report == group_groupoid_by_pair_scan(one_unit)
     assert "interchange" in {v.axiom for v in report}
-    assert not structured._interchange_by_kernels(one_unit)
+    assert structured._interchange_violations(one_unit)
     pair = pair_group_groupoid(s3)
     assert validate_group_groupoid(pair).passed
     assert validate_group_groupoid_as_morphisms(pair).passed
-    assert structured._interchange_by_kernels(pair)
+    assert not structured._interchange_violations(pair)
 
 
 def test_interchange_failure_behind_passing_additivity_is_listed_by_the_full_scan():
@@ -557,6 +602,79 @@ def test_vector_space_laws_match_full_scans_on_mutants():
             "inv-additive"} <= seen
 
 
+def law_fails_at(gg, witness):
+    """Whether (x*y) + (z*t) != (x+z)*(y+t) at witness (x, y, z, t), where
+    both pairs compose."""
+    g, add = gg.carrier, gg.elem_group.table
+    x, y, z, t = witness
+    return g.mul.get((add[x][z], add[y][t])) != add[g.mul[x, y]][g.mul[z, t]]
+
+
+def test_interchange_witnesses_are_failing_instances_of_the_pair_scan():
+    # on seeded group-groupoid and vector-space mutants, the S3 forms and the
+    # twisted group-groupoids: every witness is one of the pair scan's and
+    # the law fails at it, the two lists are empty together whenever the
+    # criterion's hypotheses hold, and there are at most as many witnesses
+    # as products
+    rng = random.Random(1729)
+    s3 = symmetric_group_3()
+    corpus = interchange_corpus() + [(group_as_group_groupoid(s3), 20),
+                                     (pair_group_groupoid(s3), 4)]
+    corpus += [(twisted_group_groupoid(m, dim, seed), 0)
+               for m, dim in [(1, 2), (1, 3), (2, 2)] for seed in range(3)]
+    cases = [(c, validate_group_groupoid(c).violations) for gg, mutants in corpus
+             for c in [gg] + [group_groupoid_mutant(gg, rng) for _ in range(mutants)]]
+    rng = random.Random(2718)
+    for v, mutants in [(pair_vector_space_groupoid(2, 2), 60),
+                       (pair_vector_space_groupoid(3, 1), 60),
+                       (pair_vector_space_groupoid(2, 3), 6)]:
+        for w in [v] + [vector_space_mutant(v, rng) for _ in range(mutants)]:
+            cases.append((w.structure, validate_vector_space_groupoid(w).violations))
+    kinds = Counter()  # witnesses at a product (z == 0) and at two kernels
+    for gg, report in cases:
+        witnesses = [x for x in report if x.axiom == "interchange"]
+        if structured._precheck_violations(gg):
+            assert not witnesses
+            continue
+        scan = interchange_by_pair_scan(gg)
+        assert set(witnesses) <= set(scan)
+        assert all(law_fails_at(gg, x.witness) for x in witnesses)
+        assert len(witnesses) <= len(gg.carrier.mul)
+        if criterion_applies(additivity_by_pair_scan(gg)):
+            assert bool(witnesses) == bool(scan)
+        kinds.update(x.witness[2] == gg.elem_group.identity for x in witnesses)
+    assert kinds[True] >= 100 and kinds[False] >= 10
+
+
+def relabelled_addition(v, seed):
+    """v with its element addition relabelled by a seeded permutation that
+    fixes the identity: still a group, but the structure maps are no longer
+    additive for it."""
+    t = v.structure.elem_group
+    rest = [x for x in range(t.order) if x != t.identity]
+    p = list(range(t.order))
+    for x, y in zip(rest, random.Random(seed).sample(rest, len(rest))):
+        p[x] = y
+    back = {y: x for x, y in enumerate(p)}
+    table = [[p[t.table[back[a]][back[b]]] for b in range(t.order)] for a in range(t.order)]
+    add = GroupTable.build(t.labels, table, t.identity, [p[t.inv[back[a]]] for a in range(t.order)])
+    structure = GroupGroupoid(v.carrier, add, v.structure.unit_group)
+    return VectorSpaceGroupoid(structure, v.p, v.scalar, v.unit_scalar)
+
+
+def test_relabelled_addition_reports_its_maps_without_interchange():
+    # source and target are not additive, so the interchange criterion does
+    # not apply and only the maps' witnesses are listed: one report line per
+    # failing pair, not per failing pair of products
+    w = relabelled_addition(pair_vector_space_groupoid(3, 2), 7)
+    assert w.structure.elem_group.validate().passed
+    report = validate_vector_space_groupoid(w).violations
+    assert len(report) == 25110
+    axioms = Counter(x.axiom for x in report)
+    assert "interchange" not in axioms
+    assert axioms["alpha-additive"] and axioms["beta-additive"]
+
+
 def test_additivity_failure_missed_by_every_pair_of_generators_is_found():
     # relabelling the addition of the GF(2)^2 pair group-groupoid by the
     # transposition (8 11) keeps it a group, and the structure maps fail to
@@ -598,7 +716,7 @@ def test_valid_structures_pass_the_checks_at_the_generators():
     for v in (pair_vector_space_groupoid(2, 2), pair_vector_space_groupoid(3, 1)):
         gg = v.structure
         g, add, add0 = gg.carrier, gg.elem_group.table, gg.unit_group.table
-        assert structured._interchange_by_kernels(gg)
+        assert not structured._interchange_violations(gg)
         pos = {u: i for i, u in enumerate(g.units)}
         gens = structured._generators_with_identity(gg.elem_group)
         unit_gens = structured._generators_with_identity(gg.unit_group)
