@@ -15,8 +15,7 @@ Associativity is decided per component from Brandt coordinates
 c(x) = t_u * x * inv(t_v) in the vertex group H_r at its least unit r: when
 x -> (alpha(x), beta(x), c(x)) is injective, c is multiplicative and H_r
 passes the group laws, the component embeds in the associative pair(U) x H_r.
-The triple scan runs only to list the witnesses of a failure, in the
-components where a condition fails.
+Each condition that fails names its own witnesses, so no triple is scanned.
 
 ``validate`` and ``GroupTable.validate`` take any table of the right shape
 and report its defects; they do not raise on them.  ``is_isomorphic``
@@ -454,18 +453,18 @@ class GroupTable:
 def _group_law_violations(
     table: Sequence[Sequence[int]], e: int, inv: Sequence[int]
 ) -> Iterator[Violation]:
-    """Identity and inverse failures per element, then associativity failures
-    (i, j, l) in lexicographic order, of a k x k table with entries in range.
+    """Identity and inverse failures per element of a k x k table with
+    entries in range; only when there are none, the associativity failures
+    (i, j, l) with j a greedy generator, in lexicographic order.
 
     (i*j)*l over every l is the row of i*j, and i*(j*l) the row of i read
-    at the entries of j's row; i and j associate when the two lists are
-    equal, and only a pair whose lists differ is walked per l.  Once
-    identity and inverses hold, associativity is decided on the middles j
-    drawn from a greedy generating set, each generator's row read over every
-    row i with one ``itemgetter``: the middles that associate are closed
-    under products and contain e, so they are the whole table exactly when
-    they contain the generators.  The full scan runs only on a failure, to
-    list its witnesses."""
+    at the entries of j's row, read with one ``itemgetter`` per generator;
+    i and j associate when the two lists are equal, and only a pair whose
+    lists differ is walked per l.  Once identity and inverses hold, the
+    middles j that associate with every i and l are closed under products
+    and contain e, so they are the whole table exactly when they contain
+    the generators: the list is empty exactly when the table is
+    associative."""
     k = len(table)
     unit_laws: list[Violation] = []
     for i in range(k):
@@ -475,24 +474,19 @@ def _group_law_violations(
             unit_laws.append(Violation("structure", (i,), "inverse entry out of range"))
         elif table[i][inv[i]] != e or table[inv[i]][i] != e:
             unit_laws.append(Violation("inverse", (i,), "inverse element fails"))
-    yield from unit_laws
-    if not unit_laws:
-        # a generator exists only for k >= 2, where itemgetter returns tuples
-        rows = [tuple(row) for row in table]
-        gens = _greedy_generators(e, range(k), lambda a, s: table[a][s])
-        for j in gens:
-            pick = itemgetter(*rows[j])
-            if any(rows[row_i[j]] != pick(row_i) for row_i in rows):
-                break
-        else:
-            return
-    rows = [list(row) for row in table]  # lists compare equal only to lists
+    if unit_laws:
+        yield from unit_laws
+        return
+    # a generator exists only for k >= 2, where itemgetter returns tuples
+    rows = [tuple(row) for row in table]
+    picks = [(j, itemgetter(*rows[j])) for j in
+             _greedy_generators(e, range(k), lambda a, s: table[a][s])]
     for i, row_i in enumerate(rows):
-        for j, ij in enumerate(row_i):
-            right = [row_i[jl] for jl in rows[j]]
-            if rows[ij] != right:
+        for j, pick in picks:
+            left, right = rows[row_i[j]], pick(row_i)
+            if left != right:
                 yield from (Violation("associativity", (i, j, l), "associativity fails")
-                            for l, (a, b) in enumerate(zip(rows[ij], right)) if a != b)
+                            for l, (a, b) in enumerate(zip(left, right)) if a != b)
 
 
 def _right_closure(span: set, successors) -> set:
@@ -536,14 +530,15 @@ def _generators(g: FiniteGroupoid) -> list[int]:
     return gens
 
 
-def _preserves_products(g: FiniteGroupoid, h: FiniteGroupoid, f: Sequence[int]) -> bool:
-    """True when f(s*y) == f(s)*f(y) for every generator s of g and every y
-    after s.  When f sends units to units and commutes with the anchors,
-    this decides the product law: the x with f(x*y) == f(x)*f(y) for every
-    y include the units and are closed under products, and the generators
-    reach every element."""
-    return all(h.rows[f[s]].get(f[y]) == f[sy]
-               for s in _generators(g) for y, sy in g.rows[s].items())
+def _product_failures(g: FiniteGroupoid, h: FiniteGroupoid, f: Sequence[int]
+                      ) -> list[tuple[int, int]]:
+    """The pairs (s, y), ascending, with s a generator of g and f(s*y) not
+    f(s)*f(y).  When f sends units to units and commutes with the anchors,
+    the list is empty exactly when f preserves every product: the x with
+    f(x*y) == f(x)*f(y) for every y include the units and are closed under
+    products, and the generators reach every element."""
+    return sorted((s, y) for s in _generators(g) for y, sy in g.rows[s].items()
+                  if h.rows[f[s]].get(f[y]) != f[sy])
 
 
 # ----- validation ----------------------------------------------------------
@@ -594,16 +589,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     least unit r (``_coordinate_failures``).  If x -> (alpha(x), beta(x),
     c(x)) is injective, c(x*y) == c(x)*c(y) on every product and H_r passes
     the group laws, the component embeds in pair(U) x H_r, which is
-    associative, so it is associative too.  The triple scan runs only over
-    the components where a condition fails, listing every failing triple;
-    no composable triple leaves its component, so the report is the full
-    scan's.  After any other violation the scan covers every component.
-    It takes a product x*y at a time: the row of x*y read at the keys of
-    y's row is compared as one list with the row of x read at its values,
-    and only a pair whose lists differ is walked per z.  ``checks`` counts
-    the law instances checked per tag; for G1 these are the anchor checks,
-    one coordinate per element, one multiplicativity check per product, one
-    cell per table H_r and any scanned triples.
+    associative, so it is associative too.  Each condition that fails
+    names failing triples, listed as G1 only when every other check passed.
+    ``checks`` counts the law instances checked per tag; for G1 these are
+    the anchor checks, one coordinate per element, one multiplicativity
+    check per product, one cell per table H_r and the candidate triples.
     """
     n = len(g.elements)
     rows, alpha, beta = g.rows, g.alpha, g.beta
@@ -673,30 +663,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         a = alpha[x]
         v.extend(Violation("G1", (x, y), "anchors of the product drift from its factors")
                  for y, z in row.items() if alpha[z] != a or beta[z] != beta[y])
-
-    # composable triples stay inside a component, so once every other check
-    # passed only the components that coordinates do not prove are scanned
-    scanned: Optional[set[int]] = None
-    if not v:
-        scanned, checked = _coordinate_failures(g)
-        checks["G1"] += checked
-        if not scanned:
-            return ValidationReport((), checks)
-
-    for x, row_x in enumerate(rows):
-        if scanned is not None and alpha[x] not in scanned:
-            continue
-        for y, xy in row_x.items():
-            zs = by_alpha[beta[y]]
-            checks["G1"] += len(zs)
-            row_y, row_xy = rows[y], rows[xy]
-            if list(map(row_xy.get, row_y)) == list(map(row_x.get, row_y.values())):
-                continue
-            for z in zs:
-                lhs, rhs = row_xy.get(z), row_x.get(row_y.get(z))
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    v.append(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})"))
-
+    if v:
+        return ValidationReport(tuple(v), checks)
+    triples, checked = _coordinate_failures(g)
+    checks["G1"] += checked
+    v.extend(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})") for x, y, z in triples)
     return ValidationReport(tuple(v), checks)
 
 
@@ -736,9 +707,10 @@ def restricted(g: FiniteGroupoid, members: Iterable[int]) -> FiniteGroupoid:
     """The full substructure on a product- and inverse-closed subset.
 
     Labels, base labels and payloads are inherited.  Raises ValueError when
-    the subset is not closed (use the subgroupoid classifier to check first).
+    a member is not an int or the subset is not closed (use the subgroupoid
+    classifier to check first).
     """
-    subset = sorted(set(int(x) for x in members))
+    subset = sorted(set(_ints("members", members)))
     if not subset:
         raise ValueError("cannot restrict to an empty subset")
     member_set = set(subset)
@@ -814,33 +786,70 @@ def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
     return components
 
 
-def _coordinate_failures(g: FiniteGroupoid) -> tuple[set[int], int]:
-    """The units of the components that Brandt coordinates do not prove
-    associative, and the number of checks made.  With t_u : r -> u the
-    arrows of ``_components`` and t_r = r, x : u -> v has the coordinate
-    c(x) = t_u * x * inv(t_v) in the vertex group H_r; see ``validate`` for
-    the three conditions.  g must pass every other check of validate, so
-    each component is the union of the hom-sets between its units and every
-    product stays in its component."""
+def _coordinate_failures(g: FiniteGroupoid) -> tuple[list[tuple[int, int, int]], int]:
+    """The composable triples (x, y, z), ascending and each once, with
+    (x*y)*z != x*(y*z) that Brandt coordinates name, and the number of
+    checks made.  g must pass every other check of validate, so each
+    component is the union of the hom-sets between its units and every
+    product stays in its component.
+
+    With t_u : r -> u the arrows of ``_components`` and t_r = r, x : u -> v
+    has the coordinate c(x) = (t_u*x)*t_v^-1 in the vertex group H_r.  Each
+    condition of ``validate`` that fails names witnesses:
+    - H_r fails the group laws: its associativity failures;
+    - c(x) == c(x') for x before x' in a hom-set: the first failing triple
+      of (t_u*x, t_v^-1, t_v), (t_u*x', t_v^-1, t_v), (t_u^-1, t_u, x) and
+      (t_u^-1, t_u, x').  If all four associate, G2 and G3 give
+      x = (t_u^-1*t_u)*x = t_u^-1*((t_u*x)*(t_v^-1*t_v)) = t_u^-1*(c(x)*t_v),
+      and likewise x' = t_u^-1*(c(x')*t_v) = x;
+    - c(x)*c(y) != c(x*y) for y : v -> w: the first failing triple of
+      (c(x), t_v*y, t_w^-1), (t_u*x, t_v^-1, t_v*y), (t_v^-1, t_v, y) and
+      (t_u, x, y).  If all four associate, G2 and G3 give c(x)*c(y) =
+      ((t_u*x)*((t_v^-1*t_v)*y))*t_w^-1 = (t_u*(x*y))*t_w^-1 = c(x*y).
+    So the list is empty exactly when g is associative, and apart from the
+    witnesses of H_r it names at most one per element or product.  The
+    checks are the coordinates, the products, the cells of each H_r and
+    the candidate triples evaluated."""
     rows, alpha, beta, inv, homs = g.rows, g.alpha, g.beta, g.inv, g._homs
     c = [0] * len(g)  # c(x) as a position in the members of its H_r
-    failed: set[int] = set()
+    triples: list[tuple[int, int, int]] = []
     checked = len(g) + len(g.mul)
+
+    def first_failing(*candidates: tuple[int, int, int]) -> tuple[int, int, int]:
+        nonlocal checked
+        for x, y, z in candidates:
+            checked += 1
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                return x, y, z
+        raise AssertionError(candidates)  # excluded by the derivations above
+
     for r, tree in _components(g):
         members = homs[r, r]
         pos = {x: i for i, x in enumerate(members)}
         table = [[pos[rows[x][y]] for y in members] for x in members]
         checked += len(members) ** 2
-        arrow = {**tree, r: r}
-        hom_sets = [homs[u, v] for u in tree for v in tree]
-        for x in chain.from_iterable(hom_sets):
-            c[x] = pos[rows[rows[arrow[alpha[x]]][x]][inv[arrow[beta[x]]]]]
-        if (any(_group_law_violations(table, pos[r], [pos[inv[x]] for x in members]))
-                or any(len(set(map(c.__getitem__, xs))) != len(xs) for xs in hom_sets)
-                or any([table[c[x]][c[y]] for y in rows[x]] != [c[z] for z in rows[x].values()]
-                       for x in chain.from_iterable(hom_sets))):
-            failed.update(tree)
-    return failed, checked
+        triples.extend(tuple(members[i] for i in v.witness) for v in
+                       _group_law_violations(table, pos[r], [pos[inv[x]] for x in members]))
+        t = {**tree, r: r}
+        back = {u: inv[a] for u, a in t.items()}
+        for u in tree:
+            for v in tree:
+                tu, tv, su, sv, first = t[u], t[v], back[u], back[v], {}
+                for x2 in homs[u, v]:
+                    c[x2] = pos[rows[rows[tu][x2]][sv]]
+                    x = first.setdefault(c[x2], x2)
+                    if x != x2:
+                        triples.append(first_failing((rows[tu][x], sv, tv), (rows[tu][x2], sv, tv),
+                                                     (su, tu, x), (su, tu, x2)))
+        for x in chain.from_iterable(homs[u, v] for u in tree for v in tree):
+            row, cx = rows[x], table[c[x]]
+            if [cx[c[y]] for y in row] != [c[z] for z in row.values()]:
+                tu, tv, sv = t[alpha[x]], t[beta[x]], back[beta[x]]
+                triples.extend(
+                    first_failing((members[c[x]], rows[tv][y], back[beta[y]]),
+                                  (rows[tu][x], sv, rows[tv][y]), (sv, tv, y), (tu, x, y))
+                    for y, z in row.items() if cx[c[y]] != c[z])
+    return sorted(set(triples)), checked
 
 
 def _vertex_group_iso(
@@ -917,6 +926,6 @@ def is_isomorphic(g: FiniteGroupoid, h: FiniteGroupoid) -> Optional[tuple[int, .
     if (set(f) != set(range(len(h))) or not all(h.is_unit(f[u]) for u in g.units)
             or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
                    for x, y in enumerate(f))
-            or not _preserves_products(g, h, f)):
+            or _product_failures(g, h, f)):
         raise ValueError("is_isomorphic: the component map is not an isomorphism")
     return f  # type: ignore[return-value]

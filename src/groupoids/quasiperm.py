@@ -7,12 +7,11 @@ whose units are the identity maps of the nonempty subsets.  Restricting to
 the ones of positive signature gives a wide normal subgroupoid.
 
 The ``Quasipermutation`` constructor and ``from_text`` check every field,
-with exact types, and ``qp_compose`` refuses an argument that is not a
-map.  ``symmetric_groupoid``, ``alternating_groupoid`` and
+with exact types, and ``qp_compose`` and ``signature`` refuse an argument
+that is not a map.  ``symmetric_groupoid``, ``alternating_groupoid`` and
 ``count_formulas`` check the degree.  ``check_quasiperm_payloads`` refuses
 payloads that are not maps of one degree and reports, without raising,
 every table entry that disagrees with them; it does not run ``validate``.
-``signature`` trusts that its argument is a map.
 """
 
 from __future__ import annotations
@@ -209,6 +208,8 @@ def signature(f: Quasipermutation) -> int:
     convention under which the even maps at every degree form a wide normal
     subgroupoid whose element counts satisfy the closed-form formulas.
     """
+    if not isinstance(f, Quasipermutation):
+        raise ValueError(f"f is not a Quasipermutation: {f!r}")
     if f.length == 1:
         return 1 if f.domain == f.image else -1
     inversions = 0

@@ -12,7 +12,9 @@ Every public validator first validates each carrier once, with
 checks after that trust their input, and the morphism forms run only
 ``morphisms._morphism_laws``.  The constructors check shapes and ranges,
 not laws; ``pair_group_groupoid`` validates its group, and
-``group_as_group_groupoid`` trusts it.
+``group_as_group_groupoid`` trusts it.  Each law lists its witnesses from
+the check that decides it: additivity and products at generators,
+interchange by the Brown-Spencer criterion.
 """
 
 from __future__ import annotations
@@ -114,28 +116,24 @@ def _precheck_violations(gg: GroupGroupoid) -> list[Violation]:
 
 
 def _generators_with_identity(t: GroupTable) -> list[int]:
-    """The identity of a validated group table followed by greedy
-    generators of the group."""
-    return [t.identity, *_greedy_generators(
-        t.identity, range(t.order), lambda a, s: t.table[a][s])]
+    """The identity of a validated group table and greedy generators of
+    the group, ascending."""
+    return sorted([t.identity, *_greedy_generators(
+        t.identity, range(t.order), lambda a, s: t.table[a][s])])
 
 
 def _non_additive_pairs(
     f: Sequence[int], add: Sequence[Sequence[int]], add_to: Sequence[Sequence[int]],
     gens: Sequence[int],
 ) -> list[tuple[int, int]]:
-    """The pairs (x, y), in row-major order, with f(x + y) != f(x) + f(y),
-    where + is read from the table ``add`` of the domain and ``add_to`` of
-    the codomain.  The pairs (x, s) with s in ``gens`` are checked first,
-    and all pairs only when one of them fails.  When both tables are
-    groups, the s at which the law holds for every x are closed under +,
-    so they form a subgroup, and ``_generators_with_identity`` of the
-    domain is enough; on tables that may not be groups, pass every
-    element."""
-    def failures(ys):
-        return [(x, y) for x, row in enumerate(add) for y in ys
-                if f[row[y]] != add_to[f[x]][f[y]]]
-    return failures(range(len(add))) if failures(gens) else []
+    """The pairs (x, s) with s in ``gens`` and f(x + s) != f(x) + f(s), in
+    row-major order for ascending ``gens``, where + is read from the
+    table ``add`` of the domain and ``add_to`` of the codomain.  When both
+    tables are groups, the s at which the law holds for every x are closed
+    under +, so they form a subgroup, and with ``_generators_with_identity``
+    of the domain the list is empty exactly when f is additive."""
+    return [(x, s) for x, row in enumerate(add) for s in gens
+            if f[row[s]] != add_to[f[x]][f[s]]]
 
 
 def _interchange_violations(gg: GroupGroupoid) -> list[Violation]:
@@ -182,15 +180,15 @@ def _interchange_violations(gg: GroupGroupoid) -> list[Violation]:
 
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     """Direct checklist: carrier is a groupoid, both tables are groups, the
-    structure maps are homomorphisms, the interchange law holds, and group
-    inversion distributes over the partial product.
+    structure maps are homomorphisms and the interchange law holds; group
+    inversion then distributes over the partial product.
 
     Source, target, inversion and the unit inclusion are checked for
-    additivity by ``_non_additive_pairs`` at the generators of their
-    domain group, and over all pairs only when that fails.  Once source,
-    target and unit inclusion are additive, ``_interchange_violations``
-    decides the interchange law and lists its witnesses in one pass over
-    the products and the two kernels: at most one witness per product."""
+    additivity by ``_non_additive_pairs``, whose failures at the generators
+    of their domain group are the witnesses.  Once source, target and unit
+    inclusion are additive, ``_interchange_violations`` decides the
+    interchange law and lists its witnesses in one pass over the products
+    and the two kernels: at most one witness per product."""
     return ValidationReport(tuple(_precheck_violations(gg) or _group_groupoid_law_violations(gg)))
 
 
@@ -203,11 +201,11 @@ def _group_groupoid_law_violations(gg: GroupGroupoid) -> list[Violation]:
     """The laws of ``validate_group_groupoid`` on a valid carrier whose two
     tables are groups.
 
-    The ``neg-compat`` scan runs only when another law has failed.  When
-    none has, source and target are additive, so for every product x*y
-    beta(-x) = -beta(x) = -alpha(y) = alpha(-y) and (-x, -y) composes; the
-    unit inclusion is additive, so 0 is the zero unit; and interchange gives
-    (x*y) + (-x * -y) = (x - x)*(y - y) = 0*0 = 0, so -x * -y = -(x*y)."""
+    Negation is not listed, since the other laws imply it: source and
+    target are additive, so for every product x*y beta(-x) = -beta(x) =
+    -alpha(y) = alpha(-y) and (-x, -y) composes; the unit inclusion is
+    additive, so 0 is the zero unit; and interchange gives (x*y) + (-x * -y)
+    = (x - x)*(y - y) = 0*0 = 0, so -x * -y = -(x*y)."""
     g = gg.carrier
     pos = {u: i for i, u in enumerate(g.units)}
     add, add0 = gg.elem_group.table, gg.unit_group.table
@@ -224,12 +222,6 @@ def _group_groupoid_law_violations(gg: GroupGroupoid) -> list[Violation]:
              for ij in unit)
     if not (source or target or unit):  # the hypotheses of the criterion
         v.extend(_interchange_violations(gg))
-    if v:
-        neg = gg.elem_group.inv
-        v.extend(Violation("neg-compat", (x, y),
-                           "group negation fails to distribute over this product")
-                 for x, row in enumerate(g.rows) for y, xy in row.items()
-                 if g.rows[neg[x]].get(neg[y]) != neg[xy])
     return v
 
 
@@ -338,7 +330,7 @@ def _vector_space_law_violations(v: VectorSpaceGroupoid) -> list[Violation]:
     """Commutativity of both groups and the vector-space axioms for both
     scalar actions, assuming the additive groups already validate.  Each
     k. is checked to distribute over + by ``_non_additive_pairs``, at the
-    generators of the group, and only when that fails over all pairs."""
+    generators of the group."""
     p, gg = v.p, v.structure
     out = [Violation("commutative", (), f"{which} group is not commutative")
            for which, group in (("element", gg.elem_group), ("unit", gg.unit_group))

@@ -2,9 +2,9 @@
 
 ``enumerate_subgroupoids`` validates its groupoid before listing.
 ``classify_subset``, ``subgroupoid_handle`` and ``generated_subgroupoid``
-range-check the member indices they are given, and ``isotropy_subgroupoid``
-checks that its unit is one; these and ``null_subgroupoid`` trust that the
-table is a groupoid.
+refuse member indices that are not ints or out of range, and
+``isotropy_subgroupoid`` checks that its unit is one; these and
+``null_subgroupoid`` trust that the table is a groupoid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    FiniteGroupoid, SizeLimitError, _generators, _right_closure, restricted, validate,
+    FiniteGroupoid, SizeLimitError, _generators, _ints, _right_closure, restricted, validate,
 )
 
 __all__ = [
@@ -86,7 +86,7 @@ class SubgroupoidHandle:
 
 
 def _clean_members(g: FiniteGroupoid, members: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(int(x) for x in members))
+    out = sorted(set(_ints("members", members)))
     for x in out:
         if not 0 <= x < len(g):
             raise ValueError(f"member index {x} out of range")

@@ -48,8 +48,10 @@ def test_group_table_validate_clean_tables():
 
 
 def test_group_table_associativity_witnesses_match_a_triple_loop():
-    # one to three cells of a group table changed within range: the
-    # associativity witnesses are every (i, j, l) with (ij)l != i(jl)
+    # one to three cells of a group table changed within range: once the
+    # identity and inverse laws hold, the associativity witnesses are every
+    # (i, j, l) with (ij)l != i(jl) and j a greedy generator, and there is
+    # one exactly when some triple fails
     rng = random.Random(1854)
     failing = 0
     for _ in range(120):
@@ -61,9 +63,15 @@ def test_group_table_associativity_witnesses_match_a_triple_loop():
         report = GroupTable.build(t.labels, rows, t.identity, t.inv).validate()
         expected = [(i, j, l) for i in range(k) for j in range(k) for l in range(k)
                     if rows[rows[i][j]][l] != rows[i][rows[j][l]]]
-        assert [v.witness for v in report.violations if v.axiom == "associativity"] == expected
+        listed = [v.witness for v in report.violations if v.axiom == "associativity"]
+        if len(listed) < len(report.violations):
+            assert not listed
+            continue
+        gens = greedy_generators(rows, t.identity)
+        assert listed == [w for w in expected if w[1] in gens]
+        assert bool(listed) == bool(expected)
         failing += bool(expected)
-    assert failing > 60
+    assert failing > 30
 
 
 def test_group_table_validate_witnesses():
@@ -114,6 +122,20 @@ def one_unit_groupoid(t):
                           mul={(i, j): t.table[i][j] for i in range(k) for j in range(k)})
 
 
+def greedy_generators(table, e):
+    """Greedy generators of a group table by plain loops: each element, in
+    order, that the right products of e by the generators so far miss."""
+    gens, span = [], {e}
+    for x in range(len(table)):
+        if x not in span:
+            gens.append(x)
+            more = {x}
+            while more:
+                span |= more
+                more = {table[a][s] for a in span for s in gens} - span
+    return gens
+
+
 def group_laws_by_full_scan(table, e, inv):
     """Reference for the group-law check: identity and inverse failures per
     element, then every failing associativity triple in lexicographic order."""
@@ -131,6 +153,19 @@ def group_laws_by_full_scan(table, e, inv):
             for l, jl in enumerate(table[j]):
                 if row_ij[l] != row_i[jl]:
                     yield Violation("associativity", (i, j, l), "associativity fails")
+
+
+def group_laws_at_generator_middles(table, e, inv):
+    """Reference for the group-law check: identity and inverse failures per
+    element; only when there are none, the failing associativity triples
+    (i, j, l) with j a greedy generator, in lexicographic order."""
+    unit_laws = [v for v in group_laws_by_full_scan(table, e, inv) if v.axiom != "associativity"]
+    if unit_laws:
+        return unit_laws
+    k, gens = len(table), greedy_generators(table, e)
+    return [Violation("associativity", (i, j, l), "associativity fails")
+            for i in range(k) for j in gens for l in range(k)
+            if table[table[i][j]][l] != table[i][table[j][l]]]
 
 
 def group_mutant(t, rng, kinds=4):
@@ -154,7 +189,10 @@ def group_mutant(t, rng, kinds=4):
     return GroupTable.build(t.labels, rows, e, inv)
 
 
-def test_group_laws_match_full_scan_on_mutants():
+def test_group_laws_list_generator_middles_on_mutants():
+    # the report is the reference at generator middles; against the full
+    # scan, its witnesses are failing triples of it, listed exactly when it
+    # lists one
     rng = random.Random(2718)
     corpus = [(cyclic_group(1), 5), (cyclic_group(2), 60), (cyclic_group(5), 150),
               (cyclic_group(8), 150), (klein_four_group(), 150), (symmetric_group_3(), 150),
@@ -164,8 +202,10 @@ def test_group_laws_match_full_scan_on_mutants():
         assert t.validate().violations == tuple(group_laws_by_full_scan(t.table, t.identity, t.inv)) == ()
         for n in range(mutants):
             m = group_mutant(t, rng, kinds=1 if n % 3 == 0 else 4)
-            expected = tuple(group_laws_by_full_scan(m.table, m.identity, m.inv))
+            expected = tuple(group_laws_at_generator_middles(m.table, m.identity, m.inv))
             assert m.validate().violations == expected
+            oracle = tuple(group_laws_by_full_scan(m.table, m.identity, m.inv))
+            assert set(expected) <= set(oracle) and bool(expected) == bool(oracle)
             g = one_unit_groupoid(m)
             if expected:
                 with pytest.raises(ValueError, match=re.escape(str(expected[0]))):

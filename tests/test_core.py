@@ -36,6 +36,8 @@ from groupoids import (
     with_base_labels,
 )
 from groupoids.core import _components
+from conftest import symmetric_group_3
+from test_constructions import greedy_generators
 from test_isomorphism import relabelled
 
 
@@ -393,13 +395,43 @@ def head_by_separate_scans(g):
     return v
 
 
-def validate_by_triple_scan(g):
-    """Reference for validate's report: the separate scans, then the full
-    triple scan, which runs unless a structure check stopped early."""
+def vertex_group_bound(g):
+    """The bound on validate's G1 triples: one per product, one per element
+    and, in each vertex group H_r at a component's least unit r, one per
+    pair (i, j) of H_r x generators and third factor l."""
+    roots = {min(g.beta[x] for x in range(len(g)) if g.alpha[x] == u) for u in g.units}
+    bound = len(g.mul) + len(g)
+    for r in roots:
+        members = g.isotropy_members(r)
+        pos = {x: i for i, x in enumerate(members)}
+        table = [[pos[g.mul[x, y]] for y in members] for x in members]
+        bound += len(members) ** 2 * len(greedy_generators(table, pos[r]))
+    return bound
+
+
+def g1_triples(g, report):
+    """The G1 triples of validate's report, checked against the separate
+    scans and the triple scan: after any other violation the head stands
+    alone; otherwise every triple is one of the triple scan's, ascending and
+    each once, there is one exactly when the scan lists one, and there are
+    at most ``vertex_group_bound`` of them."""
     head = head_by_separate_scans(g)
     if any(v.axiom == "structure" for v in head):
-        return tuple(head)
-    return tuple(head + associativity_by_triple_scan(g))
+        assert report.violations == tuple(head)
+        return []
+    listed = report.violations[len(head):]
+    assert report.violations[:len(head)] == tuple(head)
+    triples = [v.witness for v in listed]
+    if head:
+        assert not triples
+        return triples
+    scan = associativity_by_triple_scan(g)
+    assert set(listed) <= set(scan)
+    assert all(g.mul[g.mul[x, y], z] != g.mul[x, g.mul[y, z]] for x, y, z in triples)
+    assert triples == sorted(set(triples))
+    assert bool(triples) == bool(scan)
+    assert len(triples) <= vertex_group_bound(g)
+    return triples
 
 
 def groupoid_mutant(g, rng, kinds=6):
@@ -436,7 +468,9 @@ def three_component_union():
         direct_product(pair_groupoid(3), from_group(cyclic_group(2))))
 
 
-def test_validate_matches_triple_scan_on_mutants(golden):
+def test_validate_g1_witnesses_are_triples_of_the_scan_on_mutants(golden):
+    # the corpus of this test plus pair(3) x S3, whose components have a
+    # non-abelian vertex group on three units
     rng = random.Random(5150)
     corpus = [
         (symmetric_groupoid(2), 200), (symmetric_groupoid(3), 120),
@@ -444,17 +478,15 @@ def test_validate_matches_triple_scan_on_mutants(golden):
         (direct_product(pair_groupoid(4), from_group(cyclic_group(2))), 60),
         (from_group(cyclic_group(6)), 150), (from_group(klein_four_group()), 150),
         (three_component_union(), 90),
+        (direct_product(pair_groupoid(3), from_group(symmetric_group_3())), 60),
     ]
     fast_path_failed = 0
     for g, mutants in corpus:
-        assert validate(g).violations == validate_by_triple_scan(g) == ()
+        assert validate(g).violations == () and not associativity_by_triple_scan(g)
         for i in range(mutants):
             mutant = groupoid_mutant(g, rng, kinds=1 if i % 3 == 0 else 6)
-            report = validate(mutant)
-            assert report.violations == validate_by_triple_scan(mutant)
-            # with no other violation, the coordinate check ran first and failed
-            fast_path_failed += not report.passed and all(
-                v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
+            # with no other violation, the coordinate check ran and failed
+            fast_path_failed += bool(g1_triples(mutant, validate(mutant)))
     assert fast_path_failed > 0
 
 
@@ -470,7 +502,7 @@ def test_validate_lists_both_closure_defects_when_the_product_count_is_kept():
     mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
     report = validate(mutant)
     assert len(mutant.mul) == len(g.mul)
-    assert report.violations == validate_by_triple_scan(mutant)
+    assert not g1_triples(mutant, report)
     closure = [(v.witness, v.detail) for v in report.violations if v.axiom == "closure"]
     assert closure == [(off, "product defined on a non-composable pair"),
                        (kept, "composable pair has no product")]
@@ -487,17 +519,40 @@ def test_validate_reports_only_structure_for_an_out_of_range_product(key, value)
     tables["mul"][key] = value
     g = FiniteGroupoid(**tables)
     report = validate(g)
-    assert report.violations == validate_by_triple_scan(g)
+    assert report.violations == tuple(head_by_separate_scans(g))
     assert [v.axiom for v in report.violations] == ["structure"]
     assert report.violations[0].witness == key
 
 
 def _coordinate_checks(g):
-    """validate's G1 count before any scan: the anchor checks, one coordinate
-    per element, one multiplicativity check per product and one entry per
-    vertex-group table at each component's least unit."""
+    """validate's G1 count before any witness: the anchor checks, one
+    coordinate per element, one multiplicativity check per product and one
+    entry per vertex-group table at each component's least unit."""
     roots = {min(g.beta[x] for x in range(len(g)) if g.alpha[x] == u) for u in g.units}
     return 2 * len(g.mul) + len(g) + sum(len(g.isotropy_members(r)) ** 2 for r in roots)
+
+
+def coordinate_breaks(g):
+    """The instances at which Brandt coordinates c(x) = (t_u*x)*inv(t_v)
+    break, by plain loops, with r the least unit of each component, t_u
+    the last arrow r -> u and t_r = r: each element whose anchors and
+    coordinate an earlier element has, and each product x*y with
+    c(x)*c(y) != c(x*y).  g must pass every check but associativity."""
+    n, mul = len(g), g.mul
+    root = {u: min(g.beta[x] for x in range(n) if g.alpha[x] == u) for u in g.units}
+    t = {u: u if root[u] == u else max(x for x in range(n) if g.alpha[x] == root[u] and g.beta[x] == u)
+         for u in g.units}
+    c = [mul[mul[t[g.alpha[x]], x], g.inv[t[g.beta[x]]]] for x in range(n)]
+    keys = [(g.alpha[x], g.beta[x], c[x]) for x in range(n)]
+    return n - len(set(keys)) + sum(mul[c[x], c[y]] != c[xy] for (x, y), xy in mul.items())
+
+
+def assert_g1_checks(g, report):
+    """validate's G1 count on a groupoid that passes every check but
+    associativity: the coordinate checks, then one to four candidate
+    triples per broken coordinate instance."""
+    base, breaks = _coordinate_checks(g), coordinate_breaks(g)
+    assert base + breaks <= report.checks["G1"] <= base + 4 * breaks
 
 
 def test_validate_scans_only_the_failing_component():
@@ -507,12 +562,8 @@ def test_validate_scans_only_the_failing_component():
     mul[(x, y)] = g.index("2/4")
     mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
     report = validate(mutant)
-    assert report.violations == validate_by_triple_scan(mutant) != ()
-    by_alpha = {}
-    for z in range(len(g)):
-        by_alpha.setdefault(g.alpha[z], []).append(z)
-    z6_triples = sum(len(by_alpha[g.beta[b]]) for a, b in mul if g.alpha[a] == g.alpha[x])
-    assert report.checks["G1"] == _coordinate_checks(mutant) + z6_triples
+    assert g1_triples(mutant, report)
+    assert report.checks["G1"] == _coordinate_checks(mutant) == _coordinate_checks(g)
     assert all(g.alpha[v.witness[0]] == g.alpha[x] for v in report.violations)
 
 
@@ -529,18 +580,22 @@ def test_validate_scans_a_component_whose_coordinates_are_not_multiplicative():
     mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
     report = validate(mutant)
     assert {v.axiom for v in report.violations} == {"G1"}
-    assert report.violations == validate_by_triple_scan(mutant)
+    assert g1_triples(mutant, report)
+    assert coordinate_breaks(mutant) > 0
+    assert_g1_checks(mutant, report)
     component = {g.alpha[z] for z in range(len(g)) if g.elements[z].startswith("3/")}
     assert all(g.alpha[v.witness[0]] in component for v in report.violations)
 
 
-def test_vertex_group_associativity_failure_is_listed_by_the_full_scan():
+def test_vertex_group_associativity_failure_is_listed_at_generator_middles():
+    # Z4 has the greedy generator 1, so the failures (i, 1, l) are listed
     tables = z4_tables()
     tables["mul"][(2, 3)] = 0  # 2 + 3 is 1 in Z4; no identity or inverse product changes
-    report = validate(FiniteGroupoid(**tables))
+    g = FiniteGroupoid(**tables)
+    report = validate(g)
     assert {v.axiom for v in report.violations} == {"G1"}
-    assert report.violations == validate_by_triple_scan(FiniteGroupoid(**tables))
-    assert (1, 2, 3) in [v.witness for v in report.violations]
+    triples = g1_triples(g, report)
+    assert (1, 1, 3) in triples and all(j == 1 for _, j, _ in triples)
 
 
 def test_validate_scans_a_component_whose_coordinates_collide():
@@ -555,7 +610,9 @@ def test_validate_scans_a_component_whose_coordinates_collide():
                        [0, 1, 4, 5, 2, 3], mul)
     report = validate(g)
     assert {v.axiom for v in report.violations} == {"G1"}
-    assert report.violations == validate_by_triple_scan(g)
+    assert g1_triples(g, report)
+    assert coordinate_breaks(g) > 0
+    assert_g1_checks(g, report)
 
 
 def test_validate_counts_checks_per_axiom(s5):
@@ -568,15 +625,6 @@ def test_validate_counts_checks_per_axiom(s5):
     assert report == ValidationReport() and hash(report) == hash(ValidationReport())
     broken = validate(FiniteGroupoid(**{**z4_tables(), "inv": [0, 1, 2, 9]}))
     assert set(broken.checks) == {"structure"}
-
-
-def scanned_triples(g, units=None):
-    """The triples (x, y, z) with x*y in the table and alpha(z) = beta(y)
-    that the G1 scan counts: every one, or those with alpha(x) in ``units``."""
-    sources = {}
-    for z in range(len(g)):
-        sources[g.alpha[z]] = sources.get(g.alpha[z], 0) + 1
-    return sum(sources.get(g.beta[y], 0) for x, y in g.mul if units is None or g.alpha[x] in units)
 
 
 def retargeted(g, rng, block):
@@ -608,16 +656,18 @@ def top_block(g):
     (from_group(cyclic_group(12)), "all"),
 ])
 def test_g1_scan_in_a_one_unit_component_matches_the_triple_scan(g, block):
+    # the witnesses are failing triples of the triple scan, in the retargeted
+    # component only, and the count adds no triple: one-unit components
+    # have no coordinate to break
     block = top_block(g) if block == "top" else [x for x in range(len(g)) if not g.is_unit(x)]
     rng = random.Random(len(g))
     for _ in range(30):
         mutant = retargeted(g, rng, block)
         report = validate(mutant)
-        assert report.violations == validate_by_triple_scan(mutant) != ()
-        assert {v.axiom for v in report.violations} == {"G1"}
-        scanned = component_of(mutant, block[0])
-        assert scanned == {g.alpha[block[0]]}
-        assert report.checks["G1"] == _coordinate_checks(mutant) + scanned_triples(mutant, scanned)
+        triples = g1_triples(mutant, report)
+        assert triples and {v.axiom for v in report.violations} == {"G1"}
+        assert {mutant.alpha[x] for x, _, _ in triples} == component_of(mutant, block[0])
+        assert report.checks["G1"] == _coordinate_checks(mutant)
 
 
 @pytest.mark.parametrize("g", [
@@ -626,23 +676,23 @@ def test_g1_scan_in_a_one_unit_component_matches_the_triple_scan(g, block):
     three_component_union(),
 ])
 def test_g1_scan_in_a_multi_unit_component_matches_the_triple_scan(g):
+    # the witnesses are failing triples of the triple scan, and some lie in
+    # a component of several units
     rng = random.Random(len(g.mul))
     multi_unit = 0
     for _ in range(30):
         mutant = groupoid_mutant(g, rng, kinds=1)
         report = validate(mutant)
-        assert report.violations == validate_by_triple_scan(mutant)
-        failed = {mutant.alpha[v.witness[0]] for v in report.violations}
-        scanned = set().union(*(component_of(mutant, u) for u in failed))
-        assert report.checks["G1"] == _coordinate_checks(mutant) + scanned_triples(mutant, scanned)
-        multi_unit += len(scanned) > 1
+        triples = g1_triples(mutant, report)
+        assert_g1_checks(mutant, report)
+        multi_unit += any(len(component_of(mutant, x)) > 1 for x, _, _ in triples)
     assert multi_unit > 0
 
 
 def test_g1_scan_meets_misaligned_rows_after_other_violations():
     # a G1 retarget plus a drifting product, a missing product or a product
-    # off the composable pairs: every component is scanned, and the rows of
-    # the broken products do not line up
+    # off the composable pairs: the head of the report stands alone, and G1
+    # counts only the anchor checks
     rng = random.Random(1927)
     for g in (symmetric_groupoid(3), alternating_groupoid(4), three_component_union()):
         n = len(g)
@@ -658,9 +708,29 @@ def test_g1_scan_meets_misaligned_rows_after_other_violations():
                 mul[pair] = rng.randrange(n)
             mutant = FiniteGroupoid(g.elements, g.units, g.alpha, g.beta, g.inv, mul)
             report = validate(mutant)
-            assert report.violations == validate_by_triple_scan(mutant)
-            assert not all(v.axiom == "G1" and len(v.witness) == 3 for v in report.violations)
-            assert report.checks["G1"] == len(mul) + scanned_triples(mutant)
+            assert not report.passed and not g1_triples(mutant, report)
+            assert report.checks["G1"] == len(mul)
+
+
+def test_pair_times_a_non_associative_loop_lists_fewer_triples_than_products():
+    # Z24 with the intercalate at rows 1, 13 and columns 2, 14 swapped is a
+    # loop that is not associative; in pair(4) x the loop every other law
+    # holds, and the triple scan finds 86,016 failing triples among 36,864
+    # products
+    t = cyclic_group(24)
+    rows = [list(r) for r in t.table]
+    for i in (1, 13):
+        rows[i][2], rows[i][14] = rows[i][14], rows[i][2]
+    loop = FiniteGroupoid(t.labels, [0], [0] * 24, [0] * 24, t.inv,
+                          {(i, j): rows[i][j] for i in range(24) for j in range(24)})
+    g = direct_product(pair_groupoid(4), loop)
+    report = validate(g)
+    assert {v.axiom for v in report.violations} == {"G1"}
+    triples = [v.witness for v in report.violations]
+    assert 0 < len(triples) < len(g.mul) == 36_864
+    assert triples == sorted(set(triples))
+    assert all(g.mul[g.mul[x, y], z] != g.mul[x, g.mul[y, z]] for x, y, z in triples)
+    assert_g1_checks(g, report)
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +859,13 @@ def test_restricted_requires_closed_subset(golden):
         restricted(golden, [golden.index("1/(1,2)")])
     with pytest.raises(ValueError):
         restricted(golden, [])
+
+
+@pytest.mark.parametrize("members, bad", [([0.5, True], "0.5"), ([0, True], "True"), (["0"], "'0'")])
+def test_restricted_refuses_members_that_are_not_ints(gp2, members, bad):
+    # int() would read 0.5 and True as the two units, and "0" as the first
+    with pytest.raises(ValueError, match=f"^members entries must be ints, got {bad}$"):
+        restricted(gp2, members)
 
 
 def test_with_base_labels(gp2):

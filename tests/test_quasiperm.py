@@ -115,6 +115,14 @@ def test_compose_refuses_an_argument_that_is_not_a_quasipermutation():
         qp_compose(None, f)
 
 
+def test_signature_refuses_an_argument_that_is_not_a_quasipermutation():
+    with pytest.raises(ValueError, match="^f is not a Quasipermutation: 'x'$"):
+        signature("x")
+    with pytest.raises(ValueError, match="^f is not a Quasipermutation: None$"):
+        signature(None)
+    assert signature(Quasipermutation(2, (1, 2), (2, 1))) == -1
+
+
 def test_apply_and_inverse():
     f = Quasipermutation(3, (1, 2), (3, 1))
     assert f.apply(1) == 3 and f.apply(2) == 1

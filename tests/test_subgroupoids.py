@@ -27,6 +27,15 @@ from groupoids import (
 from groupoids.constructions import GroupTable
 
 
+@pytest.mark.parametrize("members, bad", [([0.9, 1.2], "0.9"), ([0, False], "False"), (["0"], "'0'")])
+def test_member_sets_refuse_entries_that_are_not_ints(gp2, members, bad):
+    # int() would read [0.9, 1.2] as the normal subgroupoid of units and
+    # "0" as the first unit
+    for build in (classify_subset, generated_subgroupoid, subgroupoid_handle):
+        with pytest.raises(ValueError, match=f"^members entries must be ints, got {bad}$"):
+            build(gp2, members)
+
+
 def test_classify_whole_and_units(gp2):
     whole = classify_subset(gp2, range(4))
     assert whole.kind == "normal"
