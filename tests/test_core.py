@@ -555,7 +555,7 @@ def assert_g1_checks(g, report):
     assert base + breaks <= report.checks["G1"] <= base + 4 * breaks
 
 
-def test_validate_scans_only_the_failing_component():
+def test_validate_lists_only_the_failing_component():
     g = three_component_union()
     x, y = g.index("2/1"), g.index("2/2")  # 1 + 2 = 3 in Z6, retargeted to 4
     mul = dict(g.mul)
@@ -567,7 +567,7 @@ def test_validate_scans_only_the_failing_component():
     assert all(g.alpha[v.witness[0]] == g.alpha[x] for v in report.violations)
 
 
-def test_validate_scans_a_component_whose_coordinates_are_not_multiplicative():
+def test_validate_lists_a_component_whose_coordinates_are_not_multiplicative():
     # in pair(3) x Z2, (2,3)*(3,1) = (2,1) with Z2 part 0 + 0, retargeted to
     # part 1; no product that fixes a coordinate, no unit or inverse law and
     # no vertex group changes, so the coordinates stay injective and only
@@ -598,7 +598,7 @@ def test_vertex_group_associativity_failure_is_listed_at_generator_middles():
     assert (1, 1, 3) in triples and all(j == 1 for _, j, _ in triples)
 
 
-def test_validate_scans_a_component_whose_coordinates_collide():
+def test_validate_lists_a_component_whose_coordinates_collide():
     # units r, u; two arrows r -> u with their inverses, and every product of
     # two non-units the unit at its ends: closure, G2 and G3 hold and the
     # products are multiplicative over the trivial vertex groups, but both
@@ -689,7 +689,7 @@ def test_g1_scan_in_a_multi_unit_component_matches_the_triple_scan(g):
     assert multi_unit > 0
 
 
-def test_g1_scan_meets_misaligned_rows_after_other_violations():
+def test_g1_witnesses_meet_misaligned_rows_after_other_violations():
     # a G1 retarget plus a drifting product, a missing product or a product
     # off the composable pairs: the head of the report stands alone, and G1
     # counts only the anchor checks

@@ -43,6 +43,7 @@ from groupoids import (
     validate_vector_space_groupoid,
     vsg_document,
 )
+from groupoids import io as groupoids_io
 from groupoids.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
@@ -975,3 +976,257 @@ def test_canonical_forms_of_a_document_dict_refuse_a_missing_field_or_unknown_la
         with pytest.raises(ParseError) as err:
             write(doc)
         assert (err.value.field, err.value.message) == (field, message)
+
+
+# ----- reading document text --------------------------------------------------
+
+# the fields whose strings are element or unit labels, and those that map
+# scalar rows to label maps
+LABEL_FIELDS = ("elements", "units", "alpha", "beta", "inv", "mul", "add", "zero", "neg",
+                "unit_add", "unit_zero", "unit_neg")
+SCALAR_FIELDS = ("scalar", "unit_scalar")
+# pieces that a cut of a table must not be fooled by, raw and escaped alike
+AWKWARD = ['"', "\\", "],", "[", "]", ",", " ", "é", "☃", "\\u00e9", '"],"', '\\"],', "\\\\],"]
+
+
+def relabel(doc, new):
+    """``doc`` with each label renamed by ``new``; payloads and row keys of
+    the scalar fields are not labels and stay."""
+    def r(o):
+        if isinstance(o, str):
+            return new.get(o, o)
+        if isinstance(o, list):
+            return [r(v) for v in o]
+        return {r(k): r(v) for k, v in o.items()}
+    out = {}
+    for k, v in doc.items():
+        if k in LABEL_FIELDS:
+            v = r(v)
+        elif k in SCALAR_FIELDS:
+            v = {row: r(m) for row, m in v.items()}
+        elif k == "base_labels":
+            v = {new.get(u, u): lbl for u, lbl in v.items()}
+        out[k] = v
+    return out
+
+
+def awkward_labels(doc, rng):
+    """A rename of ``doc``'s labels, each given a seeded awkward piece."""
+    new = {lbl: lbl + rng.choice(AWKWARD) for lbl in doc["elements"]}
+    assert len(set(new.values())) == len(new)
+    return new
+
+
+def documents_to_read():
+    """One document of each kind, and pair(3) again with one-letter labels,
+    so that a 3-character string unpacks into three of them."""
+    pair3 = plain_document(pair_groupoid(3))
+    return {
+        "pair3": pair3,
+        "letters": relabel(pair3, {lbl: "abcdefghi"[i] for i, lbl in enumerate(pair3["elements"])}),
+        "golden": plain_document(disjoint_union(
+            pair_groupoid(2), symmetric_groupoid(2), from_group(cyclic_group(4)))),
+        "s2": quasiperm_document(symmetric_groupoid(2), 2),
+        "gg": group_groupoid_document(pair_group_groupoid(cyclic_group(2))),
+        "vsg": vsg_document(pair_vector_space_groupoid(2, 1)),
+    }
+
+
+def key_orders(doc):
+    """``doc`` with its keys as built, sorted, reversed and with every table
+    before the labels it uses."""
+    tables_first = sorted(doc, key=lambda k: k not in ("mul", "add", "unit_add"))
+    for keys in (list(doc), sorted(doc), sorted(doc, reverse=True), tables_first):
+        yield {k: doc[k] for k in keys}
+
+
+def texts_of(doc):
+    """``doc`` written compact, at indent 0, with tabs and with CRLF line
+    ends, each with and without escapes for non-ASCII labels."""
+    for ascii_only in (True, False):
+        yield json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii_only)
+        yield json.dumps(doc, indent=0, ensure_ascii=ascii_only)
+        yield json.dumps(doc, indent="\t", ensure_ascii=ascii_only)
+        yield json.dumps(doc, indent=2, ensure_ascii=ascii_only).replace("\n", "\r\n")
+
+
+def decode_whole(path):
+    """The reference reader: the file decoded whole by json.loads, its
+    errors reported as load_groupoid reports them."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError("json", str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("json", "nested too deeply") from exc
+
+
+def groupoid_outcome(load, path):
+    """The parsed parts a reader gives for a file, or its refusal."""
+    try:
+        parsed = load(path)
+    except ParseError as exc:
+        return ("refused", exc.field, exc.message)
+    g = parsed.groupoid
+    return ("parsed", parsed.kind, g, g.elements, g.payloads, g.base_labels,
+            canonical_dumps(parsed))
+
+
+def morphism_outcome(load, path):
+    try:
+        m = load(path)
+    except ParseError as exc:
+        return ("refused", exc.field, exc.message)
+    return ("parsed", m.domain, m.domain.elements, m.codomain, m.codomain.elements,
+            m.elem_map, m.unit_map)
+
+
+def assert_reads_as_decoded_whole(path, monkeypatch):
+    """load_groupoid gives what the whole-text decoder gives, however small
+    the slices are."""
+    want = groupoid_outcome(lambda p: parse_groupoid_document(decode_whole(p)), path)
+    for size in (1, 40, 1 << 16):
+        monkeypatch.setattr(groupoids_io, "_SLICE", size)
+        assert groupoid_outcome(load_groupoid, path) == want, (path.read_bytes()[:200], size)
+    return want
+
+
+def test_documents_in_every_layout_read_as_decoded_whole(tmp_path, monkeypatch):
+    def whole(text):
+        raise AssertionError("a valid document was decoded whole")
+
+    # every one of these documents is read slice by slice
+    monkeypatch.setattr(groupoids_io, "_decode", whole)
+    rng = random.Random(3301)
+    path = tmp_path / "doc.json"
+    kinds = Counter()
+    for name, base in documents_to_read().items():
+        for doc in (base, relabel(base, awkward_labels(base, rng))):
+            for ordered in key_orders(doc):
+                for text in texts_of(ordered):
+                    path.write_text(text, encoding="utf-8", newline="")
+                    want = assert_reads_as_decoded_whole(path, monkeypatch)
+                    assert want[0] == "parsed", (name, want)
+                    kinds[want[1]] += 1
+    assert set(kinds) == set(groupoids_io.KINDS)
+
+
+def mul_texts(triples, rng):
+    """Broken and awkward text for a product table: entries that are not
+    three labels, a repeated pair, an unknown label, bad separators."""
+    t = [list(e) for e in triples]
+    k = rng.randrange(len(t))
+    x, y, z = t[k]
+    entries = [
+        [x, y], [x, y, z, z], [[x], y, z], [x, y, 5], [x, y, None], x + y + z, {x: y},
+        dict.fromkeys([x, y, z + "!", z + "?"]), [x, y, "ghost"], ["ghost", y, z],
+        t[rng.randrange(len(t))], [x, y, z + "]"],
+    ]
+    for entry in entries:  # in place of entry k
+        yield json.dumps(t[:k] + [entry] + t[k + 1:])
+    yield json.dumps(t[:k] + [[x, y, z]] + t[k:])  # a repeated pair
+    yield "[]"
+    yield "[ ]"
+    whole = json.dumps(t)
+    yield whole[:-1] + ",]"
+    yield whole[:-1] + ", ]"
+    yield whole.replace("], [", "]\x0c, [", 1)
+    yield whole.replace("], [", "],, [", 1)
+    yield whole.replace("], [", "] [", 1)
+    yield whole.replace("], [", "]\n\t ,\r\n[")
+    yield whole.replace('"', "'", 1)
+    yield whole[:-1]
+    yield "[" + whole
+
+
+def test_malformed_documents_are_refused_as_decoded_whole(tmp_path, monkeypatch):
+    rng = random.Random(3302)
+    path = tmp_path / "doc.json"
+    refusals = Counter()
+
+    def check(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        want = assert_reads_as_decoded_whole(path, monkeypatch)
+        refusals[want[1] if want[0] == "refused" else "parsed"] += 1
+
+    for name, base in documents_to_read().items():
+        for ordered in key_orders(base):
+            for table in ("mul", "add", "unit_add"):
+                if table not in ordered:
+                    continue
+                for mul in mul_texts(ordered[table], rng):
+                    check(json.dumps({**ordered, table: "@"}).replace('"@"', mul))
+            text = json.dumps(ordered, indent=1)
+            for cut in sorted(rng.sample(range(1, len(text)), 8)):
+                check(text[:cut])
+            for tail in ("x", "{}", "]", " \n\t\r", ",", "\x0c"):
+                check(text + tail)
+            check("\ufeff" + text)
+            # a repeated key: the decoder keeps its first place and last value
+            for key in ("elements", "mul", "units", "kind", "add"):
+                if key in ordered:
+                    for other in (ordered[key], [], ordered[key][:-1]):
+                        check('{"%s": %s, %s' % (key, json.dumps(other), text[1:]))
+                        check('%s, "%s": %s}' % (text.rstrip()[:-1], key, json.dumps(other)))
+    for text in ("[" * 100000, "", "[]", "5", '"mul"', "{}", '{"mul": [}', "{,}"):
+        check(text)
+    path.write_bytes(b'{"elements": ["\xff"]}')
+    assert_reads_as_decoded_whole(path, monkeypatch)
+    # each way of failing is met, and so is a document that still parses
+    assert {"json", "mul[0]", "document", "parsed"} <= set(refusals)
+    assert any(field.startswith(("mul[", "add[", "unit_add[")) and field != "mul[0]"
+               for field in refusals)
+
+
+def is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_inline_morphism_endpoints_read_as_decoded_whole(tmp_path, monkeypatch, z4, z2):
+    rng = random.Random(3303)
+    (tmp_path / "z4.json").write_text(canonical_dumps(plain_document(z4)), encoding="utf-8")
+    path = tmp_path / "m.json"
+    codomain = plain_document(z2)
+    doc = {"format_version": 1, "domain": plain_document(z4), "codomain": codomain,
+           "f": {"0": "0", "1": "1", "2": "0", "3": "1"}}
+    docs = [doc, {**doc, "domain": {"path": "z4.json"}},
+            {**doc, "domain": relabel(doc["domain"], {"1": "é],"}),
+             "f": {"0": "0", "é],": "1", "2": "0", "3": "1"}}]
+    docs += [{**doc, "codomain": {**codomain, "mul": mul}}
+             for mul in map(json.loads, filter(is_json, mul_texts(codomain["mul"], rng)))]
+    docs += [{**doc, "domain": {"path": "z4.json", "mul": []}}, {**doc, "f": 5}]
+
+    def reference(p):
+        return parse_morphism_document(decode_whole(p), base_dir=p.parent)
+
+    outcomes = Counter()
+    for d in docs:
+        for ordered in key_orders(d):
+            for text in texts_of(ordered):
+                path.write_text(text, encoding="utf-8", newline="")
+                want = morphism_outcome(reference, path)
+                for size in (1, 1 << 16):
+                    monkeypatch.setattr(groupoids_io, "_SLICE", size)
+                    assert morphism_outcome(load_morphism, path) == want
+                outcomes[want[0]] += 1
+    assert outcomes["parsed"] and outcomes["refused"]
+
+
+def test_loading_the_degree_5_document_peaks_below_two_and_a_half_times_its_text(
+        tmp_path, s5):
+    path = tmp_path / "s5.json"
+    size = path.write_text(canonical_dumps(quasiperm_document(s5, 5)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parsed = load_groupoid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.groupoid == s5
+    # the text itself, its bytes as read, and the rows: the parent decoded
+    # the whole tree of cells and peaked near 4.0 times the text
+    assert peak < 2.5 * size, peak / size

@@ -597,7 +597,7 @@ def test_interchange_of_a_non_abelian_group_is_decided_by_its_kernels():
     assert not structured._interchange_violations(pair)
 
 
-def test_interchange_failure_behind_passing_additivity_is_listed_by_the_full_scan():
+def test_interchange_failure_behind_passing_additivity_is_listed_at_generators():
     for m, dim in [(1, 2), (1, 3), (2, 2)]:
         for seed in range(3):
             gg = twisted_group_groupoid(m, dim, seed)
