@@ -4,12 +4,14 @@ The builders from parameters (``pair_groupoid``, ``pair_groupoid_over``,
 ``null_groupoid``, ``cyclic_group``) check their arguments and sizes, and
 ``from_group`` validates its group table.  ``group_table_of`` refuses a
 groupoid that is not one group and validates the table it reads.  The
-combinators trust that their arguments are groupoids: ``direct_product``
-and ``whitney_sum`` refuse, with ValueError, a source or target that is
-not a unit, and ``induced_groupoid`` and ``left_translation_groupoid``
-refuse what their own construction cannot use (a map off the base, equal
-translations).  ``disjoint_union`` checks only its size.  No combinator
-calls ``validate``; validate the inputs first where they may be broken.
+combinators trust that their arguments obey the groupoid laws:
+``direct_product`` and ``whitney_sum`` refuse, with ValueError, a source
+or target that is not a unit; ``disjoint_union``, ``induced_groupoid``
+and ``left_translation_groupoid`` refuse a unit, source, target, inverse
+or product index out of range, and the last two also what their own
+construction cannot use (a map off the base, equal translations).  No
+combinator calls ``validate``; validate the inputs first where they may
+break a law.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .core import FiniteGroupoid, GroupTable, SizeLimitError
+from .core import FiniteGroupoid, GroupTable, SizeLimitError, _range_violations
 from .quasiperm import Quasipermutation
 
 __all__ = [
@@ -212,13 +214,25 @@ def _require_unit_anchors(what: str, *factors: FiniteGroupoid) -> None:
                                  f"{g.elements[x]!r} is {anchors[x]}, not a unit")
 
 
+def _require_in_range(what: str, *factors: FiniteGroupoid) -> None:
+    """Raise ValueError naming the first unit, alpha, beta, inv or product
+    entry of a factor that is out of range; the range checks of
+    ``validate`` (``_range_violations``), not the laws."""
+    for g in factors:
+        v = _range_violations(g, "structure")
+        if v:
+            raise ValueError(f"{what} needs groupoids: {v[0]}")
+
+
 def disjoint_union(*factors: FiniteGroupoid) -> FiniteGroupoid:
     """The disjoint union of groupoids; elements are tagged copies, and no
     cross-factor pair is composable.  Raises SizeLimitError when it would
-    have more than ``PRODUCT_MUL_LIMIT`` products, before building."""
+    have more than ``PRODUCT_MUL_LIMIT`` products, before building, and
+    ValueError when an index of a factor is out of range."""
     if not factors:
         raise ValueError("disjoint union needs at least one factor")
     _bound_products("disjoint union", sum(len(g.mul) for g in factors))
+    _require_in_range("disjoint union", *factors)
     elements: list[str] = []
     units: list[int] = []
     alpha: list[int] = []
@@ -313,10 +327,11 @@ def induced_triples(
     the triples (x, y, a) with alpha(a) over f(x) and beta(a) over f(y).
     Raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` products of the
     induced groupoid, counted from the hom-set sizes before any triple is
-    listed."""
+    listed, and ValueError when an index of g is out of range."""
     points = list(f.keys())
     if not points:
         raise ValueError("induced groupoid needs a nonempty point set")
+    _require_in_range("induced groupoid", g)
     base_to_unit = {g.unit_base_label(u): u for u in g.units}
     for x in points:
         if f[x] not in base_to_unit:
@@ -341,7 +356,7 @@ def induced_groupoid(g: FiniteGroupoid, f: Mapping[str, str]) -> FiniteGroupoid:
     f(y) the target; (x, y, a) * (y, z, b) = (x, z, a*b) and the inverse is
     (y, x, inv(a)).  The new base is the key set of f, in its given order.
     Raises SizeLimitError above ``PRODUCT_MUL_LIMIT`` products, before
-    building.
+    building, and ValueError when an index of g is out of range.
     """
     return _induced_from(g, *induced_triples(g, f))
 
@@ -373,9 +388,11 @@ def left_translation_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
     L_a acts on {x : alpha(x) = beta(a)}, the keys of a's row, by x -> a*x;
     the translations multiply by L_a * L_b = L_{a*b} on the pairs where a
     and b compose, and a -> L_a is a bijection.  Raises SizeLimitError when g has more than
-    ``PRODUCT_MUL_LIMIT`` products, before building.
+    ``PRODUCT_MUL_LIMIT`` products, before building, and ValueError when an
+    index of g is out of range.
     """
     _bound_products("cayley groupoid", len(g.mul))
+    _require_in_range("cayley groupoid", g)
     n = len(g)
     payloads = []
     for row in g.rows:

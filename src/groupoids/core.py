@@ -568,6 +568,20 @@ def _index_violations(g: FiniteGroupoid, tag: str) -> list[Violation]:
     return v
 
 
+def _range_violations(g: FiniteGroupoid, tag: str) -> list[Violation]:
+    """``_index_violations``, then the product entries out of range: the
+    keys and values of the rows are range-checked as one set, and walked
+    only to list the witnesses."""
+    n = len(g)
+    rows = g.rows
+    v = _index_violations(g, tag)
+    if g._stray or not set().union(*rows, *map(dict.values, rows)) <= set(range(n)):
+        v.extend(Violation(tag, (x, y), f"product entry ({x}, {y}) -> {z} out of range")
+                 for x, row in chain(enumerate(rows), g._stray.items()) for y, z in row.items()
+                 if not (0 <= x < n and 0 <= y < n and 0 <= z < n))
+    return v
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid axioms on g's tables.
 
@@ -599,11 +613,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     rows, alpha, beta = g.rows, g.alpha, g.beta
     checks = {"structure": len(g.units) + 3 * n + len(g.mul)}
 
-    v = _index_violations(g, "structure")
-    if g._stray or not set().union(*rows, *map(dict.values, rows)) <= set(range(n)):
-        v.extend(Violation("structure", (x, y), f"product entry ({x}, {y}) -> {z} out of range")
-                 for x, row in chain(enumerate(rows), g._stray.items()) for y, z in row.items()
-                 if not (0 <= x < n and 0 <= y < n and 0 <= z < n))
+    v = _range_violations(g, "structure")
     if v:
         return ValidationReport(tuple(v), checks)
 

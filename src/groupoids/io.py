@@ -16,18 +16,24 @@ writers (``plain_document``, ``quasiperm_document``,
 ``group_groupoid_document``, ``vsg_document``, ``document_for``, and
 ``canonical_dumps`` on a parsed document) trust the tables they write.
 
-``load_groupoid`` reads a file's text in two parts.  A walker steps through
-the top-level object and leaves each member to the stdlib decoder, except
-the product tables (``mul``, ``add``, ``unit_add``): those are decoded in
-slices of about 64K characters, and each slice's labels go straight into
-rows, so no tree of every cell is ever made.  On the degree-5 symmetric
-document (13.2 MB) the tracemalloc peak is 2.0 times the text, where
-decoding it whole peaked at 4.0 times.  ``load_morphism`` reads an inline
-endpoint the same way.  Text the walker does not take as-is (a top level
-that is not an object, a table entry that is not three strings, a repeated
-pair, a label outside its index, malformed text) is decoded whole, so
-every result and ParseError is that of
-``parse_groupoid_document(json.loads(text))``.
+``load_groupoid`` reads a file through a window on its text
+(``_Window``): chunks of 256K characters are read in text mode, so
+newlines read as ``Path.read_text`` reads them, and each read first drops
+the text already taken.  A walker steps through the top-level object and
+leaves each member to the stdlib decoder, except the product tables
+(``mul``, ``add``, ``unit_add``): those are decoded in slices of about 64K
+characters, and each slice's labels go straight into rows, so neither the
+text nor a tree of every cell is ever held whole.  On the degree-5
+symmetric document (13.2 MB) the tracemalloc peak is 0.56 times the text:
+7.4 MB, of which the parsed groupoid keeps 5.6 MB.  ``load_morphism``
+reads an inline endpoint the same way, and has read its own text through
+before it loads an endpoint given by path.  A file the walker does not
+take as-is (a top level that is not an object, a table entry that is not
+three strings, a repeated pair, a label outside its index, malformed text,
+bytes that are not UTF-8) is read again and decoded whole, and a file that
+cannot be read twice (a pipe) is decoded whole at once.  Only that
+fallback holds the whole text, and it makes every result and ParseError
+that of ``parse_groupoid_document(json.loads(text))``.
 """
 
 from __future__ import annotations
@@ -320,12 +326,80 @@ _SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the decoder skips it
 _CUT = re.compile(r"\][ \t\n\r]*,")
 _ESCAPED_QUOTE = re.compile(r'(?<!\\)(?:\\\\)*\\"')  # after an odd run of backslashes
 _SLICE = 1 << 16
+# characters per read of a file: a text-mode read of c characters peaks near
+# 3c (the bytes, their decoded text and the piece returned)
+_CHUNK = 1 << 18
 # the product tables of a groupoid document, each with the field of its labels
 _TABLES = {"mul": "elements", "add": "elements", "unit_add": "units"}
 
 
 class _Reread(Exception):
     """Text the walker does not take as-is: decode it whole instead."""
+
+
+class _Window:
+    """The text of an open file from the reader's position on, read in
+    chunks.  ``text[pos:]`` is read but not yet taken; ``more`` forgets the
+    text before ``pos`` and reads on.  A scan whose value runs past the
+    window is done again once more is read, so each read takes a chunk or
+    as much as the window holds, whichever is more: the window doubles
+    while it holds a long value, which is then scanned about twice over in
+    all."""
+
+    __slots__ = ("file", "text", "pos", "eof")
+
+    def __init__(self, file):
+        self.file, self.text, self.pos, self.eof = file, "", 0, False
+
+    def more(self) -> None:
+        rest = self.text[self.pos:]
+        self.text, self.pos = "", 0  # let the used text go before the next chunk comes
+        chunk = self.file.read(max(_CHUNK, len(rest)))
+        self.eof = not chunk
+        self.text = rest + chunk
+
+    def next(self) -> str:
+        """The next character that is not JSON whitespace, with the position
+        moved to it; "" at the end of the file."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def take(self, scan) -> Any:
+        """The value ``scan(text, pos)`` reads, with the position moved past
+        it, once the window holds three characters after its end or the
+        file ends (a number such as "1e+5" may go on past a window that
+        ends in "1e+").  A scan that fails is done again on more text; its
+        error at the end of the file passes through."""
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+                if self.eof or end + 2 < len(self.text):
+                    self.pos = end
+                    return value
+            except (ValueError, StopIteration):
+                if self.eof:
+                    raise
+            self.more()
+
+    def cut(self) -> Optional[re.Match]:
+        """The first _CUT at or after ``pos + _SLICE`` with an even number of
+        string quotes between ``pos`` and it, so that it lies outside
+        strings (a "]," inside a label is passed over), or None when the
+        file ends first."""
+        while True:
+            text, start, odd = self.text, self.pos, 0
+            cut = _CUT.search(text, start + _SLICE)
+            while cut:
+                odd ^= _string_quotes(text, start, cut.start()) & 1
+                if not odd:
+                    return cut
+                start, cut = cut.start(), _CUT.search(text, cut.end())
+            if self.eof:
+                return None
+            self.more()
 
 
 def _string_quotes(text: str, start: int, end: int) -> int:
@@ -337,38 +411,32 @@ def _string_quotes(text: str, start: int, end: int) -> int:
     return n
 
 
-def _read_table(text: str, idx: int, seed: Any) -> tuple[_Table, int]:
-    """Read the triple list that opens at ``text[idx]`` into a table over
-    its labels, and the index after the list.  The labels are ``seed``,
-    the labels field as far as the document has given it, then each other
-    label as it first appears, so that the rows come out over the parser's
-    own index when ``seed`` is that field.  (The parser checks that field
-    before it reads the table.)  A label that is no string is kept too;
-    ``_table_rows`` finds it in no index.
+def _read_table(src: _Window, seed: Any) -> _Table:
+    """Read the triple list that opens at the window's position into a
+    table over its labels, with the position moved past the list.  The
+    labels are ``seed``, the labels field as far as the document has given
+    it, then each other label as it first appears, so that the rows come
+    out over the parser's own index when ``seed`` is that field.  (The
+    parser checks that field before it reads the table.)  A label that is
+    no string is kept too; ``_table_rows`` finds it in no index.
 
     The list is decoded in slices of about ``_SLICE`` characters, so no
-    tree of every cell is ever made.  A slice ends at a "]" that is
-    followed by whitespace and "," and has an even number of string quotes
-    before it, so that it lies outside strings (a "]," inside a label is
-    passed over).  The slice is taken when ``"[" + slice + "]"`` decodes:
-    the decoder reads the slice as it reads the whole text, so the cut then
-    lies right after an entry of this list.  Otherwise the list ends before
-    the cut, and decoding ``"[" + slice`` reads its last entries and finds
-    its end.  An entry that is not three strings, a repeated pair, or text
-    the decoder refuses raises _Reread or the decoder's error."""
+    tree of every cell is ever made, and each slice ends at a cut
+    (``_Window.cut``).  The slice is taken when ``"[" + slice + "]"``
+    decodes: the decoder reads the slice as it reads the whole text, so the
+    cut then lies right after an entry of this list.  Otherwise the list
+    ends before the cut, and decoding ``"[" + slice`` reads its last entries
+    and finds its end.  An entry that is not three strings, a repeated
+    pair, or text the decoder refuses raises _Reread or the decoder's
+    error."""
     labels = list(seed)
     ids = dict(zip(labels, range(len(labels))))
     rows: list[dict[int, int]] = [{} for _ in labels]
     size = 0
-    pos = idx + 1
+    src.pos += 1
     while True:
-        cut = _CUT.search(text, pos + _SLICE)
-        start, odd = pos, 0
-        while cut:
-            odd ^= _string_quotes(text, start, cut.start()) & 1
-            if not odd:
-                break
-            start, cut = cut.start(), _CUT.search(text, cut.end())
+        cut = src.cut()
+        text, pos = src.text, src.pos
         part = text[pos:cut.start() + 1] if cut else text[pos:]
         try:
             if cut is None:
@@ -393,11 +461,12 @@ def _read_table(text: str, idx: int, seed: Any) -> tuple[_Table, int]:
                 rows[ids[x]][ids[y]] = ids[z]
         size += len(entries)
         if end is not None:
+            src.pos = pos + end - 1
             break
-        pos = cut.end()
+        src.pos = cut.end()
     if sum(map(len, rows)) != size:  # a repeated pair
         raise _Reread
-    return _Table(labels, rows), pos + end - 1
+    return _Table(labels, rows)
 
 
 def _table_rows(t: _Table, index: dict[str, int]) -> list[dict[int, int]]:
@@ -415,52 +484,63 @@ def _table_rows(t: _Table, index: dict[str, int]) -> list[dict[int, int]]:
     return rows
 
 
-def _object(text: str, idx: int, tables: dict[str, str],
-            endpoints: tuple[str, ...] = ()) -> tuple[dict, int]:
-    """The JSON object that opens at ``text[idx]``, as the decoder reads it,
-    and the index after it.  A member named in ``tables`` that is a list is
-    read by ``_read_table``, and one named in ``endpoints`` that is an
-    object is read as a groupoid document; the decoder reads every other
-    member.  A repeated key keeps its first place and its last value, as
-    in the decoder.  Text that is not an object raises _Reread, and
-    malformed text the decoder's error."""
-    if text[idx] != "{":
+def _object(src: _Window, tables: dict[str, str], endpoints: tuple[str, ...] = ()) -> dict:
+    """The JSON object that opens at the window's next character, as the
+    decoder reads it, with the position moved past it.  A member named in
+    ``tables`` that is a list is read by ``_read_table``, and one named in
+    ``endpoints`` that is an object is read as a groupoid document; the
+    decoder reads every other member.  A repeated key keeps its first place
+    and its last value, as in the decoder.  Text that is not an object
+    raises _Reread, and malformed text the decoder's error."""
+    if src.next() != "{":
         raise _Reread
+    src.pos += 1
     data: dict[str, Any] = {}
-    idx = _SPACE.match(text, idx + 1).end()
-    if text[idx] == "}":
-        return data, idx + 1
+    c = src.next()
+    if c == "}":
+        src.pos += 1
+        return data
     while True:
-        if text[idx] != '"':
+        if c != '"':
             raise _Reread
-        key, idx = scanstring(text, idx + 1)
-        idx = _SPACE.match(text, idx).end()
-        if text[idx] != ":":
+        src.pos += 1
+        key = src.take(scanstring)
+        if src.next() != ":":
             raise _Reread
-        idx = _SPACE.match(text, idx + 1).end()
-        if key in tables and text[idx] == "[":
-            data[key], idx = _read_table(text, idx, data.get(tables[key], ()))
-        elif key in endpoints and text[idx] == "{":
-            data[key], idx = _object(text, idx, _TABLES)
+        src.pos += 1
+        c = src.next()
+        if key in tables and c == "[":
+            data[key] = _read_table(src, data.get(tables[key], ()))
+        elif key in endpoints and c == "{":
+            data[key] = _object(src, _TABLES)
         else:
-            data[key], idx = _DECODER.scan_once(text, idx)
-        idx = _SPACE.match(text, idx).end()
-        if text[idx] == "}":
-            return data, idx + 1
-        if text[idx] != ",":
+            data[key] = src.take(_DECODER.scan_once)
+        c = src.next()
+        if c == "}":
+            src.pos += 1
+            return data
+        if c != ",":
             raise _Reread
-        idx = _SPACE.match(text, idx + 1).end()
+        src.pos += 1
+        c = src.next()
 
 
-def _walk(text: str, tables: dict[str, str], endpoints: tuple[str, ...] = ()) -> dict:
-    """What ``json.loads(text)`` gives for a document object, with its
-    product tables read by ``_read_table`` (see ``_object``).  Any text
-    that this reader does not take as-is raises _Reread."""
-    try:
-        data, idx = _object(text, _SPACE.match(text).end(), tables, endpoints)
-    except (ValueError, TypeError, IndexError, StopIteration, RecursionError):
-        raise _Reread from None
-    if _SPACE.match(text, idx).end() != len(text):
+def _walk(path: str | Path, tables: dict[str, str], endpoints: tuple[str, ...] = ()) -> dict:
+    """What ``json.loads`` gives for the text of a document file, with its
+    product tables read by ``_read_table`` (see ``_object``).  The file is
+    read through a ``_Window`` in text mode, so its newlines are read as
+    ``Path.read_text`` reads them.  Any text that this reader does not take
+    as-is raises _Reread, and so does text that is not UTF-8: the chunked
+    decoder counts the position of a bad byte from its chunk.  OSError
+    passes through."""
+    with open(path, encoding="utf-8") as file:
+        src = _Window(file)
+        try:
+            data = _object(src, tables, endpoints)
+            rest = src.next()
+        except (ValueError, TypeError, StopIteration, RecursionError):
+            raise _Reread from None
+    if rest:
         raise _Reread
     return data
 
@@ -491,16 +571,26 @@ def _read_json(path: str | Path) -> Any:
     return _decode(_read_text(path))
 
 
+def _load(path: str | Path, parse, tables: dict[str, str],
+          endpoints: tuple[str, ...] = ()) -> Any:
+    """``parse`` of the document in a file, walked through a window
+    (``_walk``); a file the walker does not take as-is is read again and
+    decoded whole.  A file that is not a regular one, such as a pipe,
+    cannot be read twice, so it is decoded whole at once."""
+    if Path(path).is_file():
+        try:
+            return parse(_walk(path, tables, endpoints))
+        except _Reread:
+            pass  # out of the handler first, so that the walk's frames are gone
+    return parse(_read_json(path))
+
+
 def load_groupoid(path: str | Path) -> ParsedDocument:
     """Read a groupoid document file.  The result, and any ParseError, is
-    that of ``parse_groupoid_document(json.loads(text))``, but the product
-    tables are read slice by slice (``_walk``); text that reader does not
-    take as-is is decoded whole."""
-    text = _read_text(path)
-    try:
-        return parse_groupoid_document(_walk(text, _TABLES))
-    except _Reread:
-        return parse_groupoid_document(_decode(text))
+    that of ``parse_groupoid_document(json.loads(text))``, but the file is
+    read through a window and its product tables slice by slice
+    (``_load``)."""
+    return _load(path, parse_groupoid_document, _TABLES)
 
 
 # ----- serialization -------------------------------------------------------
@@ -827,12 +917,10 @@ def parse_morphism_document(
 
 
 def load_morphism(path: str | Path) -> GroupoidMorphism:
-    """Read a morphism document file; an endpoint given inline is read as
-    ``load_groupoid`` reads a document."""
-    text = _read_text(path)
+    """Read a morphism document file as ``load_groupoid`` reads a groupoid
+    document, an endpoint given inline included.  The text is read through
+    before an endpoint given by path is loaded, so none of it is held
+    then."""
     base_dir = Path(path).parent
-    try:
-        return parse_morphism_document(
-            _walk(text, {}, ("domain", "codomain")), base_dir=base_dir)
-    except _Reread:
-        return parse_morphism_document(_decode(text), base_dir=base_dir)
+    return _load(path, lambda data: parse_morphism_document(data, base_dir=base_dir),
+                 {}, ("domain", "codomain"))

@@ -466,6 +466,61 @@ def test_sums_and_products_refuse_an_anchor_off_the_units(build):
             build(*args)
 
 
+def index_out_of_range(g, field):
+    """g with one index moved to 5, past its 2 elements: its unit, the
+    source, target or inverse of element 1, or the product of 1 and 1 (its
+    value, or its second or first factor)."""
+    units, mul = list(g.units), dict(g.mul)
+    maps = {"alpha": list(g.alpha), "beta": list(g.beta), "inv": list(g.inv)}
+    if field == "units":
+        units[-1] = 5
+    elif field in maps:
+        maps[field][1] = 5
+    else:
+        z = mul.pop((1, 1))
+        mul[{"product": (1, 1), "second factor": (1, 5), "first factor": (5, 1)}[field]] = (
+            5 if field == "product" else z)
+    return FiniteGroupoid(g.elements, units, maps["alpha"], maps["beta"], maps["inv"], mul)
+
+
+OUT_OF_RANGE = [
+    ("units", "witness=(5,): unit index out of range"),
+    ("alpha", "witness=(1,): alpha(1) = 5 out of range"),
+    ("beta", "witness=(1,): beta(1) = 5 out of range"),
+    ("inv", "witness=(1,): inv(1) = 5 out of range"),
+    ("product", "witness=(1, 1): product entry (1, 1) -> 5 out of range"),
+    ("second factor", "witness=(1, 5): product entry (1, 5) -> 0 out of range"),
+    ("first factor", "witness=(5, 1): product entry (5, 1) -> 0 out of range"),
+]
+
+
+@pytest.mark.parametrize("field, message", OUT_OF_RANGE)
+def test_disjoint_union_refuses_an_index_out_of_range(z2, field, message):
+    # unchecked, inv = [0, 5] gave a (4;2) groupoid
+    broken = index_out_of_range(z2, field)
+    for factors in ((broken,), (z2, broken)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"disjoint union needs groupoids: [structure] {message}")):
+            disjoint_union(*factors)
+
+
+@pytest.mark.parametrize("field, message", OUT_OF_RANGE)
+def test_induced_groupoid_refuses_an_index_out_of_range(z2, field, message):
+    broken = index_out_of_range(z2, field)
+    # a unit out of range has no base label to map onto
+    f = {"x": "5" if field == "units" else "0"}
+    with pytest.raises(ValueError, match=re.escape(
+            f"induced groupoid needs groupoids: [structure] {message}")):
+        induced_groupoid(broken, f)
+
+
+@pytest.mark.parametrize("field, message", OUT_OF_RANGE)
+def test_left_translation_groupoid_refuses_an_index_out_of_range(z2, field, message):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cayley groupoid needs groupoids: [structure] {message}")):
+        left_translation_groupoid(index_out_of_range(z2, field))
+
+
 def test_induced_groupoid_doubles_a_point(z2):
     ind = induced_groupoid(z2, {"x": "0", "y": "0"})
     assert ind.groupoid_type() == (8, 2)

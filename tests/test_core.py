@@ -655,7 +655,7 @@ def top_block(g):
     (from_group(cyclic_group(7)), "all"),
     (from_group(cyclic_group(12)), "all"),
 ])
-def test_g1_scan_in_a_one_unit_component_matches_the_triple_scan(g, block):
+def test_g1_witnesses_in_a_one_unit_component_are_failing_triples(g, block):
     # the witnesses are failing triples of the triple scan, in the retargeted
     # component only, and the count adds no triple: one-unit components
     # have no coordinate to break
@@ -675,7 +675,7 @@ def test_g1_scan_in_a_one_unit_component_matches_the_triple_scan(g, block):
     direct_product(pair_groupoid(3), from_group(cyclic_group(3))),
     three_component_union(),
 ])
-def test_g1_scan_in_a_multi_unit_component_matches_the_triple_scan(g):
+def test_g1_witnesses_in_a_multi_unit_component_are_failing_triples(g):
     # the witnesses are failing triples of the triple scan, and some lie in
     # a component of several units
     rng = random.Random(len(g.mul))

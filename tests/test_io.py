@@ -1,5 +1,7 @@
+import io
 import itertools
 import json
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -14,6 +16,7 @@ from groupoids import (
     Quasipermutation,
     Violation,
     alternating_groupoid,
+    anchor_morphism,
     canonical_dumps,
     canonicalize_document,
     check_quasiperm_payloads,
@@ -1081,22 +1084,27 @@ def morphism_outcome(load, path):
             m.elem_map, m.unit_map)
 
 
+CHUNKS = (1, 7, groupoids_io._CHUNK)
+
+
 def assert_reads_as_decoded_whole(path, monkeypatch):
     """load_groupoid gives what the whole-text decoder gives, however small
-    the slices are."""
+    the slices and the chunks of the file are."""
     want = groupoid_outcome(lambda p: parse_groupoid_document(decode_whole(p)), path)
-    for size in (1, 40, 1 << 16):
+    for size, chunk in itertools.product((1, 40, 1 << 16), CHUNKS):
         monkeypatch.setattr(groupoids_io, "_SLICE", size)
-        assert groupoid_outcome(load_groupoid, path) == want, (path.read_bytes()[:200], size)
+        monkeypatch.setattr(groupoids_io, "_CHUNK", chunk)
+        assert groupoid_outcome(load_groupoid, path) == want, (path.read_bytes()[:200], size, chunk)
     return want
 
 
-def test_documents_in_every_layout_read_as_decoded_whole(tmp_path, monkeypatch):
-    def whole(text):
-        raise AssertionError("a valid document was decoded whole")
+def never_decoded_whole(text):
+    raise AssertionError("a valid document was decoded whole")
 
+
+def test_documents_in_every_layout_read_as_decoded_whole(tmp_path, monkeypatch):
     # every one of these documents is read slice by slice
-    monkeypatch.setattr(groupoids_io, "_decode", whole)
+    monkeypatch.setattr(groupoids_io, "_decode", never_decoded_whole)
     rng = random.Random(3301)
     path = tmp_path / "doc.json"
     kinds = Counter()
@@ -1209,8 +1217,9 @@ def test_inline_morphism_endpoints_read_as_decoded_whole(tmp_path, monkeypatch, 
             for text in texts_of(ordered):
                 path.write_text(text, encoding="utf-8", newline="")
                 want = morphism_outcome(reference, path)
-                for size in (1, 1 << 16):
+                for size, chunk in itertools.product((1, 1 << 16), CHUNKS):
                     monkeypatch.setattr(groupoids_io, "_SLICE", size)
+                    monkeypatch.setattr(groupoids_io, "_CHUNK", chunk)
                     assert morphism_outcome(load_morphism, path) == want
                 outcomes[want[0]] += 1
     assert outcomes["parsed"] and outcomes["refused"]
@@ -1230,3 +1239,156 @@ def test_loading_the_degree_5_document_peaks_below_two_and_a_half_times_its_text
     # the text itself, its bytes as read, and the rows: the parent decoded
     # the whole tree of cells and peaked near 4.0 times the text
     assert peak < 2.5 * size, peak / size
+
+
+def boundary_document():
+    """The text of a valid quasiperm document of S(2) with a label that ends
+    in escapes of "é" and of a surrogate pair, and top-level numbers that go
+    on past their first digit, and the places in it that a chunk boundary
+    must not upset; they all come before the first table."""
+    doc = quasiperm_document(symmetric_groupoid(2), 2)
+    label = doc["elements"][1]
+    doc = relabel(doc, {label: label + "é\U0001F600"})
+    head = {"format_version": 1, "degree": 2, "fraction": "@1", "exponent": "@2"}
+    text = json.dumps({**head, **doc}).replace('"@1"', "-12.5").replace('"@2"', "1.25e+30")
+    places = [text.index(json.dumps(label)[:-1]), text.index("\\u00e9"), text.index("\\ud83d"),
+              text.index('"degree": 2') + 10, text.index('"format_version": 1') + 18,
+              text.index("-12.5"), text.index("1.25e+30")]
+    assert max(places) < text.index('"mul"')
+    return text, places
+
+
+def test_a_first_chunk_that_ends_inside_any_token_reads_as_decoded_whole(
+        tmp_path, monkeypatch):
+    # the first read of a file takes _CHUNK characters, so a chunk of k
+    # characters puts a boundary right before character k when no earlier
+    # token reaches past it: here inside a label, a \u escape and a
+    # surrogate pair, and inside and right after top-level numbers
+    monkeypatch.setattr(groupoids_io, "_decode", never_decoded_whole)
+    text, places = boundary_document()
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    want = groupoid_outcome(lambda p: parse_groupoid_document(decode_whole(p)), path)
+    assert want[0] == "parsed"
+    for at in places:
+        for chunk in range(at, at + 13):
+            monkeypatch.setattr(groupoids_io, "_CHUNK", chunk)
+            assert groupoid_outcome(load_groupoid, path) == want, text[at:chunk]
+
+
+def open_one_byte_at_a_time(path, encoding):
+    """The file as ``open(path, encoding=encoding)`` opens it, but read from
+    disk one byte at a time, so that the text decoder meets a boundary
+    between any two bytes."""
+    class OneByte(io.RawIOBase):
+        def __init__(self):
+            self.file = Path(path).open("rb", buffering=0)
+
+        def readable(self):
+            return True
+
+        def readinto(self, b):
+            data = self.file.read(1)
+            b[:len(data)] = data
+            return len(data)
+
+        def close(self):
+            self.file.close()
+            super().close()
+
+    return io.TextIOWrapper(io.BufferedReader(OneByte(), buffer_size=1), encoding=encoding)
+
+
+def test_byte_boundaries_inside_characters_and_line_ends_read_as_decoded_whole(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(groupoids_io, "open", open_one_byte_at_a_time, raising=False)
+    path = tmp_path / "doc.json"
+    text, _ = boundary_document()
+    doc = json.loads(text)
+    texts = [json.dumps(doc, indent=2, ensure_ascii=False).replace("\n", "\r\n"),
+             json.dumps(doc, indent="\t", ensure_ascii=False).replace("\n", "\r"),
+             json.dumps(relabel(doc, {lbl: lbl + "☃ß" for lbl in doc["elements"]}),
+                        ensure_ascii=False)]
+    for text in texts:
+        path.write_text(text, encoding="utf-8", newline="")
+        monkeypatch.setattr(groupoids_io, "_decode", never_decoded_whole)
+        want = assert_reads_as_decoded_whole(path, monkeypatch)
+        assert want[0] == "parsed"
+
+
+def test_a_byte_that_is_not_utf8_after_the_first_chunk_is_refused_as_read_whole(
+        tmp_path, monkeypatch):
+    # the chunked decoder counts the position of the bad byte from its own
+    # chunk; the refusal is that of the whole read, position included.  The
+    # file is read as it is, and one byte at a time
+    path = tmp_path / "doc.json"
+    for pad, opener in ((groupoids_io._CHUNK, open), (40, open_one_byte_at_a_time)):
+        monkeypatch.setattr(groupoids_io, "open", opener, raising=False)
+        data = json.dumps({"pad": "a" * pad, **plain_document(pair_groupoid(2))}).encode()
+        at = data.index(b'"mul"') + 9
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        want = assert_reads_as_decoded_whole(path, monkeypatch)
+        assert want[:2] == ("refused", "json") and f"position {at}:" in want[2], want
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd to name a pipe by")
+def test_a_document_from_a_pipe_reads_as_decoded_whole(tmp_path, z2):
+    # a pipe cannot be read a second time, as the fallback reads a file
+    z2_doc = plain_document(z2)
+    morphism = {"format_version": 1, "domain": z2_doc, "codomain": z2_doc, "f": {"0": "0"}}
+    cases = [(load_groupoid, groupoid_outcome, parse_groupoid_document, z2_doc),
+             (load_morphism, morphism_outcome, parse_morphism_document, morphism)]
+    path = tmp_path / "doc.json"
+    for load, outcome, parse, doc in cases:
+        for text in (json.dumps(doc), json.dumps(doc)[:-1], json.dumps(doc).replace("]", "]x", 1)):
+            path.write_text(text, encoding="utf-8")
+            want = outcome(lambda p: parse(decode_whole(p)), path)
+            r, w = os.pipe()
+            try:
+                os.write(w, text.encode())
+                os.close(w)
+                assert outcome(load, f"/dev/fd/{r}") == want, text
+            finally:
+                os.close(r)
+
+
+def test_loading_the_degree_5_document_peaks_below_three_quarters_of_its_text(
+        tmp_path, s5):
+    path = tmp_path / "s5.json"
+    size = path.write_text(canonical_dumps(quasiperm_document(s5, 5)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parsed = load_groupoid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.groupoid == s5
+    # the rows, one chunk and its read: reading the text whole peaked at
+    # 2.0 times it
+    assert peak < 0.75 * size, peak / size
+
+
+def test_loading_the_anchor_morphism_of_s5_peaks_below_12_mb(tmp_path, s5):
+    # the codomain pair(31) inline and the domain S5 by path, as in the
+    # benchmark: the morphism's text is gone before S5 is read
+    m = anchor_morphism(s5)
+    h = m.codomain
+    (tmp_path / "s5.json").write_text(canonical_dumps(quasiperm_document(s5, 5)),
+                                      encoding="utf-8")
+    path = tmp_path / "anchor.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "domain": {"path": "s5.json"},
+        "codomain": plain_document(h),
+        "f": {s5.elements[x]: h.elements[m.elem_map[x]] for x in range(len(s5))},
+        "f0": {s5.elements[u]: h.elements[v] for u, v in m.unit_map.items()},
+    }, sort_keys=True, indent=2), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        loaded = load_morphism(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.domain == s5 and loaded.elem_map == m.elem_map
+    # reading each text whole peaked at 32 MB
+    assert peak < 12e6, peak / 1e6
