@@ -22,8 +22,11 @@ newlines read as ``Path.read_text`` reads them, and each read first drops
 the text already taken.  A walker steps through the top-level object and
 leaves each member to the stdlib decoder, except the product tables
 (``mul``, ``add``, ``unit_add``): those are decoded in slices of about 64K
-characters, and each slice's labels go straight into rows, so neither the
-text nor a tree of every cell is ever held whole.  On the degree-5
+characters, each cut at the first "]," after them and cut again at the
+first one outside strings only when it does not decode, and each slice's
+labels go straight into rows, one row lookup per run of entries with the
+same first label, so neither the text nor a tree of every cell is ever held
+whole.  On the degree-5
 symmetric document (13.2 MB) the tracemalloc peak is 0.56 times the text:
 7.4 MB, of which the parsed groupoid keeps 5.6 MB.  ``load_morphism``
 reads an inline endpoint the same way, and has read its own text through
@@ -331,6 +334,7 @@ _SLICE = 1 << 16
 _CHUNK = 1 << 18
 # the product tables of a groupoid document, each with the field of its labels
 _TABLES = {"mul": "elements", "add": "elements", "unit_add": "units"}
+_NO_LABEL = object()  # unequal to every label: the first entry looks its row up
 
 
 class _Reread(Exception):
@@ -384,21 +388,21 @@ class _Window:
                     raise
             self.more()
 
-    def cut(self) -> Optional[re.Match]:
-        """The first _CUT at or after ``pos + _SLICE`` with an even number of
-        string quotes between ``pos`` and it, so that it lies outside
-        strings (a "]," inside a label is passed over), or None when the
-        file ends first."""
+    def cut(self, outside_strings: bool = False) -> Optional[re.Match]:
+        """The first _CUT at or after ``pos + _SLICE``, or None when the file
+        ends first.  With ``outside_strings``, the first one with an even
+        number of string quotes between ``pos`` and it, so that it lies
+        outside strings (a "]," inside a label is passed over)."""
         while True:
             text, start, odd = self.text, self.pos, 0
             cut = _CUT.search(text, start + _SLICE)
-            while cut:
+            while cut and outside_strings:
                 odd ^= _string_quotes(text, start, cut.start()) & 1
                 if not odd:
-                    return cut
+                    break
                 start, cut = cut.start(), _CUT.search(text, cut.end())
-            if self.eof:
-                return None
+            if cut or self.eof:
+                return cut
             self.more()
 
 
@@ -411,6 +415,35 @@ def _string_quotes(text: str, start: int, end: int) -> int:
     return n
 
 
+def _read_slice(text: str, pos: int, cut: Optional[re.Match]) -> tuple[list, Optional[int]]:
+    """The entries of a table's slice from ``pos`` to ``cut``, and None
+    when ``"[" + slice + "]"`` decodes; else, when the list ends first, the
+    entries that ``"[" + slice`` decodes to and the position past its end.
+    Text that neither decodes raises the decoder's error."""
+    part = text[pos:cut.start() + 1] if cut else text[pos:]
+    if cut:
+        try:
+            return _DECODER.decode("[" + part + "]"), None
+        except ValueError:
+            pass
+    entries, end = _DECODER.raw_decode("[" + part)
+    return entries, pos + end - 1
+
+
+def _fill_rows(entries: list, ids: dict, rows: list, last: Any, row: Any) -> tuple[Any, Any]:
+    """Put each [x, y, z] entry into ``rows`` as ``rows[ids[x]][ids[y]] =
+    ids[z]``, looking a row up once per run of equal first labels: the
+    lookup goes by equality too, so a run is one row.  ``row`` is the row of
+    ``last``, the first label of the entry before; the last entry's are
+    returned.  A label outside ``ids`` raises KeyError, and one that cannot
+    be a key TypeError."""
+    for x, y, z in entries:
+        if x != last:
+            row, last = rows[ids[x]], x
+        row[ids[y]] = ids[z]
+    return last, row
+
+
 def _read_table(src: _Window, seed: Any) -> _Table:
     """Read the triple list that opens at the window's position into a
     table over its labels, with the position moved past the list.  The
@@ -421,47 +454,48 @@ def _read_table(src: _Window, seed: Any) -> _Table:
     no string is kept too; ``_table_rows`` finds it in no index.
 
     The list is decoded in slices of about ``_SLICE`` characters, so no
-    tree of every cell is ever made, and each slice ends at a cut
-    (``_Window.cut``).  The slice is taken when ``"[" + slice + "]"``
-    decodes: the decoder reads the slice as it reads the whole text, so the
-    cut then lies right after an entry of this list.  Otherwise the list
-    ends before the cut, and decoding ``"[" + slice`` reads its last entries
-    and finds its end.  An entry that is not three strings, a repeated
-    pair, or text the decoder refuses raises _Reread or the decoder's
-    error."""
+    tree of every cell is ever made, and each slice ends at the first cut
+    (``_Window.cut``) after them.  The slice is taken when ``"[" + slice +
+    "]"`` decodes: the decoder reads the slice as it reads the whole text,
+    so the cut then lies right after an entry of this list.  Otherwise the
+    list may end before the cut, and decoding ``"[" + slice`` reads its
+    last entries and finds its end.  A cut inside a string leaves the slice
+    ending inside that string, so neither decodes; only then is the slice
+    cut again at the first cut outside strings, which keeps a label holding
+    "]," off the whole-text read.  An entry that is not three strings, a
+    repeated pair, or text the decoder refuses raises _Reread or the
+    decoder's error.  The entries go into rows by ``_fill_rows``, one row
+    lookup per run of equal first labels, runs crossing slices too."""
     labels = list(seed)
     ids = dict(zip(labels, range(len(labels))))
     rows: list[dict[int, int]] = [{} for _ in labels]
-    size = 0
+    size, last, row = 0, _NO_LABEL, None
     src.pos += 1
     while True:
         cut = src.cut()
-        text, pos = src.text, src.pos
-        part = text[pos:cut.start() + 1] if cut else text[pos:]
         try:
-            if cut is None:
-                raise ValueError
-            entries, end = _DECODER.decode("[" + part + "]"), None
+            entries, end = _read_slice(src.text, src.pos, cut)
         except ValueError:
-            entries, end = _DECODER.raw_decode("[" + part)
-            if size and not entries:  # a "," before the closing "]"
-                raise _Reread from None
+            if cut is None:
+                raise
+            cut = src.cut(outside_strings=True)
+            entries, end = _read_slice(src.text, src.pos, cut)
+        if end is not None and size and not entries:  # a "," before the closing "]"
+            raise _Reread
         if not set(map(type, entries)) <= {list}:
             raise _Reread
         try:
-            for x, y, z in entries:
-                rows[ids[x]][ids[y]] = ids[z]
+            last, row = _fill_rows(entries, ids, rows, last, row)
         except KeyError:  # labels first seen here: give them ids, then read the slice again
             for label in chain.from_iterable(entries):
                 if label not in ids:
                     ids[label] = len(labels)
                     labels.append(label)
                     rows.append({})
-            for x, y, z in entries:
-                rows[ids[x]][ids[y]] = ids[z]
+            last, row = _fill_rows(entries, ids, rows, _NO_LABEL, None)
         size += len(entries)
         if end is not None:
-            src.pos = pos + end - 1
+            src.pos = end
             break
         src.pos = cut.end()
     if sum(map(len, rows)) != size:  # a repeated pair
@@ -555,11 +589,12 @@ def _read_text(path: str | Path) -> str:
 
 
 def _decode(text: str) -> Any:
-    """Decode JSON text whole.  Text that is not JSON or nested too deeply
-    for the decoder raises ParseError("json", ...)."""
+    """Decode JSON text whole.  Text that is not JSON, an integer too long
+    for ``int`` (over 4,300 digits by default) or nesting too deep for the
+    decoder raises ParseError("json", ...)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int's limit on digits
         raise ParseError("json", str(exc)) from exc
     except RecursionError as exc:
         raise ParseError("json", "nested too deeply") from exc

@@ -1,3 +1,6 @@
+import json
+import sys
+
 import pytest
 
 from groupoids import (
@@ -7,6 +10,7 @@ from groupoids import (
     from_group,
     klein_four_group,
     pair_groupoid,
+    quasiperm_document,
     symmetric_groupoid,
 )
 from groupoids.constructions import GroupTable
@@ -47,6 +51,33 @@ def s5():
     """The degree-5 quasipermutation groupoid (1,545 elements, 126,525
     products), built once; tests must not mutate it."""
     return symmetric_groupoid(5)
+
+
+# a JSON integer longer than Python's int() accepts from text (4,300 digits
+# unless the interpreter is told otherwise)
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.fixture
+def long_integer_texts():
+    """The text of the S(2) quasiperm document with a 5,000-digit integer
+    as its format_version, as its degree and as a mul cell, by place; and
+    the message the decoder refuses it with.  Skipped where int() takes
+    5,000 digits."""
+    try:
+        int(LONG_INTEGER)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: "none")()
+        pytest.skip(f"int() takes 5,000 digits here (limit {limit})")
+    doc = quasiperm_document(symmetric_groupoid(2), 2)
+    mul = [list(t) for t in doc["mul"]]
+    mul[1][2] = "@"
+    places = {"format_version": "@", "degree": "@", "mul": mul}
+    texts = {field: json.dumps({**doc, field: value}).replace('"@"', LONG_INTEGER)
+             for field, value in places.items()}
+    return texts, message
 
 
 @pytest.fixture

@@ -166,6 +166,22 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert main(["verify", str(not_a_doc)]) == 2
 
 
+def test_an_integer_too_long_for_int_is_unreadable_input(
+        tmp_path, z2_file, long_integer_texts, capsys):
+    texts, message = long_integer_texts
+    path = tmp_path / "doc.json"
+    for field, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+        morphism = tmp_path / "m.json"
+        morphism.write_text(json.dumps({"format_version": 1, "domain": "@", "codomain": "@",
+                                        "f": {}}).replace('"@"', text), encoding="utf-8")
+        for argv in (["verify", str(path)], ["morphism", "verify", str(morphism)],
+                     ["build", "induced", z2_file, str(path)]):
+            capsys.readouterr()
+            assert main(argv) == 2, (field, argv)
+            assert capsys.readouterr().err == f"parse error: json: {message}\n", (field, argv)
+
+
 def test_size_limit_exit_codes(tmp_path, s5, capsys):
     assert main(["build", "symmetric", "9"]) == 3
     assert main(["build", "pair-vsg", "2", "7"]) == 3

@@ -316,6 +316,22 @@ def test_load_errors(tmp_path):
         load_groupoid(tmp_path / "absent.json")
 
 
+def test_an_integer_too_long_for_int_is_a_json_parse_error(tmp_path, long_integer_texts):
+    # int() refuses it with a bare ValueError, not a JSONDecodeError
+    texts, message = long_integer_texts
+    path = tmp_path / "doc.json"
+    morphism = json.dumps({"format_version": 1, "domain": "@", "codomain": {"path": "s2.json"},
+                           "f": {}})
+    (tmp_path / "s2.json").write_text(json.dumps(quasiperm_document(symmetric_groupoid(2), 2)),
+                                      encoding="utf-8")
+    for field, text in texts.items():
+        for load, doc in ((load_groupoid, text), (load_morphism, morphism.replace('"@"', text))):
+            path.write_text(doc, encoding="utf-8")
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert (err.value.field, err.value.message) == ("json", message), (field, load)
+
+
 def test_product_off_composable_pair_is_a_validation_matter(gp2):
     doc = plain_document(gp2)
     doc["mul"] = doc["mul"] + [["(1,2)", "(1,2)", "(1,1)"]]
@@ -1225,20 +1241,95 @@ def test_inline_morphism_endpoints_read_as_decoded_whole(tmp_path, monkeypatch, 
     assert outcomes["parsed"] and outcomes["refused"]
 
 
-def test_loading_the_degree_5_document_peaks_below_two_and_a_half_times_its_text(
-        tmp_path, s5):
-    path = tmp_path / "s5.json"
-    size = path.write_text(canonical_dumps(quasiperm_document(s5, 5)), encoding="utf-8")
-    tracemalloc.start()
-    try:
-        parsed = load_groupoid(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert parsed.groupoid == s5
-    # the text itself, its bytes as read, and the rows: the parent decoded
-    # the whole tree of cells and peaked near 4.0 times the text
-    assert peak < 2.5 * size, peak / size
+def test_a_table_whose_rows_come_in_interleaved_runs_reads_as_decoded_whole(
+        tmp_path, monkeypatch):
+    # each run of equal first labels looks its row up once, so a row met
+    # again in a later run must be the same row; a repeated pair in a later
+    # run of its row is refused as the whole read refuses it
+    doc = plain_document(pair_groupoid(3))
+    rows = {}
+    for t in doc["mul"]:
+        rows.setdefault(t[0], []).append(t)
+    a, b = list(rows)[:2]
+    halves = [rows[a][:2], rows[b][:2], rows[a][2:], rows[b][2:]]
+    interleaved = list(itertools.chain(*halves, *(rows[x] for x in list(rows)[2:])))
+    one_by_one = sorted(doc["mul"], key=lambda t: (t[1], t[0]))  # runs of length one
+    assert interleaved != doc["mul"] and sorted(interleaved) == sorted(doc["mul"])
+    path = tmp_path / "doc.json"
+    monkeypatch.setattr(groupoids_io, "_decode", never_decoded_whole)
+    for mul in (interleaved, one_by_one):
+        path.write_text(json.dumps({**doc, "mul": mul}), encoding="utf-8")
+        assert assert_reads_as_decoded_whole(path, monkeypatch)[0] == "parsed"
+    monkeypatch.undo()
+    repeat = rows[a][1][:2] + [rows[a][0][2]]
+    for mul in (interleaved + [repeat], halves[0] + halves[1] + [repeat] + halves[2]):
+        path.write_text(json.dumps({**doc, "mul": mul}), encoding="utf-8")
+        want = assert_reads_as_decoded_whole(path, monkeypatch)
+        assert want == ("refused", f"mul[{mul.index(repeat)}]",
+                        f"duplicate triple for ({a!r}, {repeat[1]!r})"), want
+
+
+def table_by_triples(entries, seed):
+    """The labels and rows a table reader gives for ``entries`` with one
+    row lookup per triple: the labels of ``seed``, then each other label as
+    it first appears."""
+    labels, rows = list(seed), [{} for _ in seed]
+    ids = {lbl: i for i, lbl in enumerate(labels)}
+    for x, y, z in entries:
+        for lbl in (x, y, z):
+            if lbl not in ids:
+                ids[lbl] = len(labels)
+                labels.append(lbl)
+                rows.append({})
+        rows[ids[x]][ids[y]] = ids[z]
+    return labels, rows
+
+
+def test_first_labels_that_are_equal_share_their_row_as_with_a_lookup_per_triple(
+        tmp_path, monkeypatch):
+    # 1, 1.0 and true are one key of a dict, so one run and one row; none is
+    # a label, so the parser refuses them later, at the first
+    doc = plain_document(pair_groupoid(2))
+    x, y, z = doc["mul"][0]
+    path = tmp_path / "doc.json"
+    for firsts in ((1, 1.0, True), (True, x, 1, 1.0), (None, None, "ghost", None)):
+        mul = ([[v, f"a{i}", z] for i, v in enumerate(firsts)] + doc["mul"]
+               + [[v, f"b{i}", z] for i, v in enumerate(firsts)])
+        path.write_text(json.dumps({**doc, "mul": mul}), encoding="utf-8")
+        want = table_by_triples(mul, doc["elements"])
+        for size, chunk in itertools.product((1, 40, 1 << 16), CHUNKS):
+            monkeypatch.setattr(groupoids_io, "_SLICE", size)
+            monkeypatch.setattr(groupoids_io, "_CHUNK", chunk)
+            table = groupoids_io._walk(path, groupoids_io._TABLES)["mul"]
+            assert (table.labels, table.rows) == want, (firsts, size, chunk)
+        assert assert_reads_as_decoded_whole(path, monkeypatch)[:2] == ("refused", "mul[0]")
+    # a label that is not hashable is no key at all: the file is decoded whole
+    path.write_text(json.dumps({**doc, "mul": doc["mul"] + [[[x], y, z]]}), encoding="utf-8")
+    with pytest.raises(groupoids_io._Reread):
+        groupoids_io._walk(path, groupoids_io._TABLES)
+
+
+def test_labels_full_of_cuts_inside_strings_read_as_decoded_whole(tmp_path, monkeypatch):
+    # a slice is first cut at the next "]," whether or not it lies inside a
+    # string; here most of them do, so the slice is cut again outside strings
+    # and the document is still read slice by slice
+    monkeypatch.setattr(groupoids_io, "_decode", never_decoded_whole)
+    cuts = Counter()
+    cut = groupoids_io._Window.cut
+
+    def counted(src, outside_strings=False):
+        cuts[outside_strings] += 1
+        return cut(src, outside_strings)
+
+    monkeypatch.setattr(groupoids_io._Window, "cut", counted)
+    path = tmp_path / "doc.json"
+    for base in (plain_document(pair_groupoid(3)), quasiperm_document(symmetric_groupoid(2), 2)):
+        doc = relabel(base, {lbl: lbl + '" ],"' * 12 + '\\"' + "],]," * 12
+                             for lbl in base["elements"]})
+        for text in (json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False)):
+            path.write_text(text, encoding="utf-8")
+            assert assert_reads_as_decoded_whole(path, monkeypatch)[0] == "parsed"
+    assert cuts[True] > 0 and cuts[False] > cuts[True], cuts
 
 
 def boundary_document():
@@ -1364,7 +1455,7 @@ def test_loading_the_degree_5_document_peaks_below_three_quarters_of_its_text(
         tracemalloc.stop()
     assert parsed.groupoid == s5
     # the rows, one chunk and its read: reading the text whole peaked at
-    # 2.0 times it
+    # 2.0 times it, and decoding the whole tree of cells near 4.0 times
     assert peak < 0.75 * size, peak / size
 
 
