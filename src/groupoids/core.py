@@ -11,11 +11,9 @@ serialization only.
 ``validate`` checks the axioms (associativity, identities, inverses,
 surjectivity of source/target onto the units, and exactness of the partial
 product's domain) and reports violations with witnesses instead of raising.
-Associativity is decided per component from Brandt coordinates
-c(x) = t_u * x * inv(t_v) in the vertex group H_r at its least unit r: when
-x -> (alpha(x), beta(x), c(x)) is injective, c is multiplicative and H_r
-passes the group laws, the component embeds in the associative pair(U) x H_r.
-Each condition that fails names its own witnesses, so no triple is scanned.
+Associativity is decided from the Brandt decomposition (``_brandt``), which
+the structural answers then read: each condition of the embedding in
+pair(U) x H_r that fails names its own witnesses, so no triple is scanned.
 
 ``validate`` and ``GroupTable.validate`` take any table of the right shape
 and report its defects; they do not raise on them.  ``is_isomorphic``
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 from collections.abc import ItemsView, Mapping
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "FiniteGroupoid",
@@ -77,6 +75,8 @@ class ValidationReport:
 
     violations: tuple[Violation, ...] = ()
     checks: dict[str, int] = field(default_factory=dict, compare=False)
+    # the Brandt decompositions (``_brandt``) of the groupoids a passing check validated
+    _decompositions: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -87,6 +87,11 @@ class ValidationReport:
         if not self.passed:
             first = self.violations[0]
             raise ValueError(f"{context}: {len(self.violations)} violation(s), first: {first}")
+
+    def _decomposed(self, context: str) -> tuple:
+        """``require(context)``, then the Brandt decompositions of the check."""
+        self.require(context)
+        return self._decompositions
 
     def summary(self) -> str:
         if self.passed:
@@ -517,27 +522,89 @@ def _greedy_generators(start: int, members: Iterable[int], times) -> list[int]:
     return gens
 
 
-def _generators(g: FiniteGroupoid) -> list[int]:
-    """Generators of a groupoid g from Brandt's decomposition: per component,
-    the arrows t_u : r -> u out of its least unit r, their inverses, and
-    greedy generators of the vertex group at r.  Right multiplication by
-    composable generators, starting from the units, reaches every element."""
-    gens: list[int] = []
+# ----- Brandt decomposition ------------------------------------------------
+
+
+class _Component(NamedTuple):  # a connected component in Brandt's form (``_brandt``)
+    root: int                 # its least unit r
+    arrows: dict[int, int]    # an arrow t_u : r -> u per unit u, with t_r = r
+    members: tuple[int, ...]  # the vertex group H_r, ascending
+    table: list[list[int]]    # the products of H_r over positions in ``members``
+    identity: int             # the position of r
+    inv: list[int]            # the position of each member's inverse
+
+
+class _Brandt(NamedTuple):
+    components: list[_Component]
+    coords: list[int]  # c(x) per element x, a position in its component's ``members``
+
+
+def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
+    """Each connected component as its least unit r and one arrow r -> u for
+    every unit u of it, the last element of the hom-set r -> u (r -> r
+    included); in a groupoid these units are exactly the units that some
+    arrow out of r reaches."""
+    arrows: dict[int, dict[int, int]] = {u: {} for u in g.units}
+    for (a, b), xs in g._homs.items():
+        if a in arrows and g.is_unit(b):
+            arrows[a][b] = xs[-1]
+    components: list[tuple[int, dict[int, int]]] = []
+    placed: set[int] = set()
+    for r in g.units:
+        if r not in placed:
+            placed.update(arrows[r])
+            components.append((r, arrows[r]))
+    return components
+
+
+def _brandt(g: FiniteGroupoid) -> _Brandt:
+    """The Brandt decomposition of g, which must pass every check of
+    ``validate`` before the coordinate check: per component, the arrows t_u
+    of ``_components`` with t_r = r, the table of H_r, and c(x) =
+    (t_u*x)*t_v^-1 for every x : u -> v, the one place where it is computed.
+    When g is a groupoid, x -> (alpha(x), c(x), beta(x)) is an isomorphism
+    onto pair(U) x H_r (H. Brandt, Math. Ann. 96, 1927)."""
+    rows, inv, homs = g.rows, g.inv, g._homs
+    coords = [0] * len(g)
+    components: list[_Component] = []
     for r, tree in _components(g):
-        gens.extend(z for u, t in tree.items() if u != r for z in (t, g.inv[t]))
-        gens.extend(_greedy_generators(
-            r, g.isotropy_members(r), lambda a, s: g.rows[a].get(s)))
+        members = homs[r, r]
+        pos = {x: i for i, x in enumerate(members)}
+        arrows = {**tree, r: r}
+        for u, tu in arrows.items():
+            row = rows[tu]
+            for v, tv in arrows.items():
+                back = inv[tv]
+                for x in homs[u, v]:
+                    coords[x] = pos[rows[row[x]][back]]
+        components.append(_Component(
+            r, arrows, members, [[pos[rows[x][y]] for y in members] for x in members],
+            pos[r], [pos[inv[x]] for x in members]))
+    return _Brandt(components, coords)
+
+
+def _generators(g: FiniteGroupoid, b: _Brandt) -> list[int]:
+    """Generators of a groupoid g from its Brandt decomposition b: per
+    component, the arrows t_u : r -> u other than r, their inverses, and
+    greedy generators of H_r.  Right multiplication by composable
+    generators, starting from the units, reaches every element."""
+    gens: list[int] = []
+    for r, arrows, members, table, e, _ in b.components:
+        gens.extend(z for u, t in arrows.items() if u != r for z in (t, g.inv[t]))
+        gens.extend(members[i] for i in _greedy_generators(
+            e, range(len(members)), lambda a, s: table[a][s]))
     return gens
 
 
-def _product_failures(g: FiniteGroupoid, h: FiniteGroupoid, f: Sequence[int]
+def _product_failures(g: FiniteGroupoid, h: FiniteGroupoid, f: Sequence[int], b: _Brandt
                       ) -> list[tuple[int, int]]:
-    """The pairs (s, y), ascending, with s a generator of g and f(s*y) not
-    f(s)*f(y).  When f sends units to units and commutes with the anchors,
-    the list is empty exactly when f preserves every product: the x with
-    f(x*y) == f(x)*f(y) for every y include the units and are closed under
-    products, and the generators reach every element."""
-    return sorted((s, y) for s in _generators(g) for y, sy in g.rows[s].items()
+    """The pairs (s, y), ascending, with s a generator of g (``_generators``
+    of g's decomposition b) and f(s*y) not f(s)*f(y).  When f sends units to
+    units and commutes with the anchors, the list is empty exactly when f
+    preserves every product: the x with f(x*y) == f(x)*f(y) for every y
+    include the units and are closed under products, and the generators
+    reach every element."""
+    return sorted((s, y) for s in _generators(g, b) for y, sy in g.rows[s].items()
                   if h.rows[f[s]].get(f[y]) != f[sy])
 
 
@@ -598,16 +665,12 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     keys of the row of x with the elements y that have alpha(y) == beta(x)
     (``_closure_gaps``).
 
-    When every other check passes, associativity is decided per connected
-    component from Brandt coordinates c(x) in the vertex group H_r at its
-    least unit r (``_coordinate_failures``).  If x -> (alpha(x), beta(x),
-    c(x)) is injective, c(x*y) == c(x)*c(y) on every product and H_r passes
-    the group laws, the component embeds in pair(U) x H_r, which is
-    associative, so it is associative too.  Each condition that fails
-    names failing triples, listed as G1 only when every other check passed.
-    ``checks`` counts the law instances checked per tag; for G1 these are
-    the anchor checks, one coordinate per element, one multiplicativity
-    check per product, one cell per table H_r and the candidate triples.
+    When every other check passes, associativity is decided from the
+    Brandt decomposition ``_brandt(g)`` (``_coordinate_failures``), and a
+    report that passes carries it for the callers.  ``checks`` counts the
+    law instances checked per tag; for G1 these are the anchor checks, one
+    coordinate per element, one multiplicativity check per product, one
+    cell per table H_r and the candidate triples.
     """
     n = len(g.elements)
     rows, alpha, beta = g.rows, g.alpha, g.beta
@@ -675,10 +738,61 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
                  for y, z in row.items() if alpha[z] != a or beta[z] != beta[y])
     if v:
         return ValidationReport(tuple(v), checks)
-    triples, checked = _coordinate_failures(g)
+    b = _brandt(g)
+    triples, checked = _coordinate_failures(g, b)
     checks["G1"] += checked
     v.extend(Violation("G1", (x, y, z), f"({x}*{y})*{z} != {x}*({y}*{z})") for x, y, z in triples)
-    return ValidationReport(tuple(v), checks)
+    return ValidationReport(tuple(v), checks, () if v else (b,))
+
+
+def _coordinate_failures(g: FiniteGroupoid, b: _Brandt) -> tuple[list[tuple[int, int, int]], int]:
+    """The composable triples (x, y, z), ascending and each once, with
+    (x*y)*z != x*(y*z) that the coordinates c(x) = (t_u*x)*t_v^-1 of
+    b = ``_brandt(g)`` name, and the number of checks made.  Each condition
+    of ``validate`` that fails names witnesses:
+    - H_r fails the group laws: its associativity failures;
+    - c(x) == c(x') for x before x' in a hom-set: the first failing triple
+      of (t_u*x, t_v^-1, t_v), (t_u*x', t_v^-1, t_v), (t_u^-1, t_u, x) and
+      (t_u^-1, t_u, x').  If all four associate, G2 and G3 give
+      x = (t_u^-1*t_u)*x = t_u^-1*((t_u*x)*(t_v^-1*t_v)) = t_u^-1*(c(x)*t_v),
+      and likewise x' = t_u^-1*(c(x')*t_v) = x;
+    - c(x)*c(y) != c(x*y) for y : v -> w: the first failing triple of
+      (c(x), t_v*y, t_w^-1), (t_u*x, t_v^-1, t_v*y), (t_v^-1, t_v, y) and
+      (t_u, x, y).  If all four associate, G2 and G3 give c(x)*c(y) =
+      ((t_u*x)*((t_v^-1*t_v)*y))*t_w^-1 = (t_u*(x*y))*t_w^-1 = c(x*y).
+    So the list is empty exactly when g is associative, and apart from the
+    witnesses of H_r it names at most one per element or product.  The
+    checks are the coordinates, the products, the cells of each H_r and
+    the candidate triples evaluated."""
+    rows, alpha, beta, inv, homs, c = g.rows, g.alpha, g.beta, g.inv, g._homs, b.coords
+    triples: list[tuple[int, int, int]] = []
+    checked = len(g) + len(g.mul)
+
+    def first_failing(*candidates: tuple[int, int, int]) -> tuple[int, int, int]:
+        nonlocal checked
+        for x, y, z in candidates:
+            checked += 1
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                return x, y, z
+        raise AssertionError(candidates)  # excluded by the derivations above
+
+    for _, t, members, table, e, inverse in b.components:
+        checked += len(members) ** 2
+        triples.extend(tuple(members[i] for i in v.witness) for v in
+                       _group_law_violations(table, e, inverse))
+        first: dict[tuple[int, int, int], int] = {}
+        for x in chain.from_iterable(homs[u, v] for u in t for v in t):
+            tu, tv, row, cx = t[alpha[x]], t[beta[x]], rows[x], table[c[x]]
+            sv, x0 = inv[tv], first.setdefault((tu, tv, c[x]), x)
+            if x0 != x:
+                triples.append(first_failing((rows[tu][x0], sv, tv), (rows[tu][x], sv, tv),
+                                             (inv[tu], tu, x0), (inv[tu], tu, x)))
+            if [cx[c[y]] for y in row] != [c[z] for z in row.values()]:
+                triples.extend(
+                    first_failing((members[c[x]], rows[tv][y], inv[t[beta[y]]]),
+                                  (rows[tu][x], sv, rows[tv][y]), (sv, tv, y), (tu, x, y))
+                    for y, z in row.items() if cx[c[y]] != c[z])
+    return sorted(set(triples)), checked
 
 
 # ----- derived structure ---------------------------------------------------
@@ -770,128 +884,38 @@ def with_base_labels(g: FiniteGroupoid, base_labels: Mapping[int, str]) -> Finit
 # ----- isomorphism search --------------------------------------------------
 
 
-def _element_order(g: FiniteGroupoid, x: int) -> int:
-    """The order of a loop x of a groupoid g: its least power that is a unit."""
-    order, power = 1, x
-    while not g.is_unit(power):
-        order, power = order + 1, g.rows[power][x]
-    return order
+def _vertex_group_iso(a: _Component, b: _Component) -> Optional[list[int]]:
+    """An isomorphism from the vertex group of component a onto that of b,
+    as the position in b of the image of each position in a.  Backtracks
+    over images of equal element order for a greedy generating set (next
+    generator: an element of highest order outside the span); each partial
+    map is closed under right multiplication by the generators in the
+    position tables and rejected when inconsistent or not injective."""
+    def orders(k: _Component) -> list[int]:  # each the size of the cyclic group <x>
+        return [len(_right_closure({k.identity}, lambda p: (k.table[p][x],)))
+                for x in range(len(k.table))]
 
-
-def _components(g: FiniteGroupoid) -> list[tuple[int, dict[int, int]]]:
-    """Each connected component as its least unit r and one arrow r -> u for
-    every unit u of it, the last element of the hom-set r -> u (r -> r
-    included); in a groupoid these units are exactly the units that some
-    arrow out of r reaches."""
-    arrows: dict[int, dict[int, int]] = {u: {} for u in g.units}
-    for (a, b), xs in g._homs.items():
-        if a in arrows and g.is_unit(b):
-            arrows[a][b] = xs[-1]
-    components: list[tuple[int, dict[int, int]]] = []
-    placed: set[int] = set()
-    for r in g.units:
-        if r not in placed:
-            placed.update(arrows[r])
-            components.append((r, arrows[r]))
-    return components
-
-
-def _coordinate_failures(g: FiniteGroupoid) -> tuple[list[tuple[int, int, int]], int]:
-    """The composable triples (x, y, z), ascending and each once, with
-    (x*y)*z != x*(y*z) that Brandt coordinates name, and the number of
-    checks made.  g must pass every other check of validate, so each
-    component is the union of the hom-sets between its units and every
-    product stays in its component.
-
-    With t_u : r -> u the arrows of ``_components`` and t_r = r, x : u -> v
-    has the coordinate c(x) = (t_u*x)*t_v^-1 in the vertex group H_r.  Each
-    condition of ``validate`` that fails names witnesses:
-    - H_r fails the group laws: its associativity failures;
-    - c(x) == c(x') for x before x' in a hom-set: the first failing triple
-      of (t_u*x, t_v^-1, t_v), (t_u*x', t_v^-1, t_v), (t_u^-1, t_u, x) and
-      (t_u^-1, t_u, x').  If all four associate, G2 and G3 give
-      x = (t_u^-1*t_u)*x = t_u^-1*((t_u*x)*(t_v^-1*t_v)) = t_u^-1*(c(x)*t_v),
-      and likewise x' = t_u^-1*(c(x')*t_v) = x;
-    - c(x)*c(y) != c(x*y) for y : v -> w: the first failing triple of
-      (c(x), t_v*y, t_w^-1), (t_u*x, t_v^-1, t_v*y), (t_v^-1, t_v, y) and
-      (t_u, x, y).  If all four associate, G2 and G3 give c(x)*c(y) =
-      ((t_u*x)*((t_v^-1*t_v)*y))*t_w^-1 = (t_u*(x*y))*t_w^-1 = c(x*y).
-    So the list is empty exactly when g is associative, and apart from the
-    witnesses of H_r it names at most one per element or product.  The
-    checks are the coordinates, the products, the cells of each H_r and
-    the candidate triples evaluated."""
-    rows, alpha, beta, inv, homs = g.rows, g.alpha, g.beta, g.inv, g._homs
-    c = [0] * len(g)  # c(x) as a position in the members of its H_r
-    triples: list[tuple[int, int, int]] = []
-    checked = len(g) + len(g.mul)
-
-    def first_failing(*candidates: tuple[int, int, int]) -> tuple[int, int, int]:
-        nonlocal checked
-        for x, y, z in candidates:
-            checked += 1
-            if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-                return x, y, z
-        raise AssertionError(candidates)  # excluded by the derivations above
-
-    for r, tree in _components(g):
-        members = homs[r, r]
-        pos = {x: i for i, x in enumerate(members)}
-        table = [[pos[rows[x][y]] for y in members] for x in members]
-        checked += len(members) ** 2
-        triples.extend(tuple(members[i] for i in v.witness) for v in
-                       _group_law_violations(table, pos[r], [pos[inv[x]] for x in members]))
-        t = {**tree, r: r}
-        back = {u: inv[a] for u, a in t.items()}
-        for u in tree:
-            for v in tree:
-                tu, tv, su, sv, first = t[u], t[v], back[u], back[v], {}
-                for x2 in homs[u, v]:
-                    c[x2] = pos[rows[rows[tu][x2]][sv]]
-                    x = first.setdefault(c[x2], x2)
-                    if x != x2:
-                        triples.append(first_failing((rows[tu][x], sv, tv), (rows[tu][x2], sv, tv),
-                                                     (su, tu, x), (su, tu, x2)))
-        for x in chain.from_iterable(homs[u, v] for u in tree for v in tree):
-            row, cx = rows[x], table[c[x]]
-            if [cx[c[y]] for y in row] != [c[z] for z in row.values()]:
-                tu, tv, sv = t[alpha[x]], t[beta[x]], back[beta[x]]
-                triples.extend(
-                    first_failing((members[c[x]], rows[tv][y], back[beta[y]]),
-                                  (rows[tu][x], sv, rows[tv][y]), (sv, tv, y), (tu, x, y))
-                    for y, z in row.items() if cx[c[y]] != c[z])
-    return sorted(set(triples)), checked
-
-
-def _vertex_group_iso(
-    g: FiniteGroupoid, r: int, h: FiniteGroupoid, s: int
-) -> Optional[dict[int, int]]:
-    """An isomorphism from the vertex group of g at r onto that of h at s.
-    Backtracks over images of equal element order for a greedy generating
-    set (next generator: an element of highest order outside the span); each
-    partial map r -> s is closed under right multiplication by the
-    generators and rejected when inconsistent or not injective."""
-    order_g = {x: _element_order(g, x) for x in g.isotropy_members(r)}
-    order_h = {y: _element_order(h, y) for y in h.isotropy_members(s)}
-    if sorted(order_g.values()) != sorted(order_h.values()):
+    order_g, order_h = orders(a), orders(b)
+    if sorted(order_g) != sorted(order_h):
         return None
-    by_order = sorted(order_g, key=lambda x: -order_g[x])
+    by_order = sorted(range(len(order_g)), key=lambda x: -order_g[x])
 
-    def extend(pairs: list[tuple[int, int]]) -> Optional[dict[int, int]]:
-        phi, queue = {r: s}, [r]
-        for a in queue:
+    def extend(pairs: list[tuple[int, int]]) -> Optional[list[int]]:
+        phi, queue = {a.identity: b.identity}, [a.identity]
+        for p in queue:
             for x, y in pairs:
-                b, c = g.rows[a][x], h.rows[phi[a]][y]
-                if b not in phi:
-                    phi[b] = c
-                    queue.append(b)
-                elif phi[b] != c:
+                q, w = a.table[p][x], b.table[phi[p]][y]
+                if q not in phi:
+                    phi[q] = w
+                    queue.append(q)
+                elif phi[q] != w:
                     return None
         if len(set(phi.values())) != len(phi):
             return None
         x = next((x for x in by_order if x not in phi), None)
         if x is None:
-            return phi
-        found = (extend(pairs + [(x, y)]) for y in order_h if order_h[y] == order_g[x])
+            return [phi[p] for p in range(len(order_g))]
+        found = (extend(pairs + [(x, y)]) for y, order in enumerate(order_h) if order == order_g[x])
         return next((iso for iso in found if iso is not None), None)
 
     return extend([])
@@ -901,41 +925,48 @@ def is_isomorphic(g: FiniteGroupoid, h: FiniteGroupoid) -> Optional[tuple[int, .
     """Search for a structure-preserving bijection g -> h.
 
     Returns the element map as a tuple (position x holds the image of x),
-    or None when the groupoids are not isomorphic.  Components are matched
-    greedily by unit count and vertex-group isomorphism φ (Brandt's theorem);
-    with arrows t, t' out of matched roots and units paired by σ, x : u -> v
-    goes to t'(σu)^-1 * φ(t(u) * x * t(v)^-1) * t'(σv), checked against both
-    tables.  Raises SizeLimitError above ``ISO_SIZE_LIMIT`` elements, then
+    or None when the groupoids are not isomorphic.  The answer reads the
+    Brandt decompositions (``_brandt``) that validating g and h derives:
+    components are matched greedily by unit count and vertex-group
+    isomorphism φ, units paired by σ in ascending order, and x : u -> v
+    goes to the element of h at (σu, μ_u φ(c(x)) μ_v^-1, σv), checked
+    against both tables.  μ_u is l'^-1 φ(l) at the least unit, with l and
+    l' the last loops there and at its image, and the identity elsewhere:
+    the map goes through the arrows of ``_components``, l among them.
+    Raises SizeLimitError above ``ISO_SIZE_LIMIT`` elements, then
     ValueError when either table fails :func:`validate`, before any answer.
     """
     if len(g) > ISO_SIZE_LIMIT or len(h) > ISO_SIZE_LIMIT:
         raise SizeLimitError(
             f"isomorphism search limited to {ISO_SIZE_LIMIT} elements, got {len(g)} and {len(h)}"
         )
-    validate(g).require("is_isomorphic: first argument is not a groupoid")
-    validate(h).require("is_isomorphic: second argument is not a groupoid")
+    (bg,) = validate(g)._decomposed("is_isomorphic: first argument is not a groupoid")
+    (bh,) = validate(h)._decomposed("is_isomorphic: second argument is not a groupoid")
     if len(g) != len(h) or len(g.units) != len(h.units) or len(g.mul) != len(h.mul):
         return None
-    free = _components(h)
-    image: dict[Optional[int], Optional[int]] = {}
-    for r, tree in _components(g):
-        for i, (s, tree2) in enumerate(free):
-            phi = _vertex_group_iso(g, r, h, s) if len(tree2) == len(tree) else None
+    free = list(bh.components)
+    maps: dict[int, tuple] = {}  # per unit u of g: σu, φ, the component of σu, μ_u
+    for k in bg.components:
+        for i, k2 in enumerate(free):
+            phi = _vertex_group_iso(k, k2) if len(k2.arrows) == len(k.arrows) else None
             if phi is not None:
                 break
         else:
             return None
         del free[i]
-        arrows = [(tree[u], tree2[w]) for u, w in zip(sorted(tree), sorted(tree2))]
-        for t, t2 in arrows:
-            for z, z2 in phi.items():
-                for a, a2 in arrows:
-                    x = g.rows[g.rows[g.inv[t]][z]][a]
-                    image[x] = h.rows[h.rows[h.inv[t2]][z2]][a2]
-    f = tuple(image.get(x) for x in range(len(g)))
+        mu = k2.table[k2.inv[-1]][phi[-1]]
+        maps.update((u, (w, phi, k2, mu if u == k.root else k2.identity))
+                    for u, w in zip(sorted(k.arrows), sorted(k2.arrows)))
+    at = {(h.alpha[y], c, h.beta[y]): y for y, c in enumerate(bh.coords)}
+
+    def image(u: int, c: int, v: int) -> Optional[int]:
+        (w, phi, k, mu), (w2, *_, nu) = maps[u], maps[v]
+        return at.get((w, k.table[k.table[mu][phi[c]]][k.inv[nu]], w2))
+
+    f = tuple(map(image, g.alpha, bg.coords, g.beta))
     if (set(f) != set(range(len(h))) or not all(h.is_unit(f[u]) for u in g.units)
             or any((h.alpha[y], h.beta[y], h.inv[y]) != (f[g.alpha[x]], f[g.beta[x]], f[g.inv[x]])
                    for x, y in enumerate(f))
-            or _product_failures(g, h, f)):
+            or _product_failures(g, h, f, bg)):
         raise ValueError("is_isomorphic: the component map is not an isomorphism")
     return f  # type: ignore[return-value]

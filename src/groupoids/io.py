@@ -10,8 +10,8 @@ bytes.
 The parsers (``parse_groupoid_document``, ``parse_morphism_document`` and
 the two loaders) refuse a document of the wrong shape with ParseError and
 leave the laws to the validators: a parsed groupoid may fail ``validate``.
-``canonicalize_document`` and ``canonical_dumps`` refuse a dict with a
-missing or mistyped field or an unknown label, with ParseError.  The
+``canonicalize_document`` and ``canonical_dumps`` refuse a dict whose labels
+or product tables the parser refuses, with the parser's ParseError.  The
 writers (``plain_document``, ``quasiperm_document``,
 ``group_groupoid_document``, ``vsg_document``, ``document_for``, and
 ``canonical_dumps`` on a parsed document) trust the tables they write.
@@ -148,8 +148,7 @@ def _label_triples(
     triples = _require(data, field, list)
     rows: list[dict[int, int]] = [{} for _ in index]
     try:
-        for x, y, z in triples:
-            rows[index[x]][index[y]] = index[z]
+        _fill_rows(triples, index, rows, _NO_LABEL, None)
         # a 3-character string or a 3-key object also unpacks into three labels
         if sum(map(len, rows)) == len(triples) and set(map(type, triples)) <= {list}:
             return rows
@@ -375,16 +374,17 @@ class _Window:
         """The value ``scan(text, pos)`` reads, with the position moved past
         it, once the window holds three characters after its end or the
         file ends (a number such as "1e+5" may go on past a window that
-        ends in "1e+").  A scan that fails is done again on more text; its
-        error at the end of the file passes through."""
+        ends in "1e+").  A scan that may have failed only because the window
+        cut its value off (``_cut_off``) is done again on more text; any
+        other error, and every error at the end of the file, passes through."""
         while True:
             try:
                 value, end = scan(self.text, self.pos)
                 if self.eof or end + 2 < len(self.text):
                     self.pos = end
                     return value
-            except (ValueError, StopIteration):
-                if self.eof:
+            except (ValueError, StopIteration) as exc:
+                if self.eof or not _cut_off(exc, len(self.text)):
                     raise
             self.more()
 
@@ -404,6 +404,16 @@ class _Window:
             if cut or self.eof:
                 return cut
             self.more()
+
+
+def _cut_off(exc: Exception, size: int) -> bool:
+    """Whether a scan of a window of ``size`` characters may have failed for
+    lack of text alone: on a string it leaves open, or where a literal as
+    long as "-Infinity" can be cut.  Any other error stays one on more text."""
+    if isinstance(exc, StopIteration):
+        return size - exc.value < len("-Infinity")
+    return isinstance(exc, json.JSONDecodeError) and (
+        exc.msg.startswith("Unterminated string") or size - exc.pos < len("-Infinity"))
 
 
 def _string_quotes(text: str, start: int, end: int) -> int:
@@ -757,62 +767,10 @@ def document_for(parsed: ParsedDocument) -> dict:
     return _with_triples(_fields(parsed))
 
 
-def _refuse_unknown(field: str, rows: Any, index: dict, width: Optional[int]) -> None:
-    """Raise ParseError naming ``field`` when it is not a list, or naming its
-    first entry that is not ``width`` labels of ``index`` (one label when
-    ``width`` is None)."""
-    if not isinstance(rows, (list, tuple)):
-        raise ParseError(field, "expected a list")
-    for i, row in enumerate(rows):
-        try:
-            unknown = [lbl for lbl in ([row] if width is None else row) if lbl not in index]
-        except TypeError:  # a row that is not iterable, or an unhashable cell
-            raise ParseError(f"{field}[{i}]", "expected element labels") from None
-        if unknown:
-            raise ParseError(f"{field}[{i}]", f"unknown label {unknown[0]!r}")
-        if width is not None and len(row) != width:
-            raise ParseError(f"{field}[{i}]", f"expected {width} labels")
-
-
-def canonicalize_document(doc: dict) -> dict:
-    """Deterministic form: mul and add triples ordered by factor positions,
-    units by element position.  A missing elements, units or mul field, one
-    of those or add or unit_add that is not a list, a unit, mul or add label
-    outside the elements, or a unit_add label outside the units raises
-    ParseError."""
-    for field in ("elements", "units", "mul"):
-        if field not in doc:
-            raise ParseError(field, "missing required field")
-    if not isinstance(doc["elements"], (list, tuple)):
-        raise ParseError("elements", "expected a list")
-    try:
-        index = {lbl: i for i, lbl in enumerate(doc["elements"])}
-    except TypeError:  # an unhashable label
-        raise ParseError("elements", "expected element labels") from None
-    _refuse_unknown("units", doc["units"], index, None)
-    for field in ("mul", "add"):
-        if field in doc:
-            _refuse_unknown(field, doc[field], index, 3)
-    out = dict(doc)
-    out["units"] = sorted(doc["units"], key=index.get)
-    out["mul"] = sorted(doc["mul"], key=lambda t: (index[t[0]], index[t[1]]))
-    if "add" in out:
-        out["add"] = sorted(out["add"], key=lambda t: (index[t[0]], index[t[1]]))
-    if "unit_add" in out:
-        unit_index = {lbl: i for i, lbl in enumerate(out["units"])}
-        _refuse_unknown("unit_add", out["unit_add"], unit_index, 3)
-        out["unit_add"] = sorted(
-            out["unit_add"], key=lambda t: (unit_index[t[0]], unit_index[t[1]]))
-    return out
-
-
 def _read_tables(doc: dict) -> dict:
     """``doc`` with its units in element order and each triple list read
-    into a table by the parser's readers, so that writing it gives the
-    bytes of ``canonicalize_document(doc)``.  Raises ParseError where the
-    parser refuses the labels (``_labels``) or a triple list (a malformed
-    cell, an unknown label or a repeated pair), which covers every document
-    whose bytes could differ."""
+    into a table by the parser's readers, which write in canonical order;
+    their ParseError where they refuse the labels or a triple list."""
     elements, index, units = _labels(doc)
     out = dict(doc)
     out["units"] = units = sorted(units, key=index.__getitem__)
@@ -823,6 +781,13 @@ def _read_tables(doc: dict) -> dict:
         unit_index = {lbl: i for i, lbl in enumerate(units)}
         out["unit_add"] = _Table(units, _label_triples(doc, "unit_add", unit_index, "sum"))
     return out
+
+
+def canonicalize_document(doc: dict) -> dict:
+    """Deterministic form: mul, add and unit_add triples ordered by factor
+    positions, units by element position (``_read_tables``).  Labels or a
+    triple list that the parser refuses raise its ParseError."""
+    return _with_triples(_read_tables(doc))
 
 
 class _Encoded(dict):
@@ -898,13 +863,7 @@ def canonical_dumps(doc: dict | ParsedDocument) -> str:
     plus one trailing newline; the bytes are the same.  A parsed document
     is written as ``document_for(doc)`` would be, straight from its
     product rows."""
-    if isinstance(doc, ParsedDocument):
-        fields = _fields(doc)
-    else:
-        try:
-            fields = _read_tables(doc)
-        except ParseError:
-            return json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
+    fields = _fields(doc) if isinstance(doc, ParsedDocument) else _read_tables(doc)
     out: list[str] = []
     _write(fields, "", _Encoded(), out)
     out.append("\n")

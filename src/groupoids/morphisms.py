@@ -10,11 +10,12 @@ are valid by construction.  The product law is listed at generators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from .core import (
-    FiniteGroupoid, ValidationReport, Violation, _ints, _prefixed, _product_failures, validate,
+    FiniteGroupoid, ValidationReport, Violation, _Brandt, _brandt, _ints, _prefixed,
+    _product_failures, validate,
 )
 from .constructions import (
     _induced_from,
@@ -93,10 +94,14 @@ def validate_morphism(m: GroupoidMorphism) -> ValidationReport:
     """Check compatibility with products and anchors, plus the derived
     identities on units and inverses, between groupoids only: violations of
     either endpoint, prefixed ``domain-`` or ``codomain-``, are reported
-    alone, and so is a unit-map value that is not a unit."""
-    v = (_prefixed(validate(m.domain), "domain") + _prefixed(validate(m.codomain), "codomain")
-         or _unit_map_violations(m))
-    return ValidationReport(tuple(v)) if v else _morphism_laws(m)
+    alone, and so is a unit-map value that is not a unit.  Otherwise the
+    report carries the Brandt decompositions of domain and codomain."""
+    domain, codomain = validate(m.domain), validate(m.codomain)
+    v = _prefixed(domain, "domain") + _prefixed(codomain, "codomain") or _unit_map_violations(m)
+    if v:
+        return ValidationReport(tuple(v))
+    return replace(_morphism_laws(m, domain._decompositions[0]),
+                   _decompositions=domain._decompositions + codomain._decompositions)
 
 
 def _unit_map_violations(m: GroupoidMorphism) -> list[Violation]:
@@ -105,12 +110,12 @@ def _unit_map_violations(m: GroupoidMorphism) -> list[Violation]:
             for u, w in m.unit_map.items() if not m.codomain.is_unit(w)]
 
 
-def _morphism_laws(m: GroupoidMorphism) -> ValidationReport:
+def _morphism_laws(m: GroupoidMorphism, b: Optional[_Brandt] = None) -> ValidationReport:
     """``validate_morphism``'s laws, trusting that both endpoints validate
     and that the unit map sends units to units.  The product law is listed
-    at the generators of the domain (``core._product_failures``), which
-    decides it once the anchor and unit laws hold and names failing pairs
-    when they do not."""
+    at the generators of the domain (``core._product_failures``) in its
+    Brandt decomposition b, derived here when not given, which decides it
+    once the anchor and unit laws hold and names failing pairs otherwise."""
     g, h, f, f0 = m.domain, m.codomain, m.elem_map, m.unit_map
     v = [Violation("anchor-compat", (x,),
                    f"{end} of image of {g.elements[x]} disagrees with mapped {end}")
@@ -121,7 +126,7 @@ def _morphism_laws(m: GroupoidMorphism) -> ValidationReport:
                        f"{g.elements[x]}, {g.elements[y]} do not compose"
                        if h.rows[f[x]].get(f[y]) is None else
                        f"image of {g.elements[x]} * {g.elements[y]} is not the product of images")
-             for x, y in _product_failures(g, h, f))
+             for x, y in _product_failures(g, h, f, _brandt(g) if b is None else b))
     v.extend(Violation("unit-compat", (u,),
                        f"element map and unit map disagree on unit {g.elements[u]}")
              for u in g.units if f[u] != f0[u])
@@ -307,7 +312,7 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
     """Exhaustively verify the subgroupoid correspondence for a surjective
     strong morphism.  Hypothesis failures raise before any enumeration;
     the endpoints are validated once, by ``validate_morphism``."""
-    validate_morphism(m).require("correspondence")
+    domain, codomain = validate_morphism(m)._decomposed("correspondence")
     _require_strong(m, "correspondence needs")
     if set(m.elem_map) != set(range(len(m.codomain))):
         raise ValueError("correspondence needs a morphism surjective on elements")
@@ -315,8 +320,8 @@ def correspondence_check(m: GroupoidMorphism) -> CorrespondenceReport:
     _require_enumerable(m.domain)
     ker = tuple(x for x in range(len(m.domain)) if m.codomain.is_unit(m.elem_map[x]))
     inside_ker = set(ker)
-    over_kernel = [h for h in _lattice(m.domain) if inside_ker.issubset(h.members)]
-    codomain_subs = _lattice(m.codomain)
+    over_kernel = [h for h in _lattice(m.domain, domain) if inside_ker.issubset(h.members)]
+    codomain_subs = _lattice(m.codomain, codomain)
     domain_side = [h.members for h in over_kernel]
     wide = [h.members for h in codomain_subs if h.is_wide]
     normal_over = [h.members for h in over_kernel if h.is_normal]

@@ -13,10 +13,11 @@ import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import (
-    FiniteGroupoid, SizeLimitError, _generators, _ints, _right_closure, restricted, validate,
+    FiniteGroupoid, SizeLimitError, _Brandt, _Component, _generators, _ints, _right_closure,
+    restricted, validate,
 )
 
 __all__ = [
@@ -156,48 +157,49 @@ def generated_subgroupoid(g: FiniteGroupoid, seeds: Iterable[int]) -> Subgroupoi
     return subgroupoid_handle(g, _right_closure(span, inverse_and_products))
 
 
-def _subgroups(g: FiniteGroupoid, c: int, loops: Sequence[int]) -> list[frozenset[int]]:
-    """The subgroups of the vertex group ``loops`` at c, by cyclic extension
-    from {c}: every subgroup is <K, x> for one already listed K and a loop x
-    outside K."""
-    found = {frozenset([c]): ()}
+def _subgroups(k: _Component) -> list[frozenset[int]]:
+    """The subgroups of the vertex group of a component, as sets of
+    positions in its table, by cyclic extension from the identity: every
+    subgroup is <K, x> for one already listed K and an x outside K."""
+    table, e = k.table, k.identity
+    found = {frozenset([e]): ()}
     queue = list(found.items())
-    for k, gens in queue:
-        for x in loops:
-            if x not in k:
+    for sub, gens in queue:
+        for x in range(len(table)):
+            if x not in sub:
                 more = gens + (x,)
-                h = frozenset(_right_closure({c}, lambda a: map(g.rows[a].__getitem__, more)))
+                h = frozenset(_right_closure({e}, lambda a: map(table[a].__getitem__, more)))
                 if h not in found:
                     found[h] = more
                     queue.append((h, more))
     return list(found)
 
 
-def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
-    """The member lists of the nonempty subgroupoids of a groupoid, each once.
-
-    By Brandt's theorem a subgroupoid is a partial partition of the units
-    into classes, each inside one component, and for a class with least
-    unit c a subgroup K of the vertex group at c and, for every other unit
-    u of the class, one of the sets K*h with h : c -> u.  With K itself the
-    set for c, the class holds inv(a)*b for a and b in the chosen sets; one
-    a per set already gives them all.  Two units share a component exactly
-    when some arrow joins them."""
-    hom = g._homs
-
-    @functools.cache
-    def subgroups(c: int) -> list[frozenset[int]]:
-        return _subgroups(g, c, hom[c, c])
+def _brandt_subgroupoids(g: FiniteGroupoid, b: _Brandt) -> list[list[int]]:
+    """The member lists of the nonempty subgroupoids of a groupoid g with
+    Brandt decomposition b, each once.  By Brandt's theorem a subgroupoid
+    is a partial partition of the units into classes, each inside one
+    component, and for a class with least unit c a subgroup K of the vertex
+    group at c and, for every other unit u of the class, one of the sets
+    K*h with h : c -> u.  In coordinates (``core._brandt``) K is a subgroup
+    of the component's H_r and each K*h a right coset of it; with K itself
+    the set for c, the class holds the elements u -> v at coordinates a^-1*s
+    for a in the set for u and s in that for v, and one a per set already
+    gives them all."""
+    at = {(g.alpha[x], c, g.beta[x]): x for x, c in enumerate(b.coords)}
+    component = {u: k for k in b.components for u in k.arrows}
+    subgroups = {k.root: _subgroups(k) for k in b.components}
 
     @functools.cache
     def class_options(units: tuple[int, ...]) -> list[list[int]]:
-        c, out = units[0], []
-        for k in subgroups(c):
-            cosets = [list({frozenset(g.rows[y][h] for y in k): None for h in hom[c, u]})
-                      for u in units[1:]]
-            for chosen in itertools.product([k], *cosets):
-                back = [g.inv[min(a)] for a in chosen]
-                out.append([g.rows[t][b] for t in back for s in chosen for b in s])
+        k, out = component[units[0]], []
+        table = k.table
+        for sub in subgroups[k.root]:
+            cosets = list({frozenset(table[s][a] for s in sub): None for a in range(len(table))})
+            for chosen in itertools.product([sub], *[cosets] * (len(units) - 1)):
+                back = [k.inv[min(s)] for s in chosen]
+                out.append([at[u, table[a][s], v] for u, a in zip(units, back)
+                            for v, sets in zip(units, chosen) for s in sets])
         return out
 
     def within(units: tuple[int, ...]) -> list[list[int]]:
@@ -206,7 +208,7 @@ def _brandt_subgroupoids(g: FiniteGroupoid) -> list[list[int]]:
             return [[]]
         u, rest = units[0], units[1:]
         out = within(rest)
-        mates = [v for v in rest if (u, v) in hom]
+        mates = [v for v in rest if component[v] is component[u]]
         for size in range(len(mates) + 1):
             for others in itertools.combinations(mates, size):
                 tails = within(tuple(v for v in rest if v not in others))
@@ -223,9 +225,10 @@ def _require_enumerable(g: FiniteGroupoid) -> None:
             f"subgroupoid enumeration supports at most {ENUM_SIZE_LIMIT} elements, got {len(g)}")
 
 
-def _lattice(g: FiniteGroupoid) -> list[SubgroupoidHandle]:
+def _lattice(g: FiniteGroupoid, b: _Brandt) -> list[SubgroupoidHandle]:
     """Every subgroupoid of the groupoid g in (order, members) order, with
-    its flags read off the construction; g must already validate.
+    its flags read off the construction, from g's Brandt decomposition b;
+    g must already validate.
 
     A listed set N is closed, so it is wide when it holds every unit.  A
     wide N is normal when s*h*inv(s) is in N for every generator s : u -> v
@@ -237,9 +240,9 @@ def _lattice(g: FiniteGroupoid) -> list[SubgroupoidHandle]:
     those at u, and by inv(x) back, so finiteness makes each inclusion an
     equality (Brown, ch. 8; Higgins)."""
     conjugates = [(h, g.rows[g.rows[s][h]][g.inv[s]])
-                  for s in _generators(g) for h in g.isotropy_members(g.beta[s])]
+                  for s in _generators(g, b) for h in g.isotropy_members(g.beta[s])]
     handles = []
-    for members in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g)),
+    for members in sorted((tuple(sorted(m)) for m in _brandt_subgroupoids(g, b)),
                           key=lambda t: (len(t), t)):
         inside = set(members)
         wide = inside.issuperset(g.units)
@@ -253,13 +256,14 @@ def enumerate_subgroupoids(
     *,
     normal_only: bool = False,
 ) -> list[SubgroupoidHandle]:
-    """All subgroupoids in (order, members) order, built from Brandt's
-    decomposition, so the work follows the number found.  Raises
-    SizeLimitError beyond ``ENUM_SIZE_LIMIT`` elements, then ValueError when
-    g is not a groupoid."""
+    """All subgroupoids in (order, members) order, built from the Brandt
+    decomposition (``core._brandt``) that validating g derives, so the work
+    follows the number found.  Raises SizeLimitError beyond
+    ``ENUM_SIZE_LIMIT`` elements, then ValueError when g is not a
+    groupoid."""
     _require_enumerable(g)
-    validate(g).require("enumerate_subgroupoids: not a groupoid")
-    handles = _lattice(g)
+    (b,) = validate(g)._decomposed("enumerate_subgroupoids: not a groupoid")
+    handles = _lattice(g, b)
     return [h for h in handles if h.is_normal] if normal_only else handles
 
 

@@ -21,6 +21,7 @@ from groupoids import (
     from_group,
     group_as_group_groupoid,
     group_groupoid_document,
+    is_isomorphic,
     load_morphism,
     pair_group_groupoid,
     pair_groupoid,
@@ -652,6 +653,37 @@ def test_morphism_actions_validate_each_endpoint_once(tmp_path, z4_file, z2_file
         assert main(["morphism", action, str(path)]) == 0, action
         assert calls == [4, 2], (action, calls)
     capsys.readouterr()
+
+
+def test_structural_answers_decompose_each_groupoid_once(tmp_path, gp2_file, z4_file, z2_file,
+                                                         z4, z2, capsys, monkeypatch):
+    """``morphism kernel`` and ``correspondence``, ``subgroupoids`` and
+    ``is_isomorphic`` read the Brandt decomposition that validation derives,
+    one per groupoid, and derive none of their own."""
+    from groupoids import core
+    brandt, calls = core._brandt, []
+
+    def counted(g):
+        calls.append(g)
+        return brandt(g)
+
+    monkeypatch.setattr(core, "_brandt", counted)
+    doc = {"format_version": 1, "domain": {"path": "z4.json"},
+           "codomain": {"path": "z2.json"}, "f": {"0": "0", "1": "1", "2": "0", "3": "1"}}
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, sizes in ((["morphism", "kernel", str(path)], [4, 2]),
+                        (["morphism", "correspondence", str(path)], [4, 2]),
+                        (["subgroupoids", gp2_file], [4])):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert [len(g) for g in calls] == sizes, argv
+    capsys.readouterr()
+    copy = FiniteGroupoid(z4.elements, z4.units, z4.alpha, z4.beta, z4.inv, z4.mul)
+    for h, found in ((z2, False), (copy, True)):
+        calls.clear()
+        assert (is_isomorphic(z4, h) is not None) == found
+        assert [id(g) for g in calls] == [id(z4), id(h)]
 
 
 def test_morphism_missing_file(tmp_path, capsys):

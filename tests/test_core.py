@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -35,10 +36,10 @@ from groupoids import (
     whitney_sum,
     with_base_labels,
 )
-from groupoids.core import _components
+from groupoids.core import _brandt, _components
 from conftest import symmetric_group_3
 from test_constructions import greedy_generators
-from test_isomorphism import relabelled
+from test_isomorphism import CORPUS, relabelled
 
 
 def z4_tables():
@@ -821,6 +822,45 @@ def test_hom_index_answers_equal_their_definition_scans(seed):
             (alpha if rng.random() < 0.5 else beta)[rng.randrange(len(g))] = rng.randrange(len(g))
         broken = FiniteGroupoid(g.elements, g.units, alpha, beta, g.inv, g.mul)
         assert_hom_index_matches_the_scans(broken)
+
+
+def assert_brandt_embedding(g):
+    """Per component of ``_brandt(g)``: its root is its least unit, with
+    t_r = r and t_u : r -> u, H_r and its table are the loops at r and their
+    products, x -> (alpha(x), c(x), beta(x)) is a bijection onto U x H_r x U,
+    units go to (u, e, u), inverses to (v, c(x)^-1, u), and c(x*y) ==
+    c(x)*c(y) on every product; the components cover g."""
+    components, c = _brandt(g)
+    covered = []
+    for k in components:
+        units = sorted(k.arrows)
+        assert k.root == units[0] and k.arrows[k.root] == k.root
+        assert all((g.alpha[t], g.beta[t]) == (k.root, u) for u, t in k.arrows.items())
+        assert k.members == g.isotropy_members(k.root) and k.members[k.identity] == k.root
+        assert k.table == [[k.members.index(g.mul[x, y]) for y in k.members] for x in k.members]
+        inside = [x for x in range(len(g)) if g.alpha[x] in k.arrows]
+        assert {(g.alpha[x], c[x], g.beta[x]) for x in inside} == set(
+            itertools.product(units, range(len(k.members)), units))
+        assert len(inside) == len(units) ** 2 * len(k.members)
+        for x in inside:
+            if g.is_unit(x):
+                assert c[x] == k.identity
+            assert k.table[c[x]][k.inv[c[x]]] == k.identity
+            assert c[g.inv[x]] == k.inv[c[x]]
+            assert all(c[z] == k.table[c[x]][c[y]] for y, z in g.rows[x].items())
+        covered += inside
+    assert sorted(covered) == list(range(len(g)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brandt_decomposition_embeds_each_component_in_pair_times_its_vertex_group(seed, golden):
+    rng = random.Random(seed)
+    corpus = [g for _, g in rng.sample(CORPUS, 25)] + [
+        golden, symmetric_groupoid(3), alternating_groupoid(4), three_component_union()]
+    for g in corpus:
+        for h in (g, relabelled(g, rng)):
+            assert validate(h).passed
+            assert_brandt_embedding(h)
 
 
 def test_isotropy_conjugation(gp2, golden):

@@ -47,6 +47,7 @@ from groupoids import (
     vsg_document,
 )
 from groupoids import io as groupoids_io
+from conftest import LONG_INTEGER
 from groupoids.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_14_6.json"
@@ -974,20 +975,22 @@ def test_tables_out_of_canonical_order_are_written_in_it(doc):
     ({"elements": ["a"], "units": ["a"], "mul": [], "add": [["zz", "a", "a"]]},
      "add[0]", "unknown label 'zz'"),
     ({"elements": ["a"], "units": ["a"], "mul": [["a", "a", ["a"]]]},
-     "mul[0]", "expected element labels"),
-    ({"elements": ["a"], "units": ["a"], "mul": [5]}, "mul[0]", "expected element labels"),
+     "mul[0]", "expected a [x, y, product] label triple"),
+    ({"elements": ["a"], "units": ["a"], "mul": [5]},
+     "mul[0]", "expected a [x, y, product] label triple"),
     ({"elements": ["a"], "units": ["a"], "mul": [], "unit_add": [["a", "zz", "a"]]},
      "unit_add[0]", "unknown label 'zz'"),
     ({"elements": ["a", "b"], "units": ["a"], "mul": [], "unit_add": [["a", "a", "b"]]},
      "unit_add[0]", "unknown label 'b'"),
-    ({"elements": ["a"], "units": ["a"], "mul": [], "add": 5}, "add", "expected a list"),
-    ({"elements": ["a"], "units": ["a"], "mul": [], "unit_add": 5}, "unit_add", "expected a list"),
-    ({"elements": 5, "units": ["a"], "mul": []}, "elements", "expected a list"),
-    ({"elements": ["a"], "units": 5, "mul": []}, "units", "expected a list"),
-    ({"elements": ["a"], "units": ["a"], "mul": 5}, "mul", "expected a list"),
-    ({"elements": [["a"]], "units": ["a"], "mul": []}, "elements", "expected element labels"),
-    ({"elements": ["a"], "units": [["a"]], "mul": []}, "units[0]", "expected element labels"),
-    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a"]]}, "mul[0]", "expected 3 labels"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "add": 5}, "add", "expected list"),
+    ({"elements": ["a"], "units": ["a"], "mul": [], "unit_add": 5}, "unit_add", "expected list"),
+    ({"elements": 5, "units": ["a"], "mul": []}, "elements", "expected list"),
+    ({"elements": ["a"], "units": 5, "mul": []}, "units", "expected list"),
+    ({"elements": ["a"], "units": ["a"], "mul": 5}, "mul", "expected list"),
+    ({"elements": [["a"]], "units": ["a"], "mul": []}, "elements[0]", "expected a string"),
+    ({"elements": ["a"], "units": [["a"]], "mul": []}, "units[0]", "expected a string"),
+    ({"elements": ["a"], "units": ["a"], "mul": [["a", "a"]]},
+     "mul[0]", "expected a [x, y, product] label triple"),
 ])
 def test_canonical_forms_of_a_document_dict_refuse_a_missing_field_or_unknown_label(
         doc, field, message):
@@ -995,6 +998,86 @@ def test_canonical_forms_of_a_document_dict_refuse_a_missing_field_or_unknown_la
         with pytest.raises(ParseError) as err:
             write(doc)
         assert (err.value.field, err.value.message) == (field, message)
+
+
+def canonical_path_mutant(doc, rng):
+    """A copy of a written document with its elements, units and triple
+    lists shuffled, and then with one seeded edit of its labels or tables
+    (or none): a repeated unit, no unit at all, a repeated element label, a
+    repeated pair, an unknown label, a cell that is no string, a short
+    triple, or a labels field that is no list."""
+    out = json.loads(json.dumps(doc))
+    order = list(range(len(doc["elements"])))
+    rng.shuffle(order)
+    out["elements"] = [doc["elements"][i] for i in order]
+    if "payloads" in doc:
+        out["payloads"] = [doc["payloads"][i] for i in order]
+    rng.shuffle(out["units"])
+    tables = [field for field in ("mul", "add", "unit_add") if field in out]
+    for field in tables:
+        rng.shuffle(out[field])
+    edit = rng.randrange(10)
+    table = out[rng.choice(tables)]
+    if edit == 1:
+        out["units"].append(rng.choice(out["units"]))
+    elif edit == 2:
+        out["units"] = []
+    elif edit == 3:
+        i, j = rng.sample(range(len(out["elements"])), 2)
+        out["elements"][j] = out["elements"][i]
+    elif edit == 4:
+        x, y, _ = rng.choice(table)
+        table.insert(rng.randrange(len(table) + 1), [x, y, rng.choice(rng.choice(table))])
+    elif edit == 5:
+        rng.choice(table)[rng.randrange(3)] = "no such label"
+    elif edit == 6:
+        rng.choice(table)[rng.randrange(3)] = rng.choice([1, None, ["a"]])
+    elif edit == 7:
+        rng.choice(table).pop()
+    elif edit == 8:
+        out[rng.choice(["elements", "units", "mul"])] = rng.choice([5, "a", {"a": "a"}])
+    return out
+
+
+def test_canonical_forms_of_a_dict_are_those_of_the_parsed_document():
+    """Where the parser reads a document, canonical_dumps of the dict writes
+    the bytes of its parsed document; where the parser refuses its labels or
+    tables, canonical_dumps and canonicalize_document refuse it with the
+    parser's error.  Only the labels and tables are edited, so the parser
+    meets no other fault first."""
+    docs = [plain_document(disjoint_union(pair_groupoid(2), from_group(cyclic_group(3)))),
+            quasiperm_document(symmetric_groupoid(2), 2),
+            group_groupoid_document(pair_group_groupoid(cyclic_group(3))),
+            vsg_document(pair_vector_space_groupoid(3, 1))]
+    rng = random.Random(3636)
+    outcomes = Counter()
+    for _ in range(400):
+        doc = canonical_path_mutant(rng.choice(docs), rng)
+        try:
+            parsed = parse_groupoid_document(doc)
+        except ParseError as exc:
+            for write in (canonicalize_document, canonical_dumps):
+                with pytest.raises(ParseError) as err:
+                    write(doc)
+                assert (err.value.field, err.value.message) == (exc.field, exc.message), doc
+            outcomes[exc.field.split("[")[0]] += 1
+        else:
+            assert canonical_dumps(doc) == canonical_dumps(parsed)
+            assert canonicalize_document(doc) == document_for(parsed)
+            outcomes["accepted"] += 1
+    assert set(outcomes) >= {"accepted", "elements", "units", "mul", "add", "unit_add"}, outcomes
+
+
+def test_a_repeated_pair_unit_or_label_is_refused_as_the_parser_refuses_it():
+    doc = {"elements": ["a", "b"], "units": ["a"], "mul": [["a", "a", "a"], ["a", "a", "b"]]}
+    cases = [(doc, "mul[1]", "duplicate triple for ('a', 'a')"),
+             ({**doc, "units": ["a", "a"]}, "units", "unit labels must be unique"),
+             ({**doc, "elements": ["a", "a"]}, "elements", "labels must be unique")]
+    for case, field, message in cases:
+        for write in (canonicalize_document, canonical_dumps):
+            with pytest.raises(ParseError) as err:
+                write(case)
+            assert (err.value.field, err.value.message) == (field, message)
 
 
 # ----- reading document text --------------------------------------------------
@@ -1458,6 +1541,34 @@ def test_loading_the_degree_5_document_peaks_below_three_quarters_of_its_text(
     # 2.0 times it, and decoding the whole tree of cells near 4.0 times
     assert peak < 0.75 * size, peak / size
 
+
+def test_a_5000_digit_degree_goes_to_the_whole_text_read_at_once(
+        tmp_path, s5, long_integer_texts, monkeypatch):
+    """The degree-5 document with a 5,000-digit degree: the walker gives up
+    at the number, after at most two window reads, and the whole-text read
+    refuses it.  Nothing of the window is left by then, so the traced peak
+    is that of the whole-text read alone; reading the window on to the end
+    of the file first made 9 reads and peaked 37% above it."""
+    _, message = long_integer_texts
+    text = canonical_dumps(quasiperm_document(s5, 5))
+    path = tmp_path / "s5_long.json"
+    path.write_text(text.replace('"degree": 5,', f'"degree": {LONG_INTEGER},', 1),
+                    encoding="utf-8")
+    reads = []
+    more = groupoids_io._Window.more
+    monkeypatch.setattr(groupoids_io._Window, "more", lambda self: reads.append(1) or more(self))
+    peaks = []
+    for read in (load_groupoid, groupoids_io._read_json):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (err.value.field, err.value.message) == ("json", message)
+    assert 1 <= len(reads) <= 2
+    assert peaks[0] < 1.01 * peaks[1], peaks
 
 def test_loading_the_anchor_morphism_of_s5_peaks_below_12_mb(tmp_path, s5):
     # the codomain pair(31) inline and the domain S5 by path, as in the

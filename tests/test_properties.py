@@ -225,11 +225,13 @@ LAYOUT_FIELDS = ("elements", "units", "mul", "add", "unit_add")
 @st.composite
 def documents(draw):
     """Documents that canonicalize_document accepts: element, unit and
-    triple labels drawn from LABELS, and any other fields from VALUES,
-    string-keyed label maps and lists of label triples among them."""
+    triple labels drawn from LABELS, at least one unit, no pair repeated in
+    a triple list, and any other fields from VALUES, string-keyed label
+    maps and lists of label triples among them."""
     elements = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
-    units = draw(st.lists(st.sampled_from(elements), max_size=3, unique=True))
+    units = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3, unique=True))
     label = st.sampled_from(elements)
+    pairs_once = dict(unique_by=lambda t: tuple(t[:2]))
     doc = draw(st.dictionaries(
         st.text(max_size=8).filter(lambda k: k not in LAYOUT_FIELDS),
         st.one_of(VALUES, st.lists(TRIPLES, max_size=4),
@@ -238,12 +240,13 @@ def documents(draw):
                                   max_size=3)),
         max_size=5))
     doc["elements"], doc["units"] = elements, units
-    doc["mul"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8))
+    doc["mul"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8, **pairs_once))
     if draw(st.booleans()):
-        doc["add"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8))
-    if units and draw(st.booleans()):
+        doc["add"] = draw(st.lists(st.lists(label, min_size=3, max_size=3), max_size=8,
+                                   **pairs_once))
+    if draw(st.booleans()):
         doc["unit_add"] = draw(st.lists(
-            st.lists(st.sampled_from(units), min_size=3, max_size=3), max_size=4))
+            st.lists(st.sampled_from(units), min_size=3, max_size=3), max_size=4, **pairs_once))
     return doc
 
 
@@ -252,9 +255,9 @@ def documents(draw):
 # in the writer's set of labels, so its triples are left to json.
 @settings(max_examples=200, deadline=None)
 @given(documents())
-@example({"elements": ["a"], "units": [], "mul": [["a", "a", "a"]],
+@example({"elements": ["a"], "units": ["a"], "mul": [["a", "a", "a"]],
           "equal keys, other types": [[1, True, 1.0], [0, False, 0.0], ["1", [], {}]]})
-@example({"elements": ["a"], "units": [], "mul": [["a", "a", "a"]],
+@example({"elements": ["a"], "units": ["a"], "mul": [["a", "a", "a"]],
           "a list cell": [["a", ["b", "c"], "d"], ["e", "f", "g"]]})
 def test_canonical_dumps_writes_the_stdlib_bytes(doc):
     expected = json.dumps(canonicalize_document(doc), sort_keys=True, indent=2) + "\n"
